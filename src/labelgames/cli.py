@@ -84,9 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="write two-column .dat series next to the CSVs",
     )
-    common.add_argument(
-        "--workers", type=int, default=1, help="concurrent run workers"
-    )
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -212,7 +209,7 @@ def _start_moments(config: ExperimentConfig) -> tuple[float, float]:
 
 def _cmd_simulate(args) -> int:
     config = _load(args)
-    result = run_experiment(config, workers=args.workers)
+    result = run_experiment(config)
     aggregate = result.aggregate
     print(f"final_mean_lambda={_format(aggregate.mean_of_means[-1])}")
     print(f"final_sd_lambda={_format(aggregate.mean_sd[-1])}")
@@ -289,7 +286,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"swept w value {value:g} outside [0, 1]")
         if args.param == "h" and not 0.0 < value < 1.0:
             raise ConfigError(f"swept h value {value:g} outside (0, 1)")
-    points = sweep(config, args.param, args.values, workers=args.workers)
+    points = sweep(config, args.param, args.values)
     for point in points:
         print(
             f"{args.param}={point.value:g} "
@@ -313,7 +310,7 @@ def _cmd_compare(args) -> int:
     for value in args.w_values:
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"reliability value {value:g} outside [0, 1]")
-    rows = compare_models(config, args.w_values, workers=args.workers)
+    rows = compare_models(config, args.w_values)
     for row in rows:
         print(
             f"w={row.reliability:g} "
@@ -346,9 +343,7 @@ def _cmd_validate(args) -> int:
         raise ConfigError("validate requires model = 2 in the config")
     if config.game.schedule != "ordered":
         raise ConfigError("validate requires schedule = ordered in the config")
-    rows = validate_predictions(
-        config, args.h_values, n_samples=args.samples, workers=args.workers
-    )
+    rows = validate_predictions(config, args.h_values, n_samples=args.samples)
     for row in rows:
         print(
             f"h={row.rate:g} "

@@ -3,10 +3,11 @@
 A single experiment repeats the same game configuration across independent
 runs, each seeded by mixing a master seed with the run id, records the
 population mean and cross-agent standard deviation of the weights over
-time, and aggregates across runs.  Identical configuration and master seed
-give byte-identical output files, regardless of worker count and of
-whether the vectorised multi-run engine or the plain per-run loop did the
-work.
+time, and aggregates across runs.  All runs advance together on the
+lane-stacked kernel ``game._stacked_timestep``, one timestep at a time;
+``run_single`` replays one run dialogue by dialogue and gives bit-identical
+records.  Identical configuration and master seed give byte-identical
+output files.
 
 Sweeps, model comparisons, and prediction validation are thin layers that
 re-run the experiment with one field changed and tabulate the results.
@@ -14,7 +15,6 @@ re-run the experiment with one field changed and tabulate the results.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -27,15 +27,12 @@ from .analysis import (
     variance_trajectory,
 )
 from .game import (
-    AgentState,
     GameConfig,
     _apply_sequential,
     _draw_schedule,
-    _group_by_listener,
-    _signed_targets,
+    _stacked_timestep,
     dialogues_per_timestep,
     init_population,
-    run_timestep,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -125,14 +122,24 @@ class ExperimentResult:
     aggregate: AggregateRecord
 
 
-def _population_stats(weights: np.ndarray) -> tuple[float, float]:
-    return float(np.mean(weights)), float(np.std(weights, ddof=1))
+def _population_stats(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row mean and cross-agent standard deviation of a (runs, n) array."""
+    return weights.mean(axis=1), weights.std(axis=1, ddof=1)
+
+
+def _records(run_ids, times, stats, final_weights) -> list[RunRecord]:
+    """One record per run from the (means, sds) rows of each recorded timestep."""
+    means, sds = (np.column_stack(rows) for rows in zip(*stats))
+    return [
+        RunRecord(run_id, times, means[r], sds[r], final_weights[r].copy())
+        for r, run_id in enumerate(run_ids)
+    ]
 
 
 def run_single(config: ExperimentConfig, run_id: int) -> RunRecord:
-    """Execute one run with the plain per-timestep loop.
+    """Execute one run dialogue by dialogue through ``_apply_sequential``.
 
-    This is the reference the vectorised engine is measured against; both
+    This is the reference the stacked engine is measured against; both
     must produce bit-identical records for the same configuration.
     """
     game = config.game
@@ -140,124 +147,21 @@ def run_single(config: ExperimentConfig, run_id: int) -> RunRecord:
     population = init_population(game, rng)
     times = record_times(game.timesteps, config.record_every)
     wanted = set(int(t) for t in times)
-    means: list[float] = []
-    sds: list[float] = []
 
-    def record(pop) -> None:
-        mean, sd = _population_stats(np.asarray([a.weight for a in pop]))
-        means.append(mean)
-        sds.append(sd)
+    def weights() -> np.ndarray:
+        return np.asarray([[a.weight for a in population]])
 
-    record(population)
+    stats = [_population_stats(weights())]
     for t in range(1, game.timesteps + 1):
-        population = run_timestep(
-            population,
-            game.labels,
-            config.env,
-            game.rate,
-            game.model,
-            rng,
-            schedule=game.schedule,
+        speakers, listeners = _draw_schedule(game.n_agents, game.schedule, rng)
+        xs = config.env.sample_batch(rng, speakers.size)
+        population = _apply_sequential(
+            population, game.labels, xs, speakers, listeners, game.rate, game.model
         )
         if t in wanted:
-            record(population)
-    return RunRecord(
-        run_id=run_id,
-        times=times,
-        mean_weights=np.asarray(means),
-        sd_weights=np.asarray(sds),
-        final_weights=np.asarray([a.weight for a in population]),
-    )
-
-
-def _blocks_interior(weights: np.ndarray, runs: int, n: int) -> np.ndarray:
-    inside = (weights > 0.0) & (weights < 1.0)
-    return inside.reshape(runs, n).all(axis=1)
-
-
-def _stacked_timestep(
-    weights, rels, labels, xs, speakers, listeners, rate, model, schedule, runs, n
-):
-    """Advance every run one timestep on stacked per-run state.
-
-    Agent i of run r occupies lane r*n + i; speakers and listeners carry
-    those global lane ids.  Runs whose weights sit strictly inside (0, 1)
-    for the whole timestep, with no membership within rounding reach of
-    one half, advance through the shared vectorised round loop; any other
-    run replays its exact recorded schedule through the sequential
-    dialogue path.  Either way each lane ends bit-identical to a run
-    executed on its own.
-    """
-    total = runs * n
-    per_run = speakers.size // runs
-    m1 = labels[0].membership_batch(xs[:, 0])
-    m2 = labels[1].membership_batch(xs[:, 1])
-
-    near1 = np.abs(m1 - 0.5)
-    near2 = np.abs(m2 - 0.5)
-    touchy = ((near1 > 0.0) & (near1 < 1e-12)).reshape(runs, per_run).any(axis=1)
-    touchy |= ((near2 > 0.0) & (near2 < 1e-12)).reshape(runs, per_run).any(axis=1)
-    fast_ok = _blocks_interior(weights, runs, n) & ~touchy
-
-    updated = weights.copy()
-    if fast_ok.any():
-        speaker_rel = rels[speakers]
-        targets, usable, mu_first, mu_second = _signed_targets(m1, m2, speaker_rel)
-        keys = listeners.astype(np.uint16) if total < 65536 else listeners
-        order = np.argsort(keys, kind="stable")
-        if schedule == "ordered":
-            rounds = n - 1
-        else:
-            rounds = int(np.bincount(listeners, minlength=total).max())
-        p_target = _group_by_listener(listeners, total, rounds, order, targets)
-        p_active = _group_by_listener(
-            listeners, total, rounds, order, usable, fill=False, dtype=bool
-        )
-        p_first = _group_by_listener(listeners, total, rounds, order, mu_first)
-        p_second = _group_by_listener(listeners, total, rounds, order, mu_second)
-        p_rel = _group_by_listener(listeners, total, rounds, order, speaker_rel)
-
-        alive = fast_ok.copy()
-        for rr in range(rounds):
-            mu = updated * p_first[:, rr] + (1.0 - updated) * p_second[:, rr]
-            if model == 1:
-                cond = mu <= p_rel[:, rr]
-            else:
-                cond = mu != p_rel[:, rr]
-            upd = p_active[:, rr] & cond
-            updated = np.where(
-                upd, updated + rate * (p_target[:, rr] - updated), updated
-            )
-            interior = _blocks_interior(updated, runs, n)
-            left = alive & ~interior
-            if left.any():
-                fast_ok &= ~left
-                alive &= interior
-                if not alive.any():
-                    break
-
-    for r in np.flatnonzero(~fast_ok):
-        lanes = slice(r * n, (r + 1) * n)
-        block = slice(r * per_run, (r + 1) * per_run)
-        population = [
-            AgentState(
-                agent_id=i,
-                weight=float(weights[r * n + i]),
-                reliability=float(rels[r * n + i]),
-            )
-            for i in range(n)
-        ]
-        states = _apply_sequential(
-            population,
-            labels,
-            xs[block],
-            speakers[block] - r * n,
-            listeners[block] - r * n,
-            rate,
-            model,
-        )
-        updated[lanes] = [a.weight for a in states]
-    return updated
+            stats.append(_population_stats(weights()))
+    (record,) = _records([run_id], times, stats, weights())
+    return record
 
 
 def _run_stacked(config: ExperimentConfig) -> list[RunRecord]:
@@ -283,16 +187,7 @@ def _run_stacked(config: ExperimentConfig) -> list[RunRecord]:
 
     times = record_times(game.timesteps, config.record_every)
     wanted = set(int(t) for t in times)
-    means = [[] for _ in range(runs)]
-    sds = [[] for _ in range(runs)]
-
-    def record() -> None:
-        for r in range(runs):
-            mean, sd = _population_stats(weights[r * n : (r + 1) * n])
-            means[r].append(mean)
-            sds[r].append(sd)
-
-    record()
+    stats = [_population_stats(weights.reshape(runs, n))]
     speakers = np.empty(runs * per_run, dtype=np.int64)
     listeners = np.empty(runs * per_run, dtype=np.int64)
     xs = np.empty((runs * per_run, 2))
@@ -317,17 +212,8 @@ def _run_stacked(config: ExperimentConfig) -> list[RunRecord]:
             n,
         )
         if t in wanted:
-            record()
-    return [
-        RunRecord(
-            run_id=r,
-            times=times,
-            mean_weights=np.asarray(means[r]),
-            sd_weights=np.asarray(sds[r]),
-            final_weights=weights[r * n : (r + 1) * n].copy(),
-        )
-        for r in range(runs)
-    ]
+            stats.append(_population_stats(weights.reshape(runs, n)))
+    return _records(range(runs), times, stats, weights.reshape(runs, n))
 
 
 def aggregate_runs(records: list[RunRecord]) -> AggregateRecord:
@@ -405,33 +291,19 @@ def persist_experiment(
     write_final_csv(out_dir / "final_lambdas.csv", records)
 
 
-def run_experiment(
-    config: ExperimentConfig, workers: int = 1
-) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute all runs, aggregate, and persist when an output dir is set.
 
     Run r draws every random number from a generator seeded with
-    mix_seed(master_seed, r), so results do not depend on scheduling:
-    one worker uses the stacked engine, several workers spread the
-    per-run loop across threads, and both give identical records.
+    mix_seed(master_seed, r), so its records do not depend on how many
+    other runs share the stacked engine.
     """
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     out_dir = (
         prepare_output_dir(config.outputs)
         if config.outputs is not None
         else None
     )
-    if workers == 1:
-        records = _run_stacked(config)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(
-                pool.map(
-                    lambda run_id: run_single(config, run_id),
-                    range(config.runs),
-                )
-            )
+    records = _run_stacked(config)
     aggregate = aggregate_runs(records)
     if out_dir is not None:
         persist_experiment(out_dir, records, aggregate)
@@ -469,7 +341,6 @@ def sweep(
     config: ExperimentConfig,
     parameter: str,
     values,
-    workers: int = 1,
 ) -> list[SweepPoint]:
     """Re-run the experiment per parameter value and tabulate the end state.
 
@@ -483,7 +354,7 @@ def sweep(
     for value in values:
         sub = _with_parameter(config, parameter, float(value))
         sub = _subdir_config(sub, f"{parameter}_{float(value):g}")
-        result = run_experiment(sub, workers=workers)
+        result = run_experiment(sub)
         points.append(
             SweepPoint(
                 value=float(value),
@@ -506,7 +377,7 @@ class ModelComparison:
 
 
 def compare_models(
-    config: ExperimentConfig, w_values, workers: int = 1
+    config: ExperimentConfig, w_values
 ) -> list[ModelComparison]:
     """Run both update rules across reliabilities and tabulate end states."""
     rows = []
@@ -516,7 +387,7 @@ def compare_models(
             game = replace(config.game, reliability=float(w), model=model)
             sub = replace(config, game=game)
             sub = _subdir_config(sub, f"model{model}_w_{float(w):g}")
-            result = run_experiment(sub, workers=workers)
+            result = run_experiment(sub)
             stats[model] = (
                 float(result.aggregate.mean_of_means[-1]),
                 float(result.aggregate.mean_sd[-1]),
@@ -555,7 +426,6 @@ def validate_predictions(
     config: ExperimentConfig,
     rate_values,
     n_samples: int = 1_000_000,
-    workers: int = 1,
 ) -> list[ValidationRow]:
     """Compare simulated weight curves with their closed-form predictions.
 
@@ -568,17 +438,22 @@ def validate_predictions(
 
     Only the mismatch rule (model 2) updates unconditionally the way the
     closed forms assume, and only the ordered schedule gives every agent
-    exactly n-1 updates per timestep, so anything else is rejected.
+    exactly n-1 updates per timestep, so anything else is rejected; so is
+    a per-agent reliability, since the target moments take one value.
     """
     if config.game.model != 2:
         raise ValueError("prediction validation requires model 2")
     if config.game.schedule != "ordered":
         raise ValueError("prediction validation requires the ordered schedule")
+    if isinstance(config.game.reliability, tuple):
+        raise ValueError(
+            "prediction validation requires one reliability for all agents"
+        )
     rows = []
     for index, rate in enumerate(rate_values):
         sub = _with_parameter(config, "h", float(rate))
         sub = _subdir_config(sub, f"h_{float(rate):g}")
-        result = run_experiment(sub, workers=workers)
+        result = run_experiment(sub)
         aggregate = result.aggregate
 
         moments_rng = np.random.default_rng(

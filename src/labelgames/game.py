@@ -12,11 +12,13 @@ whenever the two differ.
 
 A timestep visits every speaker/listener pair once in a freshly shuffled
 order, sampling a fresh observation per dialogue, and applies updates
-sequentially.  ``run_timestep`` carries an exact vectorised path used whenever
-every weight lies strictly inside (0, 1); it is bit-identical to the
-sequential reference because, for interior weights, the asserted compound does
-not depend on the speaker's weight and each listener's chain of updates only
-reads that listener's own state.
+sequentially.  There are two implementations.  ``_apply_sequential`` is the
+reference: it plays the dialogues one at a time through ``run_dialogue``.
+``_stacked_timestep`` is the one array kernel: it advances any number of
+independent runs at once, stacked lane by lane, and is bit-identical to the
+reference; a run whose weights or memberships could make rounding change an
+assertion is replayed through the reference instead.  ``run_timestep`` is the
+kernel's one-run case.
 """
 
 from __future__ import annotations
@@ -106,8 +108,8 @@ class GameConfig:
     def __post_init__(self) -> None:
         if self.n_agents < 2:
             raise ValueError(f"a game needs at least two agents, got {self.n_agents}")
-        if self.timesteps < 0:
-            raise ValueError(f"timesteps must be non-negative, got {self.timesteps}")
+        if self.timesteps < 1:
+            raise ValueError(f"timesteps must be at least 1, got {self.timesteps}")
         if not 0.0 < self.rate < 1.0:
             raise ValueError(f"update rate must lie in (0, 1), got {self.rate}")
         if self.model not in (1, 2):
@@ -329,19 +331,19 @@ def run_timestep(
 
     ``env`` must provide ``sample_batch(rng, count)`` returning one observation
     per row.  Returns the population after the timestep; ids are preserved.
+    This is the one-run case of ``_stacked_timestep``.
     """
     n = len(population)
     if n < 2:
         raise ValueError("a timestep needs at least two agents")
     speakers, listeners = _draw_schedule(n, schedule, rng)
     xs = env.sample_batch(rng, speakers.size)
-
-    interior = all(0.0 < a.weight < 1.0 for a in population)
-    if interior:
-        weights = _apply_fast(population, labels, xs, speakers, listeners, rate, model, schedule)
-        if weights is not None:
-            return [replace(a, weight=float(weights[i])) for i, a in enumerate(population)]
-    return _apply_sequential(population, labels, xs, speakers, listeners, rate, model)
+    weights = _stacked_timestep(
+        np.asarray([a.weight for a in population]),
+        np.asarray([a.reliability for a in population]),
+        labels, xs, speakers, listeners, rate, model, schedule, 1, n,
+    )
+    return [replace(a, weight=float(w)) for a, w in zip(population, weights)]
 
 
 def _apply_sequential(population, labels, xs, speakers, listeners, rate, model):
@@ -352,13 +354,6 @@ def _apply_sequential(population, labels, xs, speakers, listeners, rate, model):
         x = (float(xs[k, 0]), float(xs[k, 1]))
         states[l], _ = run_dialogue(states[s], states[l], labels, x, rate, model)
     return states
-
-
-def _near_half_memberships(m1: np.ndarray, m2: np.ndarray) -> bool:
-    """True when a membership sits within half an ulp's reach of 0.5 without equalling it."""
-    m = np.concatenate((m1, m2))
-    d = np.abs(m - 0.5)
-    return bool(np.any((d > 0.0) & (d < 1e-12)))
 
 
 def _group_by_listener(listeners, n, rounds, order, values, fill=0.0, dtype=np.float64):
@@ -373,49 +368,96 @@ def _group_by_listener(listeners, n, rounds, order, values, fill=0.0, dtype=np.f
     return out
 
 
-def _apply_fast(population, labels, xs, speakers, listeners, rate, model, schedule):
-    """Vectorised path, bit-identical to the sequential reference when it runs.
+# Least margin min(w, 1 - w) * |2m - 1| at which rounding cannot make a
+# speaker's assertion differ from the majority-sign compound.
+_MARGIN = 2.0**-50
 
-    Listener chains are mutually independent because, for weights strictly
-    inside (0, 1), targets and assertions do not read any agent's weight; each
-    listener's dialogues are replayed in their shuffled relative order, all
-    listeners advancing one dialogue per round with the same per-update
-    arithmetic as the sequential path.  The method declines (returns None) in
-    the two states where that independence argument breaks: a membership so
-    close to one half that sign choices could tie in rounded arithmetic, and a
-    weight leaving the open interval mid-timestep.  The caller then replays
-    the identical schedule sequentially.
+
+def _sign_margin(m: np.ndarray, runs: int) -> np.ndarray:
+    """Per run, the least |2m - 1| over its memberships other than exactly 1/2."""
+    d = np.abs(2.0 * m - 1.0)
+    d[d == 0.0] = 1.0
+    return d.reshape(runs, -1).min(axis=1)
+
+
+def _stacked_timestep(
+    weights, rels, labels, xs, speakers, listeners, rate, model, schedule, runs, n
+):
+    """Advance every run one timestep on stacked per-run state.
+
+    Agent i of run r occupies lane r*n + i, speakers and listeners carry
+    lane ids, and run r's dialogues fill the r-th block of the arrays.
+    Each run ends bit-identical to replaying its block through
+    ``_apply_sequential``.
+
+    The round loop advances every listener by one of its dialogues per
+    round with the reference's arithmetic.  Listener chains are independent
+    because each speaker is taken to assert the majority-sign compound
+    (positive where m >= 1/2), whatever its weight.  The reference computes
+    a compound as fl(fl(w*p1) + fl(fl(1-w)*p2)) with p in {m, fl(1-m)}.
+    Rounding is monotone, so the majority compound never comes out below
+    another one, but it can tie one that ``ASSERTION_ORDER`` puts first.
+    Exactly, it leads by at least min(w, 1-w) * |2m-1|.  A computed
+    compound is off by at most 7 * 2**-54: 2**-54 each for fl(1-w), the two
+    fl(1-m) and the two products, and 2**-53 for the sum.  So a margin
+    above 2**-50 = 16 * 2**-54 rules a tie out, with room for rounding the
+    margin itself.  A membership of exactly 1/2 ties exactly and takes the
+    positive sign on both paths, so it is left out of the min.  A speaker
+    holds its lane's weight on entry or after some round, so each run's
+    margin is checked on entry and after every round.  A run that fails
+    it, as any run with a weight of 0 or 1 does, is replayed from its
+    entry state through ``_apply_sequential``.
     """
-    n = len(population)
-    rels = np.asarray([a.reliability for a in population])
+    total = runs * n
+    per_run = speakers.size // runs
     m1 = labels[0].membership_batch(xs[:, 0])
     m2 = labels[1].membership_batch(xs[:, 1])
-    if _near_half_memberships(m1, m2):
-        return None
-    speaker_rel = rels[speakers]
-    targets, usable, mu_first, mu_second = _signed_targets(m1, m2, speaker_rel)
+    sign_margin = np.minimum(_sign_margin(m1, runs), _sign_margin(m2, runs))
 
-    sort_keys = listeners.astype(np.uint16) if n < 65536 else listeners
-    order = np.argsort(sort_keys, kind="stable")
-    if schedule == "ordered":
-        rounds = n - 1
-    else:
-        rounds = int(np.bincount(listeners, minlength=n).max())
-    p_target = _group_by_listener(listeners, n, rounds, order, targets)
-    p_active = _group_by_listener(listeners, n, rounds, order, usable, fill=False, dtype=bool)
-    p_first = _group_by_listener(listeners, n, rounds, order, mu_first)
-    p_second = _group_by_listener(listeners, n, rounds, order, mu_second)
-    p_rel = _group_by_listener(listeners, n, rounds, order, speaker_rel)
+    def settled(w):
+        lane_margin = np.minimum(w, 1.0 - w).reshape(runs, n).min(axis=1)
+        return lane_margin * sign_margin > _MARGIN
 
-    weights = np.asarray([a.weight for a in population])
-    for r in range(rounds):
-        mu = weights * p_first[:, r] + (1.0 - weights) * p_second[:, r]
-        if model == 1:
-            cond = mu <= p_rel[:, r]
+    fast = settled(weights)
+    updated = weights.copy()
+    if fast.any():
+        speaker_rel = rels[speakers]
+        targets, usable, mu_first, mu_second = _signed_targets(m1, m2, speaker_rel)
+        keys = listeners.astype(np.uint16) if total < 65536 else listeners
+        order = np.argsort(keys, kind="stable")
+        if schedule == "ordered":
+            rounds = n - 1
         else:
-            cond = mu != p_rel[:, r]
-        upd = p_active[:, r] & cond
-        weights = np.where(upd, weights + rate * (p_target[:, r] - weights), weights)
-        if not bool(np.all((weights > 0.0) & (weights < 1.0))):
-            return None
-    return weights
+            rounds = int(np.bincount(listeners, minlength=total).max())
+        p_target = _group_by_listener(listeners, total, rounds, order, targets)
+        p_active = _group_by_listener(
+            listeners, total, rounds, order, usable, fill=False, dtype=bool
+        )
+        p_first = _group_by_listener(listeners, total, rounds, order, mu_first)
+        p_second = _group_by_listener(listeners, total, rounds, order, mu_second)
+        p_rel = _group_by_listener(listeners, total, rounds, order, speaker_rel)
+
+        for r in range(rounds):
+            mu = updated * p_first[:, r] + (1.0 - updated) * p_second[:, r]
+            if model == 1:
+                cond = mu <= p_rel[:, r]
+            else:
+                cond = mu != p_rel[:, r]
+            upd = p_active[:, r] & cond
+            updated = np.where(upd, updated + rate * (p_target[:, r] - updated), updated)
+            fast &= settled(updated)
+            if not fast.any():
+                break
+
+    for r in np.flatnonzero(~fast):
+        block = slice(r * per_run, (r + 1) * per_run)
+        population = [
+            AgentState(i, float(weights[r * n + i]), float(rels[r * n + i]))
+            for i in range(n)
+        ]
+        states = _apply_sequential(
+            population, labels, xs[block], speakers[block] - r * n,
+            listeners[block] - r * n, rate, model,
+        )
+        updated[r * n : (r + 1) * n] = [a.weight for a in states]
+    return updated

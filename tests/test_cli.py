@@ -107,13 +107,6 @@ class TestSimulate:
         assert run_cli("simulate", "--config", base_cfg, "--seed", 1 << 64) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_workers_flag_preserves_results(self, base_cfg, capsys):
-        assert run_cli("simulate", "--config", base_cfg) == 0
-        serial = parse_kv(capsys.readouterr().out)
-        assert run_cli("simulate", "--config", base_cfg, "--workers", 2) == 0
-        threaded = parse_kv(capsys.readouterr().out)
-        assert serial == threaded
-
 
 class TestErrorPaths:
     def test_missing_config_file(self, tmp_path, capsys):

@@ -88,6 +88,10 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             small_config(record_every=9, timesteps=8)
 
+    def test_zero_timesteps_rejected_with_its_own_message(self):
+        with pytest.raises(ValueError, match="timesteps must be at least 1"):
+            ExperimentConfig(game=GameConfig(timesteps=0))
+
 
 class TestRecordTimes:
     def test_interval_with_ragged_end(self):
@@ -134,13 +138,6 @@ class TestStackedEngine:
         assert np.any(finals == 1.0)
         for run_id in range(config.runs):
             assert records_equal(stacked[run_id], run_single(config, run_id))
-
-    def test_worker_count_does_not_change_results(self):
-        config = small_config(model=2, runs=4)
-        serial = run_experiment(config, workers=1)
-        threaded = run_experiment(config, workers=2)
-        for a, b in zip(serial.run_records, threaded.run_records):
-            assert records_equal(a, b)
 
     def test_runs_are_independent_of_the_run_count(self):
         long = run_experiment(small_config(runs=5)).run_records
@@ -296,6 +293,15 @@ class TestValidatePredictions:
             validate_predictions(
                 small_config(model=2, schedule="unordered"), [0.01]
             )
+
+    def test_per_agent_reliability_rejected_before_running(self, tmp_path):
+        config = small_config(
+            model=2, reliability=(1.0, 0.9, 0.8, 0.7, 0.6, 0.5),
+            outputs=tmp_path / "val",
+        )
+        with pytest.raises(ValueError, match="one reliability"):
+            validate_predictions(config, [0.01])
+        assert not (tmp_path / "val").exists()
 
     def test_rows_carry_consistent_curves(self, tmp_path):
         config = small_config(

@@ -1,7 +1,9 @@
-"""Dialogue mechanics and the vectorised timestep."""
+"""Dialogue mechanics, the sequential reference and the stacked kernel."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelgames import game
 from labelgames.analysis import Environment, update_directions
@@ -379,3 +381,66 @@ class TestRunTimestep:
             xs = env.sample_batch(rng_ref, speakers.size)
             pop_ref = game._apply_sequential(pop_ref, LABELS, xs, speakers, listeners, 0.02, 2)
         assert [a.weight for a in pop_fast] == [a.weight for a in pop_ref]
+
+
+# Weights at and within rounding distance of 0 and 1, log-uniform weights
+# toward either end, and uniform weights.
+EDGE_WEIGHTS = (0.0, 5e-324, 1e-17, 1.0 - 2.0**-53, 1.0)
+WEIGHTS = st.one_of(
+    st.sampled_from(EDGE_WEIGHTS),
+    st.floats(-40.0, 0.0).map(lambda e: 10.0**e),
+    st.floats(-16.0, -0.5).map(lambda e: 1.0 - 10.0**e),
+    st.floats(0.0, 1.0),
+)
+# Observation intervals, including ones squeezed to 1/2 +- eps with eps
+# down to about 3e-16, where memberships sit next to the sign flip.
+INTERVALS = st.one_of(
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    .filter(lambda ends: ends[0] != ends[1])
+    .map(sorted),
+    st.floats(-15.5, -1.0).map(lambda e: (0.5 - 10.0**e, 0.5 + 10.0**e)),
+)
+
+
+class TestStackedKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_a_sequential_replay_of_every_run(self, data):
+        runs = data.draw(st.integers(1, 3), label="runs")
+        n = data.draw(st.integers(2, 5), label="n")
+        per_lane = lambda values: st.lists(values, min_size=runs * n, max_size=runs * n)
+        weights = np.array(data.draw(per_lane(WEIGHTS), label="weights"))
+        rels = np.array(data.draw(per_lane(st.floats(0.0, 1.0)), label="rels"))
+        rate = data.draw(st.floats(1e-4, 0.999), label="rate")
+        model = data.draw(st.sampled_from((1, 2)), label="model")
+        schedule = data.draw(st.sampled_from(("ordered", "unordered")), label="schedule")
+        env = Environment((data.draw(INTERVALS, label="x1"), data.draw(INTERVALS, label="x2")))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+
+        blocks = []
+        for _ in range(runs):
+            speakers, listeners = game._draw_schedule(n, schedule, rng)
+            blocks.append((speakers, listeners, env.sample_batch(rng, speakers.size)))
+        got = game._stacked_timestep(
+            weights,
+            rels,
+            LABELS,
+            np.concatenate([xs for _, _, xs in blocks]),
+            np.concatenate([s + r * n for r, (s, _, _) in enumerate(blocks)]),
+            np.concatenate([l + r * n for r, (_, l, _) in enumerate(blocks)]),
+            rate,
+            model,
+            schedule,
+            runs,
+            n,
+        )
+
+        want = []
+        for r, (speakers, listeners, xs) in enumerate(blocks):
+            pop = [
+                agent(float(weights[r * n + i]), float(rels[r * n + i]), agent_id=i)
+                for i in range(n)
+            ]
+            states = game._apply_sequential(pop, LABELS, xs, speakers, listeners, rate, model)
+            want += [a.weight for a in states]
+        assert got.tolist() == want
