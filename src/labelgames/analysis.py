@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import AssertionIndex, batch_implied_weights
+from .game import ASSERTION_ORDER, AssertionIndex, batch_implied_weights
 from .labels import Label, canonical_label_pair
 
 
@@ -55,39 +55,25 @@ def classify_region(x: tuple[float, float]) -> Region:
 
     The quadrant is decided by comparing each coordinate to 0.5, with ties
     counted as the positive side, matching how a speaker with an interior
-    weight picks its assertion.  Within the quadrant the direction is the
-    sign of the difference between the two signed memberships: when the
-    first dimension fits the assertion better than the second, the implied
-    target saturates at 1 and the update pulls upward.
+    weight picks its assertion.  The direction is ``update_directions``'s.
     """
     x1, x2 = float(x[0]), float(x[1])
     if not (0.0 <= x1 <= 1.0 and 0.0 <= x2 <= 1.0):
         raise ValueError(f"observation {x!r} lies outside the unit square")
-    first_high = x1 >= 0.5
-    second_high = x2 >= 0.5
-    if first_high and second_high:
-        quadrant = AssertionIndex.BOTH
-        discriminant = x1 - x2
-    elif first_high:
-        quadrant = AssertionIndex.ONLY_FIRST
-        discriminant = x1 + x2 - 1.0
-    elif second_high:
-        quadrant = AssertionIndex.ONLY_SECOND
-        discriminant = 1.0 - x1 - x2
-    else:
-        quadrant = AssertionIndex.NEITHER
-        discriminant = x2 - x1
-    if discriminant > 0.0:
-        direction = UpdateDirection.POSITIVE
-    elif discriminant < 0.0:
-        direction = UpdateDirection.NEGATIVE
-    else:
-        direction = UpdateDirection.BOUNDARY
-    return Region(quadrant=quadrant, direction=direction)
+    # ASSERTION_ORDER lists BOTH, ONLY_FIRST, ONLY_SECOND, NEITHER.
+    quadrant = ASSERTION_ORDER[2 * (x1 < 0.5) + (x2 < 0.5)]
+    direction = int(update_directions(np.array([[x1, x2]]))[0])
+    return Region(quadrant=quadrant, direction=UpdateDirection(direction))
 
 
 def update_directions(xs: np.ndarray) -> np.ndarray:
-    """Vectorised push directions, +1, -1, or 0 per row of observations."""
+    """Push directions, +1, -1, or 0 per row of observations.
+
+    Within a quadrant the direction is the sign of the difference between
+    the two signed memberships: when the first dimension fits the
+    assertion better than the second, the implied target saturates at 1
+    and the update pulls upward.
+    """
     xs = np.asarray(xs, dtype=np.float64)
     x1, x2 = xs[:, 0], xs[:, 1]
     first_high = x1 >= 0.5
@@ -238,9 +224,9 @@ def positive_update_probability_mc(
 class RunningMoments:
     """Streaming count, mean, and sum of squared deviations.
 
-    Accumulators from disjoint shards merge in any order to the same
-    result, which is what lets Monte Carlo sampling be split across
-    workers without changing the estimate.
+    ``update`` folds in one batch of samples at a time by merging its
+    moments, so Monte Carlo sampling can stream through fixed-size chunks
+    without holding every sample.
     """
 
     count: int = 0

@@ -17,21 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    EstimationError,
-    NonConvergenceError,
-    estimate_target_moments,
-    mean_trajectory,
-    positive_update_probability,
-    resting_variance,
-    steps_to_mean_convergence,
-    steps_to_variance_convergence,
-    variance_trajectory,
-)
+from .analysis import EstimationError, NonConvergenceError, build_prediction
 from .config import ConfigError, load_config
 from .experiment import (
     _PREDICTION_STREAM_BASE,
     ExperimentConfig,
+    _format,
     compare_models,
     mix_seed,
     record_times,
@@ -39,10 +30,6 @@ from .experiment import (
     sweep,
     validate_predictions,
 )
-
-
-def _format(value: float) -> str:
-    return f"{float(value):.9g}"
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -227,10 +214,15 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_predict(args) -> int:
     config = _load(args)
+    if args.samples < 1:
+        raise ConfigError("--samples must be at least 1")
+    if not args.tol > 0.0:
+        raise ConfigError("--tol must be positive")
     game = config.game
     try:
-        moments = estimate_target_moments(
+        prediction = build_prediction(
             config.env,
+            game.rate,
             reliability=game.reliability,
             model=game.model,
             n_samples=args.samples,
@@ -242,21 +234,16 @@ def _cmd_predict(args) -> int:
     except (EstimationError, NonConvergenceError) as err:
         print(f"prediction failed: {err}", file=sys.stderr)
         return 1
-    rest_var = resting_variance(game.rate, moments.variance)
     start_mean, start_var = _start_moments(config)
-    step_mean = steps_to_mean_convergence(
-        start_mean, moments.mean, game.rate, args.tol
-    )
-    step_var = steps_to_variance_convergence(
-        start_var, moments.variance, game.rate, args.tol
-    )
+    step_mean = prediction.steps_to_mean(start_mean, args.tol)
+    step_var = prediction.steps_to_variance(start_var, args.tol)
     per_timestep = game.n_agents - 1
 
-    print(f"p_plus={_format(positive_update_probability(config.env))}")
-    print(f"target_mean={_format(moments.mean)}")
-    print(f"target_variance={_format(moments.variance)}")
-    print(f"resting_mean={_format(moments.mean)}")
-    print(f"resting_variance={_format(rest_var)}")
+    print(f"p_plus={_format(prediction.positive_share)}")
+    print(f"target_mean={_format(prediction.target_mean)}")
+    print(f"target_variance={_format(prediction.target_variance)}")
+    print(f"resting_mean={_format(prediction.resting_mean)}")
+    print(f"resting_variance={_format(prediction.resting_variance)}")
     print(f"tol={_format(args.tol)}")
     print(f"mean_convergence_updates={step_mean}")
     print(f"mean_convergence_timesteps={math.ceil(step_mean / per_timestep)}")
@@ -270,11 +257,11 @@ def _cmd_predict(args) -> int:
         directory = _plot_dir(args)
         _emit_series(
             directory, "predict", "mean", times,
-            mean_trajectory(start_mean, moments.mean, game.rate, steps),
+            prediction.mean_at(start_mean, steps),
         )
         _emit_series(
             directory, "predict", "variance", times,
-            variance_trajectory(start_var, moments.variance, game.rate, steps),
+            prediction.variance_at(start_var, steps),
         )
     return 0
 
@@ -343,6 +330,8 @@ def _cmd_validate(args) -> int:
         raise ConfigError("validate requires model = 2 in the config")
     if config.game.schedule != "ordered":
         raise ConfigError("validate requires schedule = ordered in the config")
+    if args.samples < 1:
+        raise ConfigError("--samples must be at least 1")
     rows = validate_predictions(config, args.h_values, n_samples=args.samples)
     for row in rows:
         print(

@@ -20,19 +20,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    Environment,
-    estimate_target_moments,
-    mean_trajectory,
-    variance_trajectory,
-)
+from .analysis import Environment, build_prediction
 from .game import (
     GameConfig,
     _apply_sequential,
     _draw_schedule,
+    _initial_state,
     _stacked_timestep,
     dialogues_per_timestep,
-    init_population,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -144,23 +139,20 @@ def run_single(config: ExperimentConfig, run_id: int) -> RunRecord:
     """
     game = config.game
     rng = np.random.default_rng(mix_seed(config.master_seed, run_id))
-    population = init_population(game, rng)
+    weights, rels = _initial_state(game, rng)
     times = record_times(game.timesteps, config.record_every)
     wanted = set(int(t) for t in times)
 
-    def weights() -> np.ndarray:
-        return np.asarray([[a.weight for a in population]])
-
-    stats = [_population_stats(weights())]
+    stats = [_population_stats(weights[np.newaxis])]
     for t in range(1, game.timesteps + 1):
         speakers, listeners = _draw_schedule(game.n_agents, game.schedule, rng)
         xs = config.env.sample_batch(rng, speakers.size)
-        population = _apply_sequential(
-            population, game.labels, xs, speakers, listeners, game.rate, game.model
+        weights = _apply_sequential(
+            weights, rels, game.labels, xs, speakers, listeners, game.rate, game.model
         )
         if t in wanted:
-            stats.append(_population_stats(weights()))
-    (record,) = _records([run_id], times, stats, weights())
+            stats.append(_population_stats(weights[np.newaxis]))
+    (record,) = _records([run_id], times, stats, weights[np.newaxis])
     return record
 
 
@@ -181,9 +173,9 @@ def _run_stacked(config: ExperimentConfig) -> list[RunRecord]:
         np.random.default_rng(mix_seed(config.master_seed, r))
         for r in range(runs)
     ]
-    populations = [init_population(game, rngs[r]) for r in range(runs)]
-    weights = np.asarray([a.weight for pop in populations for a in pop])
-    rels = np.asarray([a.reliability for pop in populations for a in pop])
+    states = [_initial_state(game, rng) for rng in rngs]
+    weights = np.concatenate([w for w, _ in states])
+    rels = np.concatenate([r for _, r in states])
 
     times = record_times(game.timesteps, config.record_every)
     wanted = set(int(t) for t in times)
@@ -456,15 +448,15 @@ def validate_predictions(
         result = run_experiment(sub)
         aggregate = result.aggregate
 
-        moments_rng = np.random.default_rng(
-            mix_seed(config.master_seed, _PREDICTION_STREAM_BASE + index)
-        )
-        moments = estimate_target_moments(
+        prediction = build_prediction(
             config.env,
+            float(rate),
             reliability=config.game.reliability,
             model=2,
             n_samples=n_samples,
-            rng=moments_rng,
+            rng=np.random.default_rng(
+                mix_seed(config.master_seed, _PREDICTION_STREAM_BASE + index)
+            ),
             labels=config.game.labels,
         )
 
@@ -476,12 +468,8 @@ def validate_predictions(
             axis=0,
         )
         steps = aggregate.times.astype(np.float64) * (config.game.n_agents - 1)
-        predicted_mean = mean_trajectory(
-            float(empirical_mean[0]), moments.mean, float(rate), steps
-        )
-        predicted_var = variance_trajectory(
-            float(empirical_var[0]), moments.variance, float(rate), steps
-        )
+        predicted_mean = prediction.mean_at(float(empirical_mean[0]), steps)
+        predicted_var = prediction.variance_at(float(empirical_var[0]), steps)
         rows.append(
             ValidationRow(
                 rate=float(rate),

@@ -12,13 +12,15 @@ whenever the two differ.
 
 A timestep visits every speaker/listener pair once in a freshly shuffled
 order, sampling a fresh observation per dialogue, and applies updates
-sequentially.  There are two implementations.  ``_apply_sequential`` is the
-reference: it plays the dialogues one at a time through ``run_dialogue``.
-``_stacked_timestep`` is the one array kernel: it advances any number of
-independent runs at once, stacked lane by lane, and is bit-identical to the
-reference; a run whose weights or memberships could make rounding change an
-assertion is replayed through the reference instead.  ``run_timestep`` is the
-kernel's one-run case.
+sequentially.  The dialogue arithmetic is written once, on plain floats, in
+``_dialogue`` and its helpers; ``choose_assertion``, ``implied_weight`` and
+``run_dialogue`` wrap them for single agents.  ``_apply_sequential`` is the
+reference: it plays the dialogues one at a time through ``_dialogue`` on a
+float array of weights.  ``_stacked_timestep`` is the one array kernel: it
+advances any number of independent runs at once, stacked lane by lane, and
+is bit-identical to the reference; a run whose weights or memberships could
+make rounding change an assertion is replayed through the reference
+instead.  ``run_timestep`` is the kernel's one-run case.
 """
 
 from __future__ import annotations
@@ -148,21 +150,22 @@ class DialogueOutcome:
             raise ValueError("an update requires a target weight")
 
 
+def _initial_state(config: GameConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Initial weights and reliabilities of one run, one array entry per agent."""
+    n = config.n_agents
+    if config.weight_init is None:
+        weights = rng.random(n)
+    else:
+        weights = np.full(n, config.weight_init, dtype=np.float64)
+    return weights, np.full(n, config.reliability, dtype=np.float64)
+
+
 def init_population(config: GameConfig, rng: np.random.Generator) -> list[AgentState]:
     """Create the initial agents; uniform random weights unless configured otherwise."""
-    if config.weight_init is None:
-        weights = rng.random(config.n_agents)
-    elif isinstance(config.weight_init, tuple):
-        weights = np.asarray(config.weight_init, dtype=np.float64)
-    else:
-        weights = np.full(config.n_agents, float(config.weight_init))
-    if isinstance(config.reliability, tuple):
-        rels = config.reliability
-    else:
-        rels = (float(config.reliability),) * config.n_agents
+    weights, rels = _initial_state(config, rng)
     return [
-        AgentState(agent_id=i, weight=float(weights[i]), reliability=rels[i])
-        for i in range(config.n_agents)
+        AgentState(agent_id=i, weight=w, reliability=r)
+        for i, (w, r) in enumerate(zip(weights.tolist(), rels.tolist()))
     ]
 
 
@@ -174,18 +177,51 @@ def dialogues_per_timestep(n_agents: int, schedule: str = "ordered") -> int:
     raise ValueError(f"unknown schedule {schedule!r}")
 
 
-def choose_assertion(speaker: AgentState, labels: tuple[Label, Label], x: tuple[float, float]) -> AssertionIndex:
-    """The signed conjunction with maximal membership for the speaker; ties go to the earliest in ``ASSERTION_ORDER``."""
-    share = speaker.weight
-    m1 = labels[0].membership(x[0])
-    m2 = labels[1].membership(x[1])
-    memberships = [
+def _assertion(share: float, m1: float, m2: float) -> AssertionIndex:
+    """The signed conjunction with maximal membership at weight ``share``; ties go first."""
+    compounds = (
         share * m1 + (1.0 - share) * m2,
         share * m1 + (1.0 - share) * (1.0 - m2),
         share * (1.0 - m1) + (1.0 - share) * m2,
         share * (1.0 - m1) + (1.0 - share) * (1.0 - m2),
-    ]
-    return ASSERTION_ORDER[memberships.index(max(memberships))]
+    )
+    return ASSERTION_ORDER[compounds.index(max(compounds))]
+
+
+def _signed(asserted: AssertionIndex, m1: float, m2: float) -> tuple[float, float]:
+    """The memberships of the asserted compound's two signed labels."""
+    s1, s2 = asserted.signs
+    return (m1 if s1 else 1.0 - m1), (m2 if s2 else 1.0 - m2)
+
+
+def _solve(mu_first: float, mu_second: float, reliability: float) -> float | None:
+    """The weight, clamped to [0, 1], at which the signed compound's membership is ``reliability``."""
+    denom = mu_first - mu_second
+    if denom == 0.0:
+        return None
+    return min(1.0, max(0.0, (reliability - mu_second) / denom))
+
+
+def _dialogue(
+    w_speaker: float, w_listener: float, rel: float, m1: float, m2: float, model: int
+) -> tuple[AssertionIndex, float | None]:
+    """The speaker's assertion and the listener's target, or None when it keeps its weight.
+
+    Under model 1 the listener updates when its membership for the asserted
+    compound is at most the speaker's reliability; under model 2, whenever
+    the two differ.  A dialogue whose implied weight is undefined never
+    updates.
+    """
+    asserted = _assertion(w_speaker, m1, m2)
+    mu_first, mu_second = _signed(asserted, m1, m2)
+    mu_listener = w_listener * mu_first + (1.0 - w_listener) * mu_second
+    wants_update = (mu_listener <= rel) if model == 1 else (mu_listener != rel)
+    return asserted, (_solve(mu_first, mu_second, rel) if wants_update else None)
+
+
+def choose_assertion(speaker: AgentState, labels: tuple[Label, Label], x: tuple[float, float]) -> AssertionIndex:
+    """The signed conjunction with maximal membership for the speaker; ties go to the earliest in ``ASSERTION_ORDER``."""
+    return _assertion(speaker.weight, labels[0].membership(x[0]), labels[1].membership(x[1]))
 
 
 def implied_weight(
@@ -200,16 +236,8 @@ def implied_weight(
     and clamped to [0, 1].  Returns None when both signed memberships coincide,
     in which case no weight is implied.
     """
-    s1, s2 = asserted.signs
-    m1 = labels[0].membership(x[0])
-    m2 = labels[1].membership(x[1])
-    mu_first = m1 if s1 else 1.0 - m1
-    mu_second = m2 if s2 else 1.0 - m2
-    denom = mu_first - mu_second
-    if denom == 0.0:
-        return None
-    raw = (reliability - mu_second) / denom
-    return min(1.0, max(0.0, raw))
+    signed = _signed(asserted, labels[0].membership(x[0]), labels[1].membership(x[1]))
+    return _solve(*signed, reliability)
 
 
 def apply_update(listener: AgentState, target: float, rate: float) -> AgentState:
@@ -227,29 +255,15 @@ def run_dialogue(
 ) -> tuple[AgentState, DialogueOutcome]:
     """One dialogue: the speaker asserts, the listener may move toward the implied weight.
 
-    The reliability granted to the assertion is the speaker's own.  Under
-    model 1 the listener updates when its membership for the asserted compound
-    is at most that reliability; under model 2, whenever the two differ.  A
-    dialogue whose implied weight is undefined never updates.
+    The reliability granted to the assertion is the speaker's own; the
+    update rule is ``_dialogue``'s.
     """
-    asserted = choose_assertion(speaker, labels, x)
-    s1, s2 = asserted.signs
-    m1 = labels[0].membership(x[0])
-    m2 = labels[1].membership(x[1])
-    mu_first = m1 if s1 else 1.0 - m1
-    mu_second = m2 if s2 else 1.0 - m2
-    share = listener.weight
-    mu_listener = share * mu_first + (1.0 - share) * mu_second
-    rel = speaker.reliability
-    wants_update = (mu_listener <= rel) if model == 1 else (mu_listener != rel)
-
-    target = implied_weight(asserted, labels, x, rel) if wants_update else None
-    if wants_update and target is not None:
-        listener = apply_update(listener, target, rate)
-        outcome = DialogueOutcome(asserted, True, target, listener.weight)
-    else:
-        outcome = DialogueOutcome(asserted, False, target, listener.weight)
-    return listener, outcome
+    m1, m2 = labels[0].membership(x[0]), labels[1].membership(x[1])
+    asserted, target = _dialogue(speaker.weight, listener.weight, speaker.reliability, m1, m2, model)
+    if target is None:
+        return listener, DialogueOutcome(asserted, False, None, listener.weight)
+    listener = apply_update(listener, target, rate)
+    return listener, DialogueOutcome(asserted, True, target, listener.weight)
 
 
 def batch_implied_weights(
@@ -346,14 +360,22 @@ def run_timestep(
     return [replace(a, weight=float(w)) for a, w in zip(population, weights)]
 
 
-def _apply_sequential(population, labels, xs, speakers, listeners, rate, model):
-    """Reference path: dialogues strictly in shuffled order, one at a time."""
-    states = list(population)
-    for k in range(speakers.size):
-        s, l = speakers[k], listeners[k]
-        x = (float(xs[k, 0]), float(xs[k, 1]))
-        states[l], _ = run_dialogue(states[s], states[l], labels, x, rate, model)
-    return states
+def _apply_sequential(weights, rels, labels, xs, speakers, listeners, rate, model):
+    """Reference path: dialogues strictly in shuffled order, one at a time.
+
+    ``weights`` and ``rels`` hold one entry per agent; the memberships are
+    computed in one batch and every dialogue runs ``_dialogue`` on plain
+    floats.  Returns the weights after the last dialogue.
+    """
+    w = weights.tolist()
+    rel = rels.tolist()
+    m1 = labels[0].membership_batch(xs[:, 0]).tolist()
+    m2 = labels[1].membership_batch(xs[:, 1]).tolist()
+    for s, l, a, b in zip(speakers.tolist(), listeners.tolist(), m1, m2):
+        _, target = _dialogue(w[s], w[l], rel[s], a, b, model)
+        if target is not None:
+            w[l] = w[l] + rate * (target - w[l])
+    return np.asarray(w)
 
 
 def _group_by_listener(listeners, n, rounds, order, values, fill=0.0, dtype=np.float64):
@@ -450,14 +472,10 @@ def _stacked_timestep(
                 break
 
     for r in np.flatnonzero(~fast):
+        lanes = slice(r * n, (r + 1) * n)
         block = slice(r * per_run, (r + 1) * per_run)
-        population = [
-            AgentState(i, float(weights[r * n + i]), float(rels[r * n + i]))
-            for i in range(n)
-        ]
-        states = _apply_sequential(
-            population, labels, xs[block], speakers[block] - r * n,
-            listeners[block] - r * n, rate, model,
+        updated[lanes] = _apply_sequential(
+            weights[lanes], rels[lanes], labels, xs[block],
+            speakers[block] - r * n, listeners[block] - r * n, rate, model,
         )
-        updated[r * n : (r + 1) * n] = [a.weight for a in states]
     return updated

@@ -29,7 +29,6 @@ __all__ = [
     "DistanceMetric",
     "ThresholdDistribution",
     "UniformThreshold",
-    "SurvivalThreshold",
     "Label",
     "canonical_label",
     "canonical_label_pair",
@@ -121,11 +120,6 @@ class ThresholdDistribution:
         if float(self.survival(0.0)) != 1.0:
             raise ValueError("survival(0) must equal 1")
 
-    @staticmethod
-    def from_cdf(cdf: Callable[[np.ndarray], np.ndarray]) -> "ThresholdDistribution":
-        """Build from a cumulative distribution function of the threshold."""
-        return ThresholdDistribution(survival=lambda t: 1.0 - cdf(t))
-
 
 @dataclass(frozen=True)
 class UniformThreshold(ThresholdDistribution):
@@ -141,9 +135,6 @@ class UniformThreshold(ThresholdDistribution):
 
     def _survival(self, t: np.ndarray) -> np.ndarray:
         return np.clip(1.0 - t / self.width, 0.0, 1.0)
-
-
-SurvivalThreshold = ThresholdDistribution
 
 
 @dataclass(frozen=True)

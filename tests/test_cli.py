@@ -159,6 +159,16 @@ class TestPredict:
         assert run_cli("predict", "--config", cfg, "--samples", 5000) == 1
         assert "prediction failed" in capsys.readouterr().err
 
+    def test_rejects_bad_sample_count_and_tolerance_up_front(self, model2_cfg, tmp_path, capsys):
+        out = tmp_path / "pred"
+        for flags in (("--samples", 0), ("--tol", 0), ("--tol", -0.1)):
+            assert run_cli("predict", "--config", model2_cfg, "--out", out,
+                           "--emit-plot-data", *flags) == 2
+        err = capsys.readouterr().err
+        assert "--samples must be at least 1" in err
+        assert "--tol must be positive" in err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_tabulates_each_value(self, base_cfg, tmp_path, capsys):
@@ -226,3 +236,10 @@ class TestValidate:
 
     def test_rejects_out_of_range_rates(self, model2_cfg, capsys):
         assert run_cli("validate", "--config", model2_cfg, "--h-values", "1.0") == 2
+
+    def test_rejects_zero_samples_before_simulating(self, model2_cfg, tmp_path, capsys):
+        out = tmp_path / "val"
+        assert run_cli("validate", "--config", model2_cfg, "--h-values", "0.05",
+                       "--samples", 0, "--out", out) == 2
+        assert "--samples must be at least 1" in capsys.readouterr().err
+        assert not out.exists()

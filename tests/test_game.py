@@ -294,12 +294,21 @@ class TestBatchImpliedWeights:
         assert (targets[usable & (dirs < 0)] == 0.0).all()
 
 
+def lanes(population):
+    """The weights and reliabilities of a population as float arrays."""
+    return (
+        np.array([a.weight for a in population]),
+        np.array([a.reliability for a in population]),
+    )
+
+
 def reference_timestep(population, labels, env, rate, model, seed, schedule):
     """Re-draw the identical schedule and replay it strictly sequentially."""
     rng = np.random.default_rng(seed)
     speakers, listeners = game._draw_schedule(len(population), schedule, rng)
     xs = env.sample_batch(rng, speakers.size)
-    return game._apply_sequential(population, labels, xs, speakers, listeners, rate, model)
+    weights, rels = lanes(population)
+    return game._apply_sequential(weights, rels, labels, xs, speakers, listeners, rate, model).tolist()
 
 
 class TestRunTimestep:
@@ -348,7 +357,7 @@ class TestRunTimestep:
         pop = init_population(cfg, np.random.default_rng(seed))
         got = run_timestep(pop, LABELS, env, 0.05, model, np.random.default_rng(seed + 1), schedule=schedule)
         want = reference_timestep(pop, LABELS, env, 0.05, model, seed + 1, schedule)
-        assert [a.weight for a in got] == [a.weight for a in want]
+        assert [a.weight for a in got] == want
 
     def test_boundary_weights_fall_back_to_the_reference(self):
         env = Environment(((0.0, 1.0), (0.0, 0.5)))
@@ -356,7 +365,7 @@ class TestRunTimestep:
         pop = init_population(cfg, np.random.default_rng(0))
         got = run_timestep(pop, LABELS, env, 1e-2, 1, np.random.default_rng(42))
         want = reference_timestep(pop, LABELS, env, 1e-2, 1, 42, "ordered")
-        assert [a.weight for a in got] == [a.weight for a in want]
+        assert [a.weight for a in got] == want
 
     def test_extreme_rate_near_the_upper_edge_stays_exact(self):
         # weights one ulp under 1 with a large rate exercise the decline path
@@ -366,21 +375,21 @@ class TestRunTimestep:
         pop = init_population(cfg, np.random.default_rng(0))
         got = run_timestep(pop, LABELS, env, 0.6, 1, np.random.default_rng(77))
         want = reference_timestep(pop, LABELS, env, 0.6, 1, 77, "ordered")
-        assert [a.weight for a in got] == [a.weight for a in want]
+        assert [a.weight for a in got] == want
 
     def test_chained_timesteps_share_one_generator(self):
         env = Environment(((0.25, 0.75), (0.0, 0.5)))
         cfg = GameConfig(n_agents=6, model=2)
         pop_fast = init_population(cfg, np.random.default_rng(88))
-        pop_ref = list(pop_fast)
+        w_ref, rels = lanes(pop_fast)
         rng_fast = np.random.default_rng(99)
         rng_ref = np.random.default_rng(99)
         for _ in range(3):
             pop_fast = run_timestep(pop_fast, LABELS, env, 0.02, 2, rng_fast)
             speakers, listeners = game._draw_schedule(6, "ordered", rng_ref)
             xs = env.sample_batch(rng_ref, speakers.size)
-            pop_ref = game._apply_sequential(pop_ref, LABELS, xs, speakers, listeners, 0.02, 2)
-        assert [a.weight for a in pop_fast] == [a.weight for a in pop_ref]
+            w_ref = game._apply_sequential(w_ref, rels, LABELS, xs, speakers, listeners, 0.02, 2)
+        assert [a.weight for a in pop_fast] == w_ref.tolist()
 
 
 # Weights at and within rounding distance of 0 and 1, log-uniform weights
@@ -435,12 +444,21 @@ class TestStackedKernel:
             n,
         )
 
-        want = []
+        # The float reference on each run's lanes, and a replay of each run
+        # one dialogue at a time through the public API, which takes its
+        # memberships from the scalar Label.membership.
+        want, replayed = [], []
         for r, (speakers, listeners, xs) in enumerate(blocks):
+            run = slice(r * n, (r + 1) * n)
+            want += game._apply_sequential(
+                weights[run], rels[run], LABELS, xs, speakers, listeners, rate, model
+            ).tolist()
             pop = [
                 agent(float(weights[r * n + i]), float(rels[r * n + i]), agent_id=i)
                 for i in range(n)
             ]
-            states = game._apply_sequential(pop, LABELS, xs, speakers, listeners, rate, model)
-            want += [a.weight for a in states]
+            for s, l, x in zip(speakers, listeners, xs):
+                pop[l], _ = run_dialogue(pop[s], pop[l], LABELS, (float(x[0]), float(x[1])), rate, model)
+            replayed += [a.weight for a in pop]
         assert got.tolist() == want
+        assert replayed == want

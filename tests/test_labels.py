@@ -7,7 +7,6 @@ from labelgames.labels import (
     ConceptualSpace,
     Euclidean,
     Label,
-    SurvivalThreshold,
     ThresholdDistribution,
     UniformThreshold,
     WeightedCityBlock,
@@ -106,12 +105,6 @@ class TestThresholds:
     def test_survival_must_start_at_one(self):
         with pytest.raises(ValueError):
             ThresholdDistribution(survival=lambda t: np.clip(0.5 - t, 0.0, 1.0))
-
-    def test_from_cdf(self):
-        thr = ThresholdDistribution.from_cdf(lambda t: np.clip(t / 2.0, 0.0, 1.0))
-        assert thr.survival(0.0) == 1.0
-        assert thr.survival(1.0) == pytest.approx(0.5)
-        assert SurvivalThreshold is ThresholdDistribution
 
 
 class TestLabelMembership:
