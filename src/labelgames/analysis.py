@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -119,10 +120,23 @@ class Environment:
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Draw ``count`` observations as a (count, 2) array."""
-        out = np.empty((count, 2))
+        return self.sample_runs([rng], count)
+
+    def sample_runs(self, rngs: Sequence[np.random.Generator], count: int) -> np.ndarray:
+        """Draw ``count`` observations from each generator, stacked run by run.
+
+        Returns a (len(rngs) * count, 2) array whose r-th block of rows
+        comes from ``rngs[r]``, which draws dimension one, then dimension
+        two.  Each column is contiguous in memory.
+        """
+        out = np.empty((2, len(rngs), count))
+        for r, rng in enumerate(rngs):
+            rng.random(out=out[0, r])
+            rng.random(out=out[1, r])
         for dim, (lo, hi) in enumerate(self.intervals):
-            out[:, dim] = lo + (hi - lo) * rng.random(count)
-        return out
+            out[dim] *= hi - lo
+            out[dim] += lo
+        return out.reshape(2, -1).T
 
 
 # The four triangles of the unit square where updates pull weights up,

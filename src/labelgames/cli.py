@@ -1,7 +1,8 @@
 """Command-line front end for simulations, predictions, and sweeps.
 
 Exit codes: 0 on success, 2 for configuration problems (including a
-missing or malformed config file), 3 for I/O failures.  Summary output
+missing or malformed config file, and a population whose timestep cannot
+fit in memory), 3 for I/O failures.  Summary output
 goes to standard output as ``key=value`` tokens; optional plot data is
 written as two-column whitespace-delimited ``.dat`` files that any
 plotting tool can read.
@@ -22,6 +23,7 @@ from .config import ConfigError, load_config
 from .experiment import (
     _PREDICTION_STREAM_BASE,
     ExperimentConfig,
+    FootprintError,
     _format,
     compare_models,
     mix_seed,
@@ -359,7 +361,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as err:
+    except (ConfigError, FootprintError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

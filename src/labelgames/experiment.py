@@ -4,10 +4,14 @@ A single experiment repeats the same game configuration across independent
 runs, each seeded by mixing a master seed with the run id, records the
 population mean and cross-agent standard deviation of the weights over
 time, and aggregates across runs.  All runs advance together on the
-lane-stacked kernel ``game._stacked_timestep``, one timestep at a time;
-``run_single`` replays one run dialogue by dialogue and gives bit-identical
-records.  Identical configuration and master seed give byte-identical
-output files.
+lane-stacked kernel ``game._stacked_timestep``, one timestep at a time.
+Each timestep's schedules and observations are drawn for all runs in one
+pass (``game._draw_schedule``, ``Environment.sample_runs``), every run
+from its own generator and in the same order as a run drawn alone.
+``run_single`` replays one run dialogue by dialogue and gives
+bit-identical records.  Identical configuration and master seed give
+byte-identical output files.  A configuration whose timestep cannot fit
+in physical memory is refused before anything runs.
 
 Sweeps, model comparisons, and prediction validation are thin layers that
 re-run the experiment with one field changed and tabulate the results.
@@ -15,6 +19,7 @@ re-run the experiment with one field changed and tabulate the results.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -23,9 +28,11 @@ import numpy as np
 from .analysis import Environment, build_prediction
 from .game import (
     GameConfig,
+    _STACK_BYTES_PER_DIALOGUE,
     _apply_sequential,
     _draw_schedule,
     _initial_state,
+    _memberships,
     _stacked_timestep,
     dialogues_per_timestep,
 )
@@ -145,10 +152,10 @@ def run_single(config: ExperimentConfig, run_id: int) -> RunRecord:
 
     stats = [_population_stats(weights[np.newaxis])]
     for t in range(1, game.timesteps + 1):
-        speakers, listeners = _draw_schedule(game.n_agents, game.schedule, rng)
-        xs = config.env.sample_batch(rng, speakers.size)
+        speakers, listeners = _draw_schedule(game.n_agents, game.schedule, [rng])
+        m1, m2 = _memberships(game.labels, config.env.sample_batch(rng, speakers.size))
         weights = _apply_sequential(
-            weights, rels, game.labels, xs, speakers, listeners, game.rate, game.model
+            weights, rels, m1, m2, speakers, listeners, game.rate, game.model
         )
         if t in wanted:
             stats.append(_population_stats(weights[np.newaxis]))
@@ -180,16 +187,9 @@ def _run_stacked(config: ExperimentConfig) -> list[RunRecord]:
     times = record_times(game.timesteps, config.record_every)
     wanted = set(int(t) for t in times)
     stats = [_population_stats(weights.reshape(runs, n))]
-    speakers = np.empty(runs * per_run, dtype=np.int64)
-    listeners = np.empty(runs * per_run, dtype=np.int64)
-    xs = np.empty((runs * per_run, 2))
     for t in range(1, game.timesteps + 1):
-        for r in range(runs):
-            s, l = _draw_schedule(n, game.schedule, rngs[r])
-            block = slice(r * per_run, (r + 1) * per_run)
-            speakers[block] = s + r * n
-            listeners[block] = l + r * n
-            xs[block] = env.sample_batch(rngs[r], per_run)
+        speakers, listeners = _draw_schedule(n, game.schedule, rngs)
+        xs = env.sample_runs(rngs, per_run)
         weights = _stacked_timestep(
             weights,
             rels,
@@ -283,13 +283,47 @@ def persist_experiment(
     write_final_csv(out_dir / "final_lambdas.csv", records)
 
 
+class FootprintError(ValueError):
+    """A configuration whose stacked timestep cannot fit in physical memory."""
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not say."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def _check_footprint(config: ExperimentConfig) -> None:
+    """Refuse a configuration whose timestep would not fit in physical memory.
+
+    The stacked engine holds every run's dialogues of one timestep at
+    once, at about ``_STACK_BYTES_PER_DIALOGUE`` bytes each.  Raises
+    FootprintError when that exceeds the machine's physical memory.
+    """
+    game = config.game
+    dialogues = config.runs * dialogues_per_timestep(game.n_agents, game.schedule)
+    need = dialogues * _STACK_BYTES_PER_DIALOGUE
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise FootprintError(
+            f"{config.runs} runs of {game.n_agents} agents play {dialogues} "
+            f"dialogues per timestep, about {need / 2**30:.1f} GiB at "
+            f"{_STACK_BYTES_PER_DIALOGUE} bytes each; physical memory is "
+            f"{have / 2**30:.1f} GiB"
+        )
+
+
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute all runs, aggregate, and persist when an output dir is set.
 
     Run r draws every random number from a generator seeded with
     mix_seed(master_seed, r), so its records do not depend on how many
-    other runs share the stacked engine.
+    other runs share the stacked engine.  A configuration whose timestep
+    cannot fit in memory is refused before the output directory is made.
     """
+    _check_footprint(config)
     out_dir = (
         prepare_output_dir(config.outputs)
         if config.outputs is not None

@@ -16,9 +16,12 @@ sequentially.  The dialogue arithmetic is written once, on plain floats, in
 ``_dialogue`` and its helpers; ``choose_assertion``, ``implied_weight`` and
 ``run_dialogue`` wrap them for single agents.  ``_apply_sequential`` is the
 reference: it plays the dialogues one at a time through ``_dialogue`` on a
-float array of weights.  ``_stacked_timestep`` is the one array kernel: it
-advances any number of independent runs at once, stacked lane by lane, and
-is bit-identical to the reference; a run whose weights or memberships could
+float array of weights, given each dialogue's memberships.
+``_draw_schedule`` shuffles one timestep's pairs for any number of runs
+in one pass, each run from its own generator.  ``_stacked_timestep`` is
+the one array kernel: it advances those runs at once, stacked lane by
+lane, on a (round, lane) grid of dialogues sorted by listener, and is
+bit-identical to the reference; a run whose weights or memberships could
 make rounding change an assertion is replayed through the reference
 instead.  ``run_timestep`` is the kernel's one-run case.
 """
@@ -279,57 +282,94 @@ def batch_implied_weights(
     where ``usable`` flags observations whose implied weight is defined; the
     target is clamped to [0, 1] and zero-filled where unusable.
     """
-    m1 = labels[0].membership_batch(xs[:, 0])
-    m2 = labels[1].membership_batch(xs[:, 1])
-    return _signed_targets(m1, m2, reliability)
+    return _signed_targets(*_memberships(labels, xs), reliability)
+
+
+def _memberships(labels: tuple[Label, Label], xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each observation's membership in the two labels, in row order.
+
+    Returned as writable float64 arrays, whatever a threshold's survival
+    function returns, since ``_signed_targets`` works in place.
+    """
+    return tuple(
+        np.require(label.membership_batch(xs[:, dim]), np.float64, "W")
+        for dim, label in enumerate(labels)
+    )
 
 
 def _signed_targets(m1: np.ndarray, m2: np.ndarray, reliability):
-    mu_first = np.where(m1 >= 0.5, m1, 1.0 - m1)
-    mu_second = np.where(m2 >= 0.5, m2, 1.0 - m2)
-    denom = mu_first - mu_second
+    """Targets, usable flags and majority-sign memberships, elementwise.
+
+    ``m1`` and ``m2`` are overwritten with the majority-sign memberships
+    ``mu_first`` and ``mu_second``, which are returned; any array shape
+    works, so the kernel calls it on its (round, lane) grid.  fl(1 - m) is
+    exact for m >= 1/2 and at least 1/2 otherwise, so the larger of m and
+    fl(1 - m) is m where m >= 1/2 and fl(1 - m) elsewhere.
+    """
+    np.maximum(m1, 1.0 - m1, out=m1)
+    np.maximum(m2, 1.0 - m2, out=m2)
+    denom = m1 - m2
     usable = denom != 0.0
-    targets = np.zeros_like(denom)
-    np.divide(reliability - mu_second, denom, out=targets, where=usable)
+    targets = np.subtract(reliability, m2)
+    np.divide(targets, denom, out=targets, where=usable)
+    np.copyto(targets, 0.0, where=~usable)
     np.clip(targets, 0.0, 1.0, out=targets)
-    return targets, usable, mu_first, mu_second
+    return targets, usable, m1, m2
 
 
 _PAIR_CACHE: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _base_pairs(n: int, schedule: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed canonical enumeration of the schedule's pairs, cached per size."""
+    """Fixed canonical enumeration of the schedule's pairs as int32, cached per size."""
     key = (n, schedule)
     cached = _PAIR_CACHE.get(key)
     if cached is not None:
         return cached
     if schedule == "ordered":
-        grid = np.arange(n)
+        grid = np.arange(n, dtype=np.int32)
         firsts = np.repeat(grid, n - 1)
         seconds = np.concatenate([np.delete(grid, i) for i in range(n)])
     else:
-        firsts, seconds = np.triu_indices(n, k=1)
+        firsts, seconds = (a.astype(np.int32) for a in np.triu_indices(n, k=1))
     _PAIR_CACHE[key] = (firsts, seconds)
     return firsts, seconds
 
 
-def _draw_schedule(n: int, schedule: str, rng: np.random.Generator):
-    """Speaker and listener index arrays for one timestep, freshly shuffled.
+def _draw_schedule(n: int, schedule: str, rngs: Sequence[np.random.Generator]):
+    """Speaker and listener lane ids for one timestep of every run, freshly shuffled.
 
-    Consumption order of the generator is part of the determinism contract:
-    first the pair permutation, then (unordered only) the role coins, then the
-    observations are drawn by the caller.
+    Run r draws from ``rngs[r]`` alone; its agents are lanes r*n to
+    r*n + n-1 and its dialogues fill the r-th block of the int32 arrays, so
+    a single generator gives plain agent ids.  Consumption order of each
+    generator is part of the determinism contract: first the pair
+    permutation, then (unordered only) the role coins, then the caller
+    draws the observations.  Shuffling an ``arange`` in place consumes
+    exactly the draws of ``rng.permutation``, and ``rng.random(out=row)``
+    those of ``rng.random(row.size)``; the pair lookup and lane offsets
+    then run once over the whole stack.
     """
     firsts, seconds = _base_pairs(n, schedule)
-    perm = rng.permutation(firsts.size)
-    firsts, seconds = firsts[perm], seconds[perm]
-    if schedule == "ordered":
-        return firsts, seconds
-    coins = rng.random(firsts.size) < 0.5
-    speakers = np.where(coins, firsts, seconds)
-    listeners = np.where(coins, seconds, firsts)
-    return speakers, listeners
+    runs = len(rngs)
+    picks = np.empty((runs, firsts.size), dtype=np.intp)
+    picks[:] = np.arange(firsts.size)
+    coins = np.empty(picks.shape) if schedule == "unordered" else None
+    for r, rng in enumerate(rngs):
+        rng.shuffle(picks[r])
+        if coins is not None:
+            rng.random(out=coins[r])
+    offsets = np.arange(0, runs * n, n, dtype=np.int32)[:, np.newaxis]
+    speakers = firsts[picks]
+    speakers += offsets
+    listeners = seconds[picks]
+    listeners += offsets
+    if coins is not None:
+        heads = coins < 0.5
+        speakers, listeners = (
+            np.where(heads, speakers, listeners),
+            np.where(heads, listeners, speakers),
+        )
+    return speakers.reshape(-1), listeners.reshape(-1)
 
 
 def run_timestep(
@@ -350,7 +390,7 @@ def run_timestep(
     n = len(population)
     if n < 2:
         raise ValueError("a timestep needs at least two agents")
-    speakers, listeners = _draw_schedule(n, schedule, rng)
+    speakers, listeners = _draw_schedule(n, schedule, [rng])
     xs = env.sample_batch(rng, speakers.size)
     weights = _stacked_timestep(
         np.asarray([a.weight for a in population]),
@@ -360,46 +400,65 @@ def run_timestep(
     return [replace(a, weight=float(w)) for a, w in zip(population, weights)]
 
 
-def _apply_sequential(weights, rels, labels, xs, speakers, listeners, rate, model):
+def _apply_sequential(weights, rels, m1, m2, speakers, listeners, rate, model):
     """Reference path: dialogues strictly in shuffled order, one at a time.
 
-    ``weights`` and ``rels`` hold one entry per agent; the memberships are
-    computed in one batch and every dialogue runs ``_dialogue`` on plain
-    floats.  Returns the weights after the last dialogue.
+    ``weights`` and ``rels`` hold one entry per agent, ``m1`` and ``m2``
+    each dialogue's memberships in the two labels; every dialogue runs
+    ``_dialogue`` on plain floats.  Returns the weights after the last
+    dialogue.
     """
     w = weights.tolist()
     rel = rels.tolist()
-    m1 = labels[0].membership_batch(xs[:, 0]).tolist()
-    m2 = labels[1].membership_batch(xs[:, 1]).tolist()
-    for s, l, a, b in zip(speakers.tolist(), listeners.tolist(), m1, m2):
+    for s, l, a, b in zip(speakers.tolist(), listeners.tolist(), m1.tolist(), m2.tolist()):
         _, target = _dialogue(w[s], w[l], rel[s], a, b, model)
         if target is not None:
             w[l] = w[l] + rate * (target - w[l])
     return np.asarray(w)
 
 
-def _group_by_listener(listeners, n, rounds, order, values, fill=0.0, dtype=np.float64):
-    """Values rearranged to one row per listener, columns in dialogue order."""
-    if rounds * n == listeners.size:
-        return values[order].reshape(n, rounds)
-    counts = np.bincount(listeners, minlength=n)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    cols = np.arange(listeners.size) - np.repeat(starts, counts)
-    out = np.full((n, rounds), fill, dtype=dtype)
-    out[listeners[order], cols] = values[order]
-    return out
+def _group_by_listener(listeners, runs, n, schedule):
+    """Dialogue ids on a (round, lane) grid, and the grid's padding.
+
+    Row r holds, for every lane, the id of the r-th dialogue (in dialogue
+    order) in which it listens.  Under the ordered schedule every lane
+    listens n-1 times and the padding is None.  Under the unordered one
+    the rows are as many as the busiest lane's dialogues; the slots past a
+    lane's last dialogue hold dialogue 0 and are flagged True.
+    """
+    total = runs * n
+    keys = listeners.astype(np.uint16) if total < 65536 else listeners
+    order = np.argsort(keys, kind="stable")
+    if schedule == "ordered":
+        return np.ascontiguousarray(order.reshape(total, n - 1).T), None
+    counts = np.bincount(listeners, minlength=total)
+    rounds = int(counts.max())
+    slots = np.arange(listeners.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    take = np.zeros((rounds, total), dtype=order.dtype)
+    take[slots, listeners[order]] = order
+    return take, np.arange(rounds)[:, np.newaxis] >= counts
 
 
 # Least margin min(w, 1 - w) * |2m - 1| at which rounding cannot make a
 # speaker's assertion differ from the majority-sign compound.
 _MARGIN = 2.0**-50
 
+# Bytes one stacked timestep holds per dialogue at its peak: the drawn
+# schedule and observations, the memberships, the take-index and the
+# (round, lane) grids with their temporaries.  Measured peaks were 87-100
+# bytes, and 140 for many small unordered runs, whose padded grid has
+# about twice as many slots as dialogues.
+_STACK_BYTES_PER_DIALOGUE = 160
+
 
 def _sign_margin(m: np.ndarray, runs: int) -> np.ndarray:
-    """Per run, the least |2m - 1| over its memberships other than exactly 1/2."""
-    d = np.abs(2.0 * m - 1.0)
-    d[d == 0.0] = 1.0
-    return d.reshape(runs, -1).min(axis=1)
+    """Per run, the least |2m - 1| over its memberships other than exactly 1/2.
+
+    Doubling is exact, so 2 * |m - 1/2| is |2m - 1| to the bit.
+    """
+    d = np.abs(m - 0.5)
+    d[d == 0.0] = 0.5
+    return 2.0 * d.reshape(runs, -1).min(axis=1)
 
 
 def _stacked_timestep(
@@ -411,6 +470,18 @@ def _stacked_timestep(
     lane ids, and run r's dialogues fill the r-th block of the arrays.
     Each run ends bit-identical to replaying its block through
     ``_apply_sequential``.
+
+    Layout.  Memberships are computed once, in dialogue order, where the
+    sign margin and the fallback read them.  ``_group_by_listener`` sorts
+    the listeners once into a (round, lane) grid of dialogue ids; the
+    memberships and, unless every lane has the same reliability, the
+    speaker ids are gathered through it, and the signed targets are
+    computed on the grid, so round r reads the contiguous rows
+    ``grid[r]``.  Under the unordered schedule lanes listen unevenly
+    often; their missing slots are padding, inactive like dialogues with
+    no implied weight.  Signed memberships, targets and the margin are
+    elementwise operations or min-reductions, so computing them before or
+    after the gather gives the same bits.
 
     The round loop advances every listener by one of its dialogues per
     round with the reference's arithmetic.  Listener chains are independent
@@ -426,56 +497,70 @@ def _stacked_timestep(
     margin itself.  A membership of exactly 1/2 ties exactly and takes the
     positive sign on both paths, so it is left out of the min.  A speaker
     holds its lane's weight on entry or after some round, so each run's
-    margin is checked on entry and after every round.  A run that fails
-    it, as any run with a weight of 0 or 1 does, is replayed from its
-    entry state through ``_apply_sequential``.
+    margin must hold on entry and after every round.  One update toward a
+    target in [0, 1] leaves min(w, 1-w) at least (1-rate) * min(w, 1-w) *
+    (1-c) - 2**-54, where rounding keeps c below 4 * 2**-53 / (1-rate).
+    So a run whose entry margin, times half of (1-rate)**rounds, exceeds
+    2**-50 + rounds * 2**-53 keeps its margin through every round: the half
+    covers (1-c)**rounds and the rounding of the test itself (the test
+    passes only if (1-rate)**rounds > 2**-49, which keeps rounds * c
+    below 1/4).  When every run on the fast path passes on entry that way
+    the per-round check is skipped; otherwise it runs after every round.  A run that fails the margin, as any run
+    with a weight of 0 or 1 does, is replayed from its entry state through
+    ``_apply_sequential`` on its block's memberships.
     """
     total = runs * n
     per_run = speakers.size // runs
-    m1 = labels[0].membership_batch(xs[:, 0])
-    m2 = labels[1].membership_batch(xs[:, 1])
+    m1, m2 = _memberships(labels, xs)
     sign_margin = np.minimum(_sign_margin(m1, runs), _sign_margin(m2, runs))
 
-    def settled(w):
-        lane_margin = np.minimum(w, 1.0 - w).reshape(runs, n).min(axis=1)
-        return lane_margin * sign_margin > _MARGIN
+    def margin(w):
+        return np.minimum(w, 1.0 - w).reshape(runs, n).min(axis=1) * sign_margin
 
-    fast = settled(weights)
+    entry = margin(weights)
+    fast = entry > _MARGIN
     updated = weights.copy()
     if fast.any():
-        speaker_rel = rels[speakers]
-        targets, usable, mu_first, mu_second = _signed_targets(m1, m2, speaker_rel)
-        keys = listeners.astype(np.uint16) if total < 65536 else listeners
-        order = np.argsort(keys, kind="stable")
-        if schedule == "ordered":
-            rounds = n - 1
+        take, padding = _group_by_listener(listeners, runs, n, schedule)
+        rounds = take.shape[0]
+        first, second = m1[take], m2[take]
+        if rels.min() == rels.max():
+            # One reliability for every lane needs no gather by speaker.
+            rel = np.broadcast_to(rels[:1], first.shape)
         else:
-            rounds = int(np.bincount(listeners, minlength=total).max())
-        p_target = _group_by_listener(listeners, total, rounds, order, targets)
-        p_active = _group_by_listener(
-            listeners, total, rounds, order, usable, fill=False, dtype=bool
-        )
-        p_first = _group_by_listener(listeners, total, rounds, order, mu_first)
-        p_second = _group_by_listener(listeners, total, rounds, order, mu_second)
-        p_rel = _group_by_listener(listeners, total, rounds, order, speaker_rel)
-
+            rel = rels[speakers[take]]
+        del take
+        target, active, first, second = _signed_targets(first, second, rel)
+        if padding is not None:
+            active &= ~padding
+        shrunk = entry * (0.5 * (1.0 - rate) ** rounds)
+        watch = not np.all(shrunk[fast] > _MARGIN + rounds * 2.0**-53)
+        moves = np.less_equal if model == 1 else np.not_equal
+        mu = np.empty(total)
+        step = np.empty(total)
+        moving = np.empty(total, dtype=bool)
         for r in range(rounds):
-            mu = updated * p_first[:, r] + (1.0 - updated) * p_second[:, r]
-            if model == 1:
-                cond = mu <= p_rel[:, r]
-            else:
-                cond = mu != p_rel[:, r]
-            upd = p_active[:, r] & cond
-            updated = np.where(upd, updated + rate * (p_target[:, r] - updated), updated)
-            fast &= settled(updated)
-            if not fast.any():
-                break
+            # mu = w * first + (1 - w) * second, then w + rate * (target - w)
+            np.multiply(updated, first[r], out=mu)
+            np.subtract(1.0, updated, out=step)
+            step *= second[r]
+            mu += step
+            moves(mu, rel[r], out=moving)
+            moving &= active[r]
+            np.subtract(target[r], updated, out=step)
+            step *= rate
+            step += updated
+            np.copyto(updated, step, where=moving)
+            if watch:
+                fast &= margin(updated) > _MARGIN
+                if not fast.any():
+                    break
 
     for r in np.flatnonzero(~fast):
         lanes = slice(r * n, (r + 1) * n)
         block = slice(r * per_run, (r + 1) * per_run)
         updated[lanes] = _apply_sequential(
-            weights[lanes], rels[lanes], labels, xs[block],
+            weights[lanes], rels[lanes], m1[block], m2[block],
             speakers[block] - r * n, listeners[block] - r * n, rate, model,
         )
     return updated

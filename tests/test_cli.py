@@ -1,6 +1,7 @@
 """End-to-end behaviour of the command-line front end."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -119,6 +120,17 @@ class TestErrorPaths:
         bad.write_text("agents = 4\nwat = 1\n" + "env.x1 = uniform(0, 1)\nenv.x2 = uniform(0, 0.5)\n")
         assert run_cli("simulate", "--config", bad) == 2
         assert "line 2" in capsys.readouterr().err
+
+    def test_oversized_population_is_refused_before_any_compute(self, tmp_path, capsys):
+        huge = tmp_path / "huge.cfg"
+        huge.write_text(BASE.replace("agents = 4", "agents = 200000"))
+        out = tmp_path / "out"
+        start = time.perf_counter()
+        assert run_cli("simulate", "--config", huge, "--out", out) == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "physical memory" in err
+        assert not out.exists()
 
     def test_output_collision_is_an_io_error(self, base_cfg, tmp_path, capsys):
         blocker = tmp_path / "occupied"

@@ -7,12 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from labelgames import experiment
 from labelgames.analysis import Environment
 from labelgames.experiment import (
     AGGREGATE_CSV_HEADER,
     FINAL_CSV_HEADER,
     RUN_CSV_HEADER,
     ExperimentConfig,
+    FootprintError,
     ModelComparison,
     SweepPoint,
     aggregate_runs,
@@ -26,7 +28,7 @@ from labelgames.experiment import (
     validate_predictions,
 )
 from labelgames.experiment import _run_stacked
-from labelgames.game import GameConfig
+from labelgames.game import _STACK_BYTES_PER_DIALOGUE, GameConfig
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -91,6 +93,19 @@ class TestExperimentConfig:
     def test_zero_timesteps_rejected_with_its_own_message(self):
         with pytest.raises(ValueError, match="timesteps must be at least 1"):
             ExperimentConfig(game=GameConfig(timesteps=0))
+
+    def test_stack_larger_than_memory_refused_before_the_output_dir(self, tmp_path, monkeypatch):
+        # 3 runs of 6 agents play 90 dialogues per timestep.
+        need = 90 * _STACK_BYTES_PER_DIALOGUE
+        config = small_config(outputs=tmp_path / "out")
+        monkeypatch.setattr(experiment, "_physical_memory", lambda: need - 1)
+        with pytest.raises(FootprintError, match="physical memory"):
+            run_experiment(config)
+        assert not (tmp_path / "out").exists()
+        monkeypatch.setattr(experiment, "_physical_memory", lambda: need)
+        run_experiment(config)
+        monkeypatch.setattr(experiment, "_physical_memory", lambda: None)
+        run_experiment(config)
 
 
 class TestRecordTimes:

@@ -305,10 +305,10 @@ def lanes(population):
 def reference_timestep(population, labels, env, rate, model, seed, schedule):
     """Re-draw the identical schedule and replay it strictly sequentially."""
     rng = np.random.default_rng(seed)
-    speakers, listeners = game._draw_schedule(len(population), schedule, rng)
-    xs = env.sample_batch(rng, speakers.size)
+    speakers, listeners = game._draw_schedule(len(population), schedule, [rng])
+    m1, m2 = game._memberships(labels, env.sample_batch(rng, speakers.size))
     weights, rels = lanes(population)
-    return game._apply_sequential(weights, rels, labels, xs, speakers, listeners, rate, model).tolist()
+    return game._apply_sequential(weights, rels, m1, m2, speakers, listeners, rate, model).tolist()
 
 
 class TestRunTimestep:
@@ -386,9 +386,9 @@ class TestRunTimestep:
         rng_ref = np.random.default_rng(99)
         for _ in range(3):
             pop_fast = run_timestep(pop_fast, LABELS, env, 0.02, 2, rng_fast)
-            speakers, listeners = game._draw_schedule(6, "ordered", rng_ref)
-            xs = env.sample_batch(rng_ref, speakers.size)
-            w_ref = game._apply_sequential(w_ref, rels, LABELS, xs, speakers, listeners, 0.02, 2)
+            speakers, listeners = game._draw_schedule(6, "ordered", [rng_ref])
+            m1, m2 = game._memberships(LABELS, env.sample_batch(rng_ref, speakers.size))
+            w_ref = game._apply_sequential(w_ref, rels, m1, m2, speakers, listeners, 0.02, 2)
         assert [a.weight for a in pop_fast] == w_ref.tolist()
 
 
@@ -428,7 +428,7 @@ class TestStackedKernel:
 
         blocks = []
         for _ in range(runs):
-            speakers, listeners = game._draw_schedule(n, schedule, rng)
+            speakers, listeners = game._draw_schedule(n, schedule, [rng])
             blocks.append((speakers, listeners, env.sample_batch(rng, speakers.size)))
         got = game._stacked_timestep(
             weights,
@@ -451,7 +451,8 @@ class TestStackedKernel:
         for r, (speakers, listeners, xs) in enumerate(blocks):
             run = slice(r * n, (r + 1) * n)
             want += game._apply_sequential(
-                weights[run], rels[run], LABELS, xs, speakers, listeners, rate, model
+                weights[run], rels[run], *game._memberships(LABELS, xs),
+                speakers, listeners, rate, model,
             ).tolist()
             pop = [
                 agent(float(weights[r * n + i]), float(rels[r * n + i]), agent_id=i)
@@ -462,3 +463,59 @@ class TestStackedKernel:
             replayed += [a.weight for a in pop]
         assert got.tolist() == want
         assert replayed == want
+
+    # Model-2 runs whose weights pass the margin on entry but collapse
+    # toward 0 or 1 within the timestep at rates near 1, so that only the
+    # per-round check sends them to the reference (found by random search).
+    @pytest.mark.parametrize("seed,schedule,rate,weights,rels,x1,x2", [
+        (43, "ordered", 0.9989033723956832,
+         (1.0846147220943166e-09, 0.9999999999666682, 0.9999999999997771),
+         (0.4510313870011089, 0.9553145792212376, 0.8919016691830427),
+         (0.27853429777937566, 0.27863302551894353), (0.004077724985988684, 0.4219995748472628)),
+        (80, "ordered", 0.9988162297568676,
+         (3.7003548707621556e-11, 3.26799857913714e-11, 0.9999999999997793, 6.74222611516607e-11),
+         (0.3020920366180293, 0.6088661044496464, 0.2922756613688998, 0.6239372372696742),
+         (0.29922759715969116, 0.539945609476942), (0.5827000659736606, 0.6561332460538947)),
+        (370, "unordered", 0.9982993000164456,
+         (0.99999999995341, 4.196166588200647e-14, 1.1396345797848785e-14),
+         (0.20200629573551543, 0.04339249970186865, 0.3396987300118618),
+         (0.007027833514284043, 0.22707378084311336), (0.04089647182081013, 0.46197319066362197)),
+    ])
+    def test_margin_lost_within_the_timestep_falls_back(self, seed, schedule, rate, weights, rels, x1, x2):
+        rng = np.random.default_rng(seed)
+        speakers, listeners = game._draw_schedule(len(weights), schedule, [rng])
+        xs = Environment((x1, x2)).sample_batch(rng, speakers.size)
+        weights, rels = np.array(weights), np.array(rels)
+        got = game._stacked_timestep(
+            weights, rels, LABELS, xs, speakers, listeners, rate, 2, schedule, 1, len(weights)
+        )
+        want = game._apply_sequential(
+            weights, rels, *game._memberships(LABELS, xs), speakers, listeners, rate, 2
+        )
+        assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("schedule,n,runs", [("ordered", 2, 32769), ("unordered", 3, 21846)])
+    def test_matches_per_run_replays_past_the_uint16_lane_ids(self, schedule, n, runs):
+        # 65538 lanes, so the listener keys no longer fit in 16 bits.  An
+        # unordered run needs three agents for a lane to listen twice.  A
+        # few runs start at the boundary weights.
+        rng = np.random.default_rng(65538)
+        weights = rng.random(runs * n)
+        weights[[0, 7, runs, 2 * runs - 1]] = (0.0, 1.0, 1.0, 0.0)
+        rels = rng.random(runs * n)
+        # Every run draws from the one generator in turn.
+        speakers, listeners = game._draw_schedule(n, schedule, [rng] * runs)
+        per_run = speakers.size // runs
+        xs = Environment(((0.0, 1.0), (0.0, 0.5))).sample_runs([rng] * runs, per_run)
+        got = game._stacked_timestep(
+            weights, rels, LABELS, xs, speakers, listeners, 0.3, 1, schedule, runs, n
+        )
+        m1, m2 = game._memberships(LABELS, xs)
+        want = []
+        for r in range(runs):
+            run, block = slice(r * n, (r + 1) * n), slice(r * per_run, (r + 1) * per_run)
+            want += game._apply_sequential(
+                weights[run], rels[run], m1[block], m2[block],
+                speakers[block] - r * n, listeners[block] - r * n, 0.3, 1,
+            ).tolist()
+        assert got.tolist() == want
