@@ -21,9 +21,13 @@ float array of weights, given each dialogue's memberships.
 in one pass, each run from its own generator.  ``_stacked_timestep`` is
 the one array kernel: it advances those runs at once, stacked lane by
 lane, on a (round, lane) grid of dialogues sorted by listener, and is
-bit-identical to the reference; a run whose weights or memberships could
-make rounding change an assertion is replayed through the reference
-instead.  ``run_timestep`` is the kernel's one-run case.
+bit-identical to the reference.  Speakers assert the majority-sign
+compound, which rounding cannot change while a weight keeps a margin from
+0 and 1; a speaker without that margin on entry, such as one at weight 0
+or 1, is pinned, and its assertions are computed exactly from its entry
+weight.  A run is replayed through the reference only when a pinned
+weight moves or another weight loses its margin within the timestep.
+``run_timestep`` is the kernel's one-run case.
 """
 
 from __future__ import annotations
@@ -277,8 +281,12 @@ def batch_implied_weights(
     """Vectorised implied weights for many observations at once.
 
     Signs are chosen per dimension by majority membership (ties count as
-    positive), which matches ``choose_assertion`` for any speaker weight
-    strictly inside (0, 1).  Returns ``(targets, usable, mu_first, mu_second)``
+    positive).  That is ``choose_assertion``'s choice for a speaker of
+    weight w when min(w, 1 - w) * |2m - 1| exceeds 2**-50 for both
+    memberships m other than exactly 1/2 (see ``_stacked_timestep``); nearer
+    the ends of [0, 1] rounding can pick another compound, for example
+    weight 1e-17 asserts BOTH at memberships (0.3, 0.8), where the majority
+    signs give ONLY_SECOND.  Returns ``(targets, usable, mu_first, mu_second)``
     where ``usable`` flags observations whose implied weight is defined; the
     target is clamped to [0, 1] and zero-filled where unusable.
     """
@@ -297,17 +305,24 @@ def _memberships(labels: tuple[Label, Label], xs: np.ndarray) -> tuple[np.ndarra
     )
 
 
-def _signed_targets(m1: np.ndarray, m2: np.ndarray, reliability):
-    """Targets, usable flags and majority-sign memberships, elementwise.
+def _signed_targets(m1: np.ndarray, m2: np.ndarray, reliability, signs=None):
+    """Targets, usable flags and signed memberships, elementwise.
 
-    ``m1`` and ``m2`` are overwritten with the majority-sign memberships
+    ``m1`` and ``m2`` are overwritten with the signed memberships
     ``mu_first`` and ``mu_second``, which are returned; any array shape
-    works, so the kernel calls it on its (round, lane) grid.  fl(1 - m) is
-    exact for m >= 1/2 and at least 1/2 otherwise, so the larger of m and
-    fl(1 - m) is m where m >= 1/2 and fl(1 - m) elsewhere.
+    works, so the kernel calls it on its (round, lane) grid.  ``signs``,
+    when given, holds two boolean arrays of the same shape that say where
+    each label is asserted positive; m stays where positive and becomes
+    fl(1 - m) elsewhere.  By default the signs are the majority ones:
+    fl(1 - m) is exact for m >= 1/2 and at least 1/2 otherwise, so the
+    larger of m and fl(1 - m) is m where m >= 1/2 and fl(1 - m) elsewhere.
     """
-    np.maximum(m1, 1.0 - m1, out=m1)
-    np.maximum(m2, 1.0 - m2, out=m2)
+    if signs is None:
+        np.maximum(m1, 1.0 - m1, out=m1)
+        np.maximum(m2, 1.0 - m2, out=m2)
+    else:
+        for m, positive in zip((m1, m2), signs):
+            np.subtract(1.0, m, out=m, where=~positive)
     denom = m1 - m2
     usable = denom != 0.0
     targets = np.subtract(reliability, m2)
@@ -405,16 +420,61 @@ def _apply_sequential(weights, rels, m1, m2, speakers, listeners, rate, model):
 
     ``weights`` and ``rels`` hold one entry per agent, ``m1`` and ``m2``
     each dialogue's memberships in the two labels; every dialogue runs
-    ``_dialogue`` on plain floats.  Returns the weights after the last
-    dialogue.
+    ``_dialogue`` on plain floats.  The dialogues are converted to Python
+    objects ``_CHUNK`` at a time, since a whole block of them takes about
+    110 bytes per dialogue.  Returns the weights after the last dialogue.
     """
     w = weights.tolist()
     rel = rels.tolist()
-    for s, l, a, b in zip(speakers.tolist(), listeners.tolist(), m1.tolist(), m2.tolist()):
-        _, target = _dialogue(w[s], w[l], rel[s], a, b, model)
-        if target is not None:
-            w[l] = w[l] + rate * (target - w[l])
+    for lo in range(0, speakers.size, _CHUNK):
+        part = slice(lo, lo + _CHUNK)
+        block = (speakers[part], listeners[part], m1[part], m2[part])
+        for s, l, a, b in zip(*(column.tolist() for column in block)):
+            _, target = _dialogue(w[s], w[l], rel[s], a, b, model)
+            if target is not None:
+                w[l] = w[l] + rate * (target - w[l])
     return np.asarray(w)
+
+
+def _assertions(share, m1, m2):
+    """Elementwise ``_assertion``: the signs of the first maximal compound.
+
+    Each compound is computed in ``_assertion``'s operation order,
+    fl(fl(share * p1) + fl(fl(1 - share) * p2)), and compared with the best
+    so far in ``ASSERTION_ORDER``; only a strictly larger one replaces it,
+    so ties go first, as in the scalar call.  Returns the two boolean sign
+    arrays.
+    """
+    rest = 1.0 - share
+    # Indexed by sign: [False] is the negated label's term, [True] the label's.
+    terms = ((share * (1.0 - m1), share * m1), (rest * (1.0 - m2), rest * m2))
+    best = np.full(share.shape, -np.inf)
+    first = np.empty(share.shape, dtype=bool)
+    second = np.empty(share.shape, dtype=bool)
+    for asserted in ASSERTION_ORDER:
+        s1, s2 = asserted.signs
+        compound = terms[0][s1] + terms[1][s2]
+        won = compound > best
+        first[won] = s1
+        second[won] = s2
+        np.maximum(best, compound, out=best)
+    return first, second
+
+
+def _pinned_signs(m1, m2, by_speaker, weights, pinned):
+    """Assertion signs on the grid: exact where the speaker is pinned, majority elsewhere.
+
+    ``m1``, ``m2`` and ``by_speaker`` are a grid's memberships and speaker
+    lane ids, ``pinned`` flags the pinned lanes.  A pinned speaker's
+    assertion is computed from its entry weight by ``_assertions``,
+    ``_CHUNK`` cells at a time, so the temporaries stay bounded.
+    """
+    signs = (m1 >= 0.5, m2 >= 0.5)
+    f1, f2, spk, s1, s2 = (a.reshape(-1) for a in (m1, m2, by_speaker, *signs))
+    for lo in range(0, spk.size, _CHUNK):
+        cells = lo + np.flatnonzero(pinned[spk[lo:lo + _CHUNK]])
+        s1[cells], s2[cells] = _assertions(weights[spk[cells]], f1[cells], f2[cells])
+    return signs
 
 
 def _group_by_listener(listeners, runs, n, schedule):
@@ -443,11 +503,17 @@ def _group_by_listener(listeners, runs, n, schedule):
 # speaker's assertion differ from the majority-sign compound.
 _MARGIN = 2.0**-50
 
+# Elements that one step of a chunked loop converts or computes at once.
+_CHUNK = 1 << 16
+
 # Bytes one stacked timestep holds per dialogue at its peak: the drawn
 # schedule and observations, the memberships, the take-index and the
-# (round, lane) grids with their temporaries.  Measured peaks were 87-100
-# bytes, and 140 for many small unordered runs, whose padded grid has
-# about twice as many slots as dialogues.
+# (round, lane) grids with their temporaries.  Measured peaks (ru_maxrss
+# of two-timestep runs): 91 bytes for 1000 agents with no pinned lane, 93
+# with every lane pinned at weight 1 and 109 when every run falls back;
+# for 2000 unordered runs of 20 agents, whose padded grid has about twice
+# as many slots as dialogues, 144 with no pinned lane and 152 with every
+# lane pinned.
 _STACK_BYTES_PER_DIALOGUE = 160
 
 
@@ -474,20 +540,24 @@ def _stacked_timestep(
     Layout.  Memberships are computed once, in dialogue order, where the
     sign margin and the fallback read them.  ``_group_by_listener`` sorts
     the listeners once into a (round, lane) grid of dialogue ids; the
-    memberships and, unless every lane has the same reliability, the
-    speaker ids are gathered through it, and the signed targets are
-    computed on the grid, so round r reads the contiguous rows
-    ``grid[r]``.  Under the unordered schedule lanes listen unevenly
-    often; their missing slots are padding, inactive like dialogues with
-    no implied weight.  Signed memberships, targets and the margin are
-    elementwise operations or min-reductions, so computing them before or
-    after the gather gives the same bits.
+    memberships and, where needed, the speaker ids are gathered through it,
+    and the signed targets are computed on the grid, so round r reads the
+    contiguous rows ``grid[r]``.  Under the unordered schedule lanes listen
+    unevenly often; their missing slots are padding, inactive like
+    dialogues with no implied weight.  Signed memberships, targets and the
+    margin are elementwise operations or min-reductions, so computing them
+    before or after the gather gives the same bits.
 
     The round loop advances every listener by one of its dialogues per
     round with the reference's arithmetic.  Listener chains are independent
-    because each speaker is taken to assert the majority-sign compound
-    (positive where m >= 1/2), whatever its weight.  The reference computes
-    a compound as fl(fl(w*p1) + fl(fl(1-w)*p2)) with p in {m, fl(1-m)}.
+    because every assertion is fixed before the loop: the listener's update
+    is the same arithmetic whatever its weight, and only the speaker's
+    weight decides what it asserts.  A speaker is taken to assert the
+    majority-sign compound (positive where m >= 1/2), whatever its weight,
+    unless it is pinned (below).
+
+    The majority sign is exact under a margin.  The reference computes a
+    compound as fl(fl(w*p1) + fl(fl(1-w)*p2)) with p in {m, fl(1-m)}.
     Rounding is monotone, so the majority compound never comes out below
     another one, but it can tie one that ``ASSERTION_ORDER`` puts first.
     Exactly, it leads by at least min(w, 1-w) * |2m-1|.  A computed
@@ -504,57 +574,91 @@ def _stacked_timestep(
     2**-50 + rounds * 2**-53 keeps its margin through every round: the half
     covers (1-c)**rounds and the rounding of the test itself (the test
     passes only if (1-rate)**rounds > 2**-49, which keeps rounds * c
-    below 1/4).  When every run on the fast path passes on entry that way
-    the per-round check is skipped; otherwise it runs after every round.  A run that fails the margin, as any run
-    with a weight of 0 or 1 does, is replayed from its entry state through
+    below 1/4).  When every run passes on entry that way the per-round
+    check is skipped; otherwise it runs after every round, and a run that
+    loses its margin is replayed from its entry state through
     ``_apply_sequential`` on its block's memberships.
+
+    Pinned speakers.  A lane whose min(w, 1-w) times its run's sign margin
+    is at most 2**-50 on entry, as any lane at weight 0 or 1 is, is pinned
+    and left out of its run's margin, which then covers the other lanes (a
+    run whose lanes are all pinned has margin inf), so every run passes on
+    entry.  Only when some lane is pinned are the speaker ids gathered for
+    the whole grid; where the speaker is pinned, its assertion is computed
+    from its entry weight exactly as the reference does (``_assertions``),
+    and the cell's memberships take that compound's signs.  After every
+    round each pinned lane's weight is compared, bit for bit, with its
+    entry weight.  In dialogue order, a speaker holds the weight its lane
+    had after the rounds of its earlier listening dialogues, so while every
+    pinned weight is unchanged the pinned assertions are the reference's;
+    a run one of whose pinned lanes moved is replayed through
+    ``_apply_sequential`` instead.
     """
     total = runs * n
     per_run = speakers.size // runs
     m1, m2 = _memberships(labels, xs)
     sign_margin = np.minimum(_sign_margin(m1, runs), _sign_margin(m2, runs))
+    pinned = np.empty(0, dtype=np.intp)
 
     def margin(w):
-        return np.minimum(w, 1.0 - w).reshape(runs, n).min(axis=1) * sign_margin
+        lane = np.minimum(w, 1.0 - w)
+        if pinned.size:
+            lane[pinned] = np.inf
+        return lane.reshape(runs, n).min(axis=1) * sign_margin
 
     entry = margin(weights)
-    fast = entry > _MARGIN
+    if not np.all(entry > _MARGIN):
+        near = np.minimum(weights, 1.0 - weights) * np.repeat(sign_margin, n) <= _MARGIN
+        pinned = np.flatnonzero(near)
+        entry = margin(weights)
+    # With its pinned lanes left out, every run passes on entry.
+    fast = np.ones(runs, dtype=bool)
     updated = weights.copy()
-    if fast.any():
-        take, padding = _group_by_listener(listeners, runs, n, schedule)
-        rounds = take.shape[0]
-        first, second = m1[take], m2[take]
-        if rels.min() == rels.max():
-            # One reliability for every lane needs no gather by speaker.
-            rel = np.broadcast_to(rels[:1], first.shape)
-        else:
-            rel = rels[speakers[take]]
-        del take
-        target, active, first, second = _signed_targets(first, second, rel)
-        if padding is not None:
-            active &= ~padding
-        shrunk = entry * (0.5 * (1.0 - rate) ** rounds)
-        watch = not np.all(shrunk[fast] > _MARGIN + rounds * 2.0**-53)
-        moves = np.less_equal if model == 1 else np.not_equal
-        mu = np.empty(total)
-        step = np.empty(total)
-        moving = np.empty(total, dtype=bool)
-        for r in range(rounds):
-            # mu = w * first + (1 - w) * second, then w + rate * (target - w)
-            np.multiply(updated, first[r], out=mu)
-            np.subtract(1.0, updated, out=step)
-            step *= second[r]
-            mu += step
-            moves(mu, rel[r], out=moving)
-            moving &= active[r]
-            np.subtract(target[r], updated, out=step)
-            step *= rate
-            step += updated
-            np.copyto(updated, step, where=moving)
-            if watch:
-                fast &= margin(updated) > _MARGIN
-                if not fast.any():
-                    break
+
+    take, padding = _group_by_listener(listeners, runs, n, schedule)
+    rounds = take.shape[0]
+    first, second = m1[take], m2[take]
+    one_rel = rels.min() == rels.max()
+    by_speaker = speakers[take] if pinned.size or not one_rel else None
+    del take
+    if one_rel:
+        # One reliability for every lane needs no gather by speaker.
+        rel = np.broadcast_to(rels[:1], first.shape)
+    else:
+        rel = rels[by_speaker]
+    signs = None
+    if pinned.size:
+        signs = _pinned_signs(first, second, by_speaker, weights, near)
+        held = weights[pinned].view(np.uint64)
+    del by_speaker
+    target, active, first, second = _signed_targets(first, second, rel, signs)
+    del signs
+    if padding is not None:
+        active &= ~padding
+    shrunk = entry * (0.5 * (1.0 - rate) ** rounds)
+    watch = not np.all(shrunk > _MARGIN + rounds * 2.0**-53)
+    moves = np.less_equal if model == 1 else np.not_equal
+    mu = np.empty(total)
+    step = np.empty(total)
+    moving = np.empty(total, dtype=bool)
+    for r in range(rounds):
+        # mu = w * first + (1 - w) * second, then w + rate * (target - w)
+        np.multiply(updated, first[r], out=mu)
+        np.subtract(1.0, updated, out=step)
+        step *= second[r]
+        mu += step
+        moves(mu, rel[r], out=moving)
+        moving &= active[r]
+        np.subtract(target[r], updated, out=step)
+        step *= rate
+        step += updated
+        np.copyto(updated, step, where=moving)
+        if pinned.size:
+            fast[pinned[updated[pinned].view(np.uint64) != held] // n] = False
+        if watch:
+            fast &= margin(updated) > _MARGIN
+        if (pinned.size or watch) and not fast.any():
+            break
 
     for r in np.flatnonzero(~fast):
         lanes = slice(r * n, (r + 1) * n)

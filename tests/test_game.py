@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from labelgames import game
 from labelgames.analysis import Environment, update_directions
+from labelgames.experiment import ExperimentConfig, run_experiment, run_single
 from labelgames.game import (
     ASSERTION_ORDER,
     AgentState,
@@ -409,6 +410,22 @@ INTERVALS = st.one_of(
     .map(sorted),
     st.floats(-15.5, -1.0).map(lambda e: (0.5 - 10.0**e, 0.5 + 10.0**e)),
 )
+# Intervals on one side of 1/2, or across it, where edge weights with
+# reliability 0 or 1 often keep their value all timestep.
+HELD_INTERVALS = st.sampled_from(((0.0, 0.5), (0.5, 1.0), (0.0, 1.0), (0.1, 0.4)))
+
+
+def counting_fallbacks(monkeypatch):
+    """Record the runs the kernel replays through ``_apply_sequential``."""
+    calls = []
+    replay = game._apply_sequential
+
+    def counted(*args):
+        calls.append(args)
+        return replay(*args)
+
+    monkeypatch.setattr(game, "_apply_sequential", counted)
+    return calls
 
 
 class TestStackedKernel:
@@ -418,12 +435,23 @@ class TestStackedKernel:
         runs = data.draw(st.integers(1, 3), label="runs")
         n = data.draw(st.integers(2, 5), label="n")
         per_lane = lambda values: st.lists(values, min_size=runs * n, max_size=runs * n)
-        weights = np.array(data.draw(per_lane(WEIGHTS), label="weights"))
-        rels = np.array(data.draw(per_lane(st.floats(0.0, 1.0)), label="rels"))
+        # A held stack gives each run one edge weight and every lane
+        # reliability 0 or 1, so that pinned speakers often keep their
+        # weight and their runs stay on the array path.
+        held = data.draw(st.booleans(), label="held")
+        if held:
+            per_run = st.lists(st.sampled_from(EDGE_WEIGHTS), min_size=runs, max_size=runs)
+            weights = np.repeat(data.draw(per_run, label="weights"), n)
+            rels = np.array(data.draw(per_lane(st.sampled_from((0.0, 1.0))), label="rels"))
+            intervals = HELD_INTERVALS
+        else:
+            weights = np.array(data.draw(per_lane(WEIGHTS), label="weights"))
+            rels = np.array(data.draw(per_lane(st.floats(0.0, 1.0)), label="rels"))
+            intervals = INTERVALS
         rate = data.draw(st.floats(1e-4, 0.999), label="rate")
         model = data.draw(st.sampled_from((1, 2)), label="model")
         schedule = data.draw(st.sampled_from(("ordered", "unordered")), label="schedule")
-        env = Environment((data.draw(INTERVALS, label="x1"), data.draw(INTERVALS, label="x2")))
+        env = Environment((data.draw(intervals, label="x1"), data.draw(intervals, label="x2")))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
 
         blocks = []
@@ -463,6 +491,53 @@ class TestStackedKernel:
             replayed += [a.weight for a in pop]
         assert got.tolist() == want
         assert replayed == want
+
+    def test_held_boundary_weights_stay_on_the_array_path(self, monkeypatch):
+        # Every weight is 1 and every x2 lies below 1/2: a speaker at weight
+        # 1 asserts the second label positive, every target clamps to 1 and
+        # no weight moves, so no run needs the reference.
+        config = ExperimentConfig(
+            game=GameConfig(n_agents=5, timesteps=4, rate=1e-3, model=1, reliability=1.0, weight_init=1.0),
+            env=Environment(((0.0, 1.0), (0.0, 0.5))),
+            runs=3,
+            master_seed=5,
+        )
+        calls = counting_fallbacks(monkeypatch)
+        records = run_experiment(config).run_records
+        assert calls == []
+        for record in records:
+            want = run_single(config, record.run_id)
+            assert record.mean_weights.tolist() == want.mean_weights.tolist()
+            assert record.sd_weights.tolist() == want.sd_weights.tolist()
+            assert record.final_weights.tolist() == want.final_weights.tolist()
+
+    def test_pinned_lane_that_moves_sends_only_its_run_to_the_reference(self, monkeypatch):
+        # Run 0 is held at weight 1 as above.  In run 1 a lane at weight 1
+        # listens to speakers at 1/2, whose majority-sign assertions can
+        # imply a target of 0, so it moves and run 1 alone is replayed.
+        n, rate = 3, 1e-2
+        weights = np.array([1.0, 1.0, 1.0, 1.0, 0.5, 0.5])
+        rels = np.ones(2 * n)
+        rng = np.random.default_rng(4)
+        env = Environment(((0.0, 1.0), (0.0, 0.5)))
+        speakers, listeners = game._draw_schedule(n, "ordered", [rng, rng])
+        per_run = speakers.size // 2
+        xs = env.sample_runs([rng, rng], per_run)
+        calls = counting_fallbacks(monkeypatch)
+        got = game._stacked_timestep(
+            weights, rels, LABELS, xs, speakers, listeners, rate, 1, "ordered", 2, n
+        )
+        assert [args[0].tolist() for args in calls] == [[1.0, 0.5, 0.5]]
+        m1, m2 = game._memberships(LABELS, xs)
+        want = []
+        for r in range(2):
+            run, block = slice(r * n, (r + 1) * n), slice(r * per_run, (r + 1) * per_run)
+            want += game._apply_sequential(
+                weights[run], rels[run], m1[block], m2[block],
+                speakers[block] - r * n, listeners[block] - r * n, rate, 1,
+            ).tolist()
+        assert want[:n] == [1.0] * n and want[n] != 1.0
+        assert got.tolist() == want
 
     # Model-2 runs whose weights pass the margin on entry but collapse
     # toward 0 or 1 within the timestep at rates near 1, so that only the
