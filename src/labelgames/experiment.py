@@ -7,7 +7,9 @@ time, and aggregates across runs.  All runs advance together on the
 lane-stacked kernel ``game._stacked_timestep``, one timestep at a time.
 Each timestep's schedules and observations are drawn for all runs in one
 pass (``game._draw_schedule``, ``Environment.sample_runs``), every run
-from its own generator and in the same order as a run drawn alone.
+from its own generator and in the same order as a run drawn alone.  The
+observations are turned into memberships before the kernel runs, and
+one timestep's arrays are freed before the next timestep draws.
 ``run_single`` replays one run dialogue by dialogue and gives
 bit-identical records.  Identical configuration and master seed give
 byte-identical output files.  A configuration whose timestep cannot fit
@@ -189,12 +191,12 @@ def _run_stacked(config: ExperimentConfig) -> list[RunRecord]:
     stats = [_population_stats(weights.reshape(runs, n))]
     for t in range(1, game.timesteps + 1):
         speakers, listeners = _draw_schedule(n, game.schedule, rngs)
-        xs = env.sample_runs(rngs, per_run)
+        m1, m2 = _memberships(game.labels, env.sample_runs(rngs, per_run))
         weights = _stacked_timestep(
             weights,
             rels,
-            game.labels,
-            xs,
+            m1,
+            m2,
             speakers,
             listeners,
             game.rate,
@@ -203,6 +205,8 @@ def _run_stacked(config: ExperimentConfig) -> list[RunRecord]:
             runs,
             n,
         )
+        # The next timestep draws its arrays only after these are freed.
+        del speakers, listeners, m1, m2
         if t in wanted:
             stats.append(_population_stats(weights.reshape(runs, n)))
     return _records(range(runs), times, stats, weights.reshape(runs, n))

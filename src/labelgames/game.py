@@ -19,14 +19,16 @@ reference: it plays the dialogues one at a time through ``_dialogue`` on a
 float array of weights, given each dialogue's memberships.
 ``_draw_schedule`` shuffles one timestep's pairs for any number of runs
 in one pass, each run from its own generator.  ``_stacked_timestep`` is
-the one array kernel: it advances those runs at once, stacked lane by
-lane, on a (round, lane) grid of dialogues sorted by listener, and is
-bit-identical to the reference.  Speakers assert the majority-sign
-compound, which rounding cannot change while a weight keeps a margin from
-0 and 1; a speaker without that margin on entry, such as one at weight 0
-or 1, is pinned, and its assertions are computed exactly from its entry
-weight.  A run is replayed through the reference only when a pinned
-weight moves or another weight loses its margin within the timestep.
+the one array kernel: given the dialogues' memberships, it advances
+those runs at once, stacked lane by lane, on a (round, lane) grid of
+dialogues sorted by listener, which it builds one block of rounds at a
+time, and is bit-identical to the reference.  Speakers assert the
+majority-sign compound, which rounding cannot change while a weight
+keeps a margin from 0 and 1; a speaker without that margin on entry,
+such as one at weight 0 or 1, is pinned, and its assertions are
+computed exactly from its entry weight.  A run is replayed through the
+reference only when a pinned weight moves or another weight loses its
+margin within the timestep.
 ``run_timestep`` is the kernel's one-run case.
 """
 
@@ -406,11 +408,11 @@ def run_timestep(
     if n < 2:
         raise ValueError("a timestep needs at least two agents")
     speakers, listeners = _draw_schedule(n, schedule, [rng])
-    xs = env.sample_batch(rng, speakers.size)
+    m1, m2 = _memberships(labels, env.sample_batch(rng, speakers.size))
     weights = _stacked_timestep(
         np.asarray([a.weight for a in population]),
         np.asarray([a.reliability for a in population]),
-        labels, xs, speakers, listeners, rate, model, schedule, 1, n,
+        m1, m2, speakers, listeners, rate, model, schedule, 1, n,
     )
     return [replace(a, weight=float(w)) for a, w in zip(population, weights)]
 
@@ -507,14 +509,15 @@ _MARGIN = 2.0**-50
 _CHUNK = 1 << 16
 
 # Bytes one stacked timestep holds per dialogue at its peak: the drawn
-# schedule and observations, the memberships, the take-index and the
-# (round, lane) grids with their temporaries.  Measured peaks (ru_maxrss
-# of two-timestep runs): 91 bytes for 1000 agents with no pinned lane, 93
-# with every lane pinned at weight 1 and 109 when every run falls back;
-# for 2000 unordered runs of 20 agents, whose padded grid has about twice
-# as many slots as dialogues, 144 with no pinned lane and 152 with every
-# lane pinned.
-_STACK_BYTES_PER_DIALOGUE = 160
+# schedule, the memberships, the take-index and one block of the (round,
+# lane) grid with its temporaries.  Measured peaks (ru_maxrss of
+# two-timestep runs, above the RSS after imports): 73 bytes for 1000
+# agents with no pinned lane, 74 with every lane pinned at weight 1 and 82
+# when the run falls back; for 2000 unordered runs of 20 agents, whose
+# padded take-index has about twice as many slots as dialogues, 94 with no
+# pinned lane and 94 with every lane pinned.  The constant is the largest
+# of these plus about a quarter.
+_STACK_BYTES_PER_DIALOGUE = 120
 
 
 def _sign_margin(m: np.ndarray, runs: int) -> np.ndarray:
@@ -528,7 +531,7 @@ def _sign_margin(m: np.ndarray, runs: int) -> np.ndarray:
 
 
 def _stacked_timestep(
-    weights, rels, labels, xs, speakers, listeners, rate, model, schedule, runs, n
+    weights, rels, m1, m2, speakers, listeners, rate, model, schedule, runs, n
 ):
     """Advance every run one timestep on stacked per-run state.
 
@@ -537,24 +540,29 @@ def _stacked_timestep(
     Each run ends bit-identical to replaying its block through
     ``_apply_sequential``.
 
-    Layout.  Memberships are computed once, in dialogue order, where the
-    sign margin and the fallback read them.  ``_group_by_listener`` sorts
-    the listeners once into a (round, lane) grid of dialogue ids; the
-    memberships and, where needed, the speaker ids are gathered through it,
-    and the signed targets are computed on the grid, so round r reads the
-    contiguous rows ``grid[r]``.  Under the unordered schedule lanes listen
-    unevenly often; their missing slots are padding, inactive like
-    dialogues with no implied weight.  Signed memberships, targets and the
-    margin are elementwise operations or min-reductions, so computing them
-    before or after the gather gives the same bits.
+    Layout.  ``m1`` and ``m2`` are each dialogue's memberships in dialogue
+    order, where the sign margin and the fallback read them.
+    ``_group_by_listener`` sorts the listeners once into a (round, lane)
+    grid of dialogue ids, the take-index.  The value grids are built from
+    it one block of ``max(1, _CHUNK // lanes)`` rounds at a time: the
+    block's memberships and, where needed, its speaker ids and
+    reliabilities are gathered, its signs and targets computed and its
+    padding masked, and then its rounds run, so round r reads contiguous
+    rows.  Only the take-index and the padding mask span the whole
+    timestep.  Under the unordered schedule lanes listen unevenly often;
+    their missing slots are padding, inactive like dialogues with no
+    implied weight.  Signed
+    memberships, targets and the margin are elementwise operations or
+    min-reductions, so computing them before or after the gather, and in
+    any blocks, gives the same bits.
 
     The round loop advances every listener by one of its dialogues per
     round with the reference's arithmetic.  Listener chains are independent
-    because every assertion is fixed before the loop: the listener's update
-    is the same arithmetic whatever its weight, and only the speaker's
-    weight decides what it asserts.  A speaker is taken to assert the
-    majority-sign compound (positive where m >= 1/2), whatever its weight,
-    unless it is pinned (below).
+    because no assertion depends on a weight the loop computes: the
+    listener's update is the same arithmetic whatever its weight, and only
+    the speaker's weight decides what it asserts.  A speaker is taken to
+    assert the majority-sign compound (positive where m >= 1/2), whatever
+    its weight, unless it is pinned (below).
 
     The majority sign is exact under a margin.  The reference computes a
     compound as fl(fl(w*p1) + fl(fl(1-w)*p2)) with p in {m, fl(1-m)}.
@@ -584,7 +592,7 @@ def _stacked_timestep(
     and left out of its run's margin, which then covers the other lanes (a
     run whose lanes are all pinned has margin inf), so every run passes on
     entry.  Only when some lane is pinned are the speaker ids gathered for
-    the whole grid; where the speaker is pinned, its assertion is computed
+    every block; where the speaker is pinned, its assertion is computed
     from its entry weight exactly as the reference does (``_assertions``),
     and the cell's memberships take that compound's signs.  After every
     round each pinned lane's weight is compared, bit for bit, with its
@@ -596,7 +604,6 @@ def _stacked_timestep(
     """
     total = runs * n
     per_run = speakers.size // runs
-    m1, m2 = _memberships(labels, xs)
     sign_margin = np.minimum(_sign_margin(m1, runs), _sign_margin(m2, runs))
     pinned = np.empty(0, dtype=np.intp)
 
@@ -611,53 +618,56 @@ def _stacked_timestep(
         near = np.minimum(weights, 1.0 - weights) * np.repeat(sign_margin, n) <= _MARGIN
         pinned = np.flatnonzero(near)
         entry = margin(weights)
+        held = weights[pinned].view(np.uint64)
     # With its pinned lanes left out, every run passes on entry.
     fast = np.ones(runs, dtype=bool)
     updated = weights.copy()
 
     take, padding = _group_by_listener(listeners, runs, n, schedule)
     rounds = take.shape[0]
-    first, second = m1[take], m2[take]
     one_rel = rels.min() == rels.max()
-    by_speaker = speakers[take] if pinned.size or not one_rel else None
-    del take
-    if one_rel:
-        # One reliability for every lane needs no gather by speaker.
-        rel = np.broadcast_to(rels[:1], first.shape)
-    else:
-        rel = rels[by_speaker]
-    signs = None
-    if pinned.size:
-        signs = _pinned_signs(first, second, by_speaker, weights, near)
-        held = weights[pinned].view(np.uint64)
-    del by_speaker
-    target, active, first, second = _signed_targets(first, second, rel, signs)
-    del signs
-    if padding is not None:
-        active &= ~padding
     shrunk = entry * (0.5 * (1.0 - rate) ** rounds)
     watch = not np.all(shrunk > _MARGIN + rounds * 2.0**-53)
+    may_fall_back = bool(pinned.size) or watch
     moves = np.less_equal if model == 1 else np.not_equal
     mu = np.empty(total)
     step = np.empty(total)
     moving = np.empty(total, dtype=bool)
-    for r in range(rounds):
-        # mu = w * first + (1 - w) * second, then w + rate * (target - w)
-        np.multiply(updated, first[r], out=mu)
-        np.subtract(1.0, updated, out=step)
-        step *= second[r]
-        mu += step
-        moves(mu, rel[r], out=moving)
-        moving &= active[r]
-        np.subtract(target[r], updated, out=step)
-        step *= rate
-        step += updated
-        np.copyto(updated, step, where=moving)
+    span = max(1, _CHUNK // total)
+    for lo in range(0, rounds, span):
+        ids = take[lo:lo + span]
+        first, second = m1[ids], m2[ids]
+        by_speaker = speakers[ids] if pinned.size or not one_rel else None
+        if one_rel:
+            # One reliability for every lane needs no gather by speaker.
+            rel = np.broadcast_to(rels[:1], first.shape)
+        else:
+            rel = rels[by_speaker]
+        signs = None
         if pinned.size:
-            fast[pinned[updated[pinned].view(np.uint64) != held] // n] = False
-        if watch:
-            fast &= margin(updated) > _MARGIN
-        if (pinned.size or watch) and not fast.any():
+            signs = _pinned_signs(first, second, by_speaker, weights, near)
+        target, active, first, second = _signed_targets(first, second, rel, signs)
+        if padding is not None:
+            active &= ~padding[lo:lo + span]
+        for r in range(ids.shape[0]):
+            # mu = w * first + (1 - w) * second, then w + rate * (target - w)
+            np.multiply(updated, first[r], out=mu)
+            np.subtract(1.0, updated, out=step)
+            step *= second[r]
+            mu += step
+            moves(mu, rel[r], out=moving)
+            moving &= active[r]
+            np.subtract(target[r], updated, out=step)
+            step *= rate
+            step += updated
+            np.copyto(updated, step, where=moving)
+            if pinned.size:
+                fast[pinned[updated[pinned].view(np.uint64) != held] // n] = False
+            if watch:
+                fast &= margin(updated) > _MARGIN
+            if may_fall_back and not fast.any():
+                break
+        if may_fall_back and not fast.any():
             break
 
     for r in np.flatnonzero(~fast):

@@ -73,7 +73,8 @@ class Euclidean:
     def distances(self, xs: np.ndarray, ref: tuple[float, ...]) -> np.ndarray:
         """Distances from each row of ``xs`` to ``ref``; 1-d spaces accept a flat array."""
         if len(ref) == 1:
-            return np.abs(np.asarray(xs).reshape(-1) - ref[0])
+            d = np.asarray(xs).reshape(-1) - ref[0]
+            return np.abs(d, out=d)
         return np.sqrt(((np.asarray(xs) - np.asarray(ref)) ** 2).sum(axis=-1))
 
 
@@ -98,7 +99,8 @@ class WeightedCityBlock:
 
     def distances(self, xs: np.ndarray, ref: tuple[float, ...]) -> np.ndarray:
         if len(ref) == 1:
-            return self.weights[0] * np.abs(np.asarray(xs).reshape(-1) - ref[0])
+            d = np.asarray(xs).reshape(-1) - ref[0]
+            return self.weights[0] * np.abs(d, out=d)
         diffs = np.abs(np.asarray(xs) - np.asarray(ref))
         return diffs @ np.asarray(self.weights)
 
@@ -134,7 +136,12 @@ class UniformThreshold(ThresholdDistribution):
         object.__setattr__(self, "survival", self._survival)
 
     def _survival(self, t: np.ndarray) -> np.ndarray:
-        return np.clip(1.0 - t / self.width, 0.0, 1.0)
+        s = np.divide(t, self.width)
+        if not isinstance(s, np.ndarray):
+            # A scalar distance, as in Label.membership.
+            return np.clip(1.0 - s, 0.0, 1.0)
+        np.subtract(1.0, s, out=s)
+        return np.clip(s, 0.0, 1.0, out=s)
 
 
 @dataclass(frozen=True)

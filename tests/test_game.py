@@ -1,5 +1,7 @@
 """Dialogue mechanics, the sequential reference and the stacked kernel."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -453,24 +455,29 @@ class TestStackedKernel:
         schedule = data.draw(st.sampled_from(("ordered", "unordered")), label="schedule")
         env = Environment((data.draw(intervals, label="x1"), data.draw(intervals, label="x2")))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        # A chunk of one cell gives blocks of one round, so the padding,
+        # pinned lanes and the early exit span many blocks; seven cells
+        # give one-round blocks on four lanes or more and a single block on
+        # two or three; 65536 keeps the grid whole.
+        chunk = data.draw(st.sampled_from((1, 7, 65536)), label="chunk")
 
         blocks = []
         for _ in range(runs):
             speakers, listeners = game._draw_schedule(n, schedule, [rng])
             blocks.append((speakers, listeners, env.sample_batch(rng, speakers.size)))
-        got = game._stacked_timestep(
-            weights,
-            rels,
-            LABELS,
-            np.concatenate([xs for _, _, xs in blocks]),
-            np.concatenate([s + r * n for r, (s, _, _) in enumerate(blocks)]),
-            np.concatenate([l + r * n for r, (_, l, _) in enumerate(blocks)]),
-            rate,
-            model,
-            schedule,
-            runs,
-            n,
-        )
+        with mock.patch.object(game, "_CHUNK", chunk):
+            got = game._stacked_timestep(
+                weights,
+                rels,
+                *game._memberships(LABELS, np.concatenate([xs for _, _, xs in blocks])),
+                np.concatenate([s + r * n for r, (s, _, _) in enumerate(blocks)]),
+                np.concatenate([l + r * n for r, (_, l, _) in enumerate(blocks)]),
+                rate,
+                model,
+                schedule,
+                runs,
+                n,
+            )
 
         # The float reference on each run's lanes, and a replay of each run
         # one dialogue at a time through the public API, which takes its
@@ -525,7 +532,7 @@ class TestStackedKernel:
         xs = env.sample_runs([rng, rng], per_run)
         calls = counting_fallbacks(monkeypatch)
         got = game._stacked_timestep(
-            weights, rels, LABELS, xs, speakers, listeners, rate, 1, "ordered", 2, n
+            weights, rels, *game._memberships(LABELS, xs), speakers, listeners, rate, 1, "ordered", 2, n
         )
         assert [args[0].tolist() for args in calls] == [[1.0, 0.5, 0.5]]
         m1, m2 = game._memberships(LABELS, xs)
@@ -562,12 +569,42 @@ class TestStackedKernel:
         xs = Environment((x1, x2)).sample_batch(rng, speakers.size)
         weights, rels = np.array(weights), np.array(rels)
         got = game._stacked_timestep(
-            weights, rels, LABELS, xs, speakers, listeners, rate, 2, schedule, 1, len(weights)
+            weights, rels, *game._memberships(LABELS, xs), speakers, listeners, rate, 2, schedule, 1, len(weights)
         )
         want = game._apply_sequential(
             weights, rels, *game._memberships(LABELS, xs), speakers, listeners, rate, 2
         )
         assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("schedule", ["ordered", "unordered"])
+    @pytest.mark.parametrize("chunk", [30, 45])
+    def test_blocks_of_rounds_match_per_run_replays(self, schedule, chunk):
+        # Three runs of five agents fill 15 lanes, so these chunks give
+        # blocks of two and three rounds, and blocks of three leave a
+        # partial last block, which the hypothesis test's chunks never do.
+        # Lane 5 starts pinned at weight 1 and every lane has its own
+        # reliability.
+        n, runs = 5, 3
+        rng = np.random.default_rng(chunk)
+        weights = rng.random(runs * n)
+        weights[n] = 1.0
+        rels = rng.random(runs * n)
+        speakers, listeners = game._draw_schedule(n, schedule, [rng] * runs)
+        per_run = speakers.size // runs
+        xs = Environment(((0.0, 1.0), (0.0, 0.5))).sample_runs([rng] * runs, per_run)
+        m1, m2 = game._memberships(LABELS, xs)
+        with mock.patch.object(game, "_CHUNK", chunk):
+            got = game._stacked_timestep(
+                weights, rels, m1, m2, speakers, listeners, 0.3, 2, schedule, runs, n
+            )
+        want = []
+        for r in range(runs):
+            run, block = slice(r * n, (r + 1) * n), slice(r * per_run, (r + 1) * per_run)
+            want += game._apply_sequential(
+                weights[run], rels[run], m1[block], m2[block],
+                speakers[block] - r * n, listeners[block] - r * n, 0.3, 2,
+            ).tolist()
+        assert got.tolist() == want
 
     @pytest.mark.parametrize("schedule,n,runs", [("ordered", 2, 32769), ("unordered", 3, 21846)])
     def test_matches_per_run_replays_past_the_uint16_lane_ids(self, schedule, n, runs):
@@ -583,7 +620,7 @@ class TestStackedKernel:
         per_run = speakers.size // runs
         xs = Environment(((0.0, 1.0), (0.0, 0.5))).sample_runs([rng] * runs, per_run)
         got = game._stacked_timestep(
-            weights, rels, LABELS, xs, speakers, listeners, 0.3, 1, schedule, runs, n
+            weights, rels, *game._memberships(LABELS, xs), speakers, listeners, 0.3, 1, schedule, runs, n
         )
         m1, m2 = game._memberships(LABELS, xs)
         want = []
