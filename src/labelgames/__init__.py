@@ -6,149 +6,9 @@ populations of agents that assert compound labels about observed points
 and nudge their dimension weights toward each assertion's implied value.
 Alongside the simulator sit closed-form predictions of where the weight
 population comes to rest and how fast it converges, plus a seeded,
-replicated experiment layer and a command-line front end.
+replicated experiment layer and a command-line front end.  Each public
+name is imported from its module: ``labels``, ``combine``, ``game``,
+``analysis``, ``experiment``, ``config`` or ``cli``.
 """
 
-from .analysis import (
-    Environment,
-    EstimationError,
-    NonConvergenceError,
-    Prediction,
-    Region,
-    RunningMoments,
-    TargetMoments,
-    UpdateDirection,
-    build_prediction,
-    classify_region,
-    estimate_target_moments,
-    mean_trajectory,
-    model1_resting_mean,
-    positive_update_probability,
-    positive_update_probability_mc,
-    resting_variance,
-    steps_to_mean_convergence,
-    steps_to_variance_convergence,
-    update_directions,
-    variance_trajectory,
-)
-from .combine import (
-    Compound,
-    Polarity,
-    WeightVector,
-    binary_space_oracle,
-    compound_membership,
-    conjoin_compounds,
-    weighted_hamming,
-)
-from .config import ConfigError, load_config, parse_config
-from .experiment import (
-    AggregateRecord,
-    ExperimentConfig,
-    ExperimentResult,
-    FootprintError,
-    ModelComparison,
-    RunRecord,
-    SweepPoint,
-    ValidationRow,
-    compare_models,
-    mix_seed,
-    record_times,
-    run_experiment,
-    run_single,
-    sweep,
-    validate_predictions,
-)
-from .game import (
-    AgentState,
-    AssertionIndex,
-    DialogueOutcome,
-    GameConfig,
-    apply_update,
-    batch_implied_weights,
-    choose_assertion,
-    dialogues_per_timestep,
-    implied_weight,
-    init_population,
-    run_dialogue,
-    run_timestep,
-)
-from .labels import (
-    ConceptualSpace,
-    Euclidean,
-    Label,
-    ThresholdDistribution,
-    UniformThreshold,
-    WeightedCityBlock,
-    canonical_label,
-    canonical_label_pair,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AgentState",
-    "AggregateRecord",
-    "AssertionIndex",
-    "Compound",
-    "ConceptualSpace",
-    "ConfigError",
-    "DialogueOutcome",
-    "Environment",
-    "EstimationError",
-    "Euclidean",
-    "ExperimentConfig",
-    "ExperimentResult",
-    "FootprintError",
-    "GameConfig",
-    "Label",
-    "ModelComparison",
-    "NonConvergenceError",
-    "Polarity",
-    "Prediction",
-    "Region",
-    "RunRecord",
-    "RunningMoments",
-    "SweepPoint",
-    "TargetMoments",
-    "ThresholdDistribution",
-    "UniformThreshold",
-    "UpdateDirection",
-    "ValidationRow",
-    "WeightVector",
-    "WeightedCityBlock",
-    "apply_update",
-    "batch_implied_weights",
-    "binary_space_oracle",
-    "build_prediction",
-    "canonical_label",
-    "canonical_label_pair",
-    "choose_assertion",
-    "classify_region",
-    "compare_models",
-    "compound_membership",
-    "conjoin_compounds",
-    "dialogues_per_timestep",
-    "estimate_target_moments",
-    "implied_weight",
-    "init_population",
-    "load_config",
-    "mean_trajectory",
-    "mix_seed",
-    "model1_resting_mean",
-    "parse_config",
-    "positive_update_probability",
-    "positive_update_probability_mc",
-    "record_times",
-    "resting_variance",
-    "run_dialogue",
-    "run_experiment",
-    "run_single",
-    "run_timestep",
-    "steps_to_mean_convergence",
-    "steps_to_variance_convergence",
-    "sweep",
-    "update_directions",
-    "validate_predictions",
-    "variance_trajectory",
-    "weighted_hamming",
-]

@@ -16,14 +16,13 @@ caller converts with steps = timestep * (n_agents - 1) before comparing.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .game import ASSERTION_ORDER, AssertionIndex, batch_implied_weights
+from .game import batch_implied_weights
 from .labels import Label, canonical_label_pair
 
 
@@ -33,38 +32,6 @@ class EstimationError(RuntimeError):
 
 class NonConvergenceError(RuntimeError):
     """The restricted-update fixed point ran out of updating samples."""
-
-
-class UpdateDirection(enum.Enum):
-    """Which way an observation pushes a listener's weight."""
-
-    POSITIVE = 1
-    NEGATIVE = -1
-    BOUNDARY = 0
-
-
-@dataclass(frozen=True)
-class Region:
-    """Quadrant and push direction of one observation on the unit square."""
-
-    quadrant: AssertionIndex
-    direction: UpdateDirection
-
-
-def classify_region(x: tuple[float, float]) -> Region:
-    """Classify an observation by asserted quadrant and update direction.
-
-    The quadrant is decided by comparing each coordinate to 0.5, with ties
-    counted as the positive side, matching how a speaker with an interior
-    weight picks its assertion.  The direction is ``update_directions``'s.
-    """
-    x1, x2 = float(x[0]), float(x[1])
-    if not (0.0 <= x1 <= 1.0 and 0.0 <= x2 <= 1.0):
-        raise ValueError(f"observation {x!r} lies outside the unit square")
-    # ASSERTION_ORDER lists BOTH, ONLY_FIRST, ONLY_SECOND, NEITHER.
-    quadrant = ASSERTION_ORDER[2 * (x1 < 0.5) + (x2 < 0.5)]
-    direction = int(update_directions(np.array([[x1, x2]]))[0])
-    return Region(quadrant=quadrant, direction=UpdateDirection(direction))
 
 
 def update_directions(xs: np.ndarray) -> np.ndarray:

@@ -46,7 +46,25 @@ def _parse_float_list(raw: str) -> list[float]:
             raise argparse.ArgumentTypeError(
                 f"not a number: {piece!r}"
             ) from None
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one number")
     return values
+
+
+def _check_distinct(flag: str, values: list[float]) -> None:
+    """Refuse two values that would share an output subdirectory and row label.
+
+    Both are named with ``:g``, so values that format alike would run
+    into one directory and print two rows under one label.
+    """
+    seen = {}
+    for value in values:
+        label = f"{value:g}"
+        if label in seen:
+            raise ConfigError(
+                f"{flag}: {seen[label]!r} and {value!r} both format as {label}"
+            )
+        seen[label] = value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,12 +187,6 @@ def _plot_dir(args) -> Path:
 def _emit_series(directory: Path, experiment: str, curve: str, xs, ys) -> None:
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if xs.size == 0:
-        print(
-            f"warning: no data for {experiment}_{curve}, skipping",
-            file=sys.stderr,
-        )
-        return
     directory.mkdir(parents=True, exist_ok=True)
     lines = [f"{_format(x)} {_format(y)}" for x, y in zip(xs, ys)]
     path = directory / f"{experiment}_{curve}.dat"
@@ -275,6 +287,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"swept w value {value:g} outside [0, 1]")
         if args.param == "h" and not 0.0 < value < 1.0:
             raise ConfigError(f"swept h value {value:g} outside (0, 1)")
+    _check_distinct("--values", args.values)
     points = sweep(config, args.param, args.values)
     for point in points:
         print(
@@ -299,6 +312,7 @@ def _cmd_compare(args) -> int:
     for value in args.w_values:
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"reliability value {value:g} outside [0, 1]")
+    _check_distinct("--w-values", args.w_values)
     rows = compare_models(config, args.w_values)
     for row in rows:
         print(
@@ -328,6 +342,7 @@ def _cmd_validate(args) -> int:
     for value in args.h_values:
         if not 0.0 < value < 1.0:
             raise ConfigError(f"update rate {value:g} outside (0, 1)")
+    _check_distinct("--h-values", args.h_values)
     if config.game.model != 2:
         raise ConfigError("validate requires model = 2 in the config")
     if config.game.schedule != "ordered":

@@ -12,9 +12,11 @@ whenever the two differ.
 
 A timestep visits every speaker/listener pair once in a freshly shuffled
 order, sampling a fresh observation per dialogue, and applies updates
-sequentially.  The dialogue arithmetic is written once, on plain floats, in
-``_dialogue`` and its helpers; ``choose_assertion``, ``implied_weight`` and
-``run_dialogue`` wrap them for single agents.  ``_apply_sequential`` is the
+sequentially.  An agent's state is two floats, its weight and its
+reliability, and a population's is two float arrays.  The dialogue
+arithmetic is written once, on plain floats, in ``_dialogue`` and its
+helpers; ``choose_assertion``, ``implied_weight`` and ``run_dialogue``
+wrap them for single agents and take floats.  ``_apply_sequential`` is the
 reference: it plays the dialogues one at a time through ``_dialogue`` on a
 float array of weights, given each dialogue's memberships.
 ``_draw_schedule`` shuffles one timestep's pairs for any number of runs
@@ -29,13 +31,13 @@ such as one at weight 0 or 1, is pinned, and its assertions are
 computed exactly from its entry weight.  A run is replayed through the
 reference only when a pinned weight moves or another weight loses its
 margin within the timestep.
-``run_timestep`` is the kernel's one-run case.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,15 +47,10 @@ from .labels import Label, canonical_label_pair
 __all__ = [
     "AssertionIndex",
     "ASSERTION_ORDER",
-    "AgentState",
     "GameConfig",
-    "DialogueOutcome",
     "choose_assertion",
     "implied_weight",
-    "apply_update",
     "run_dialogue",
-    "run_timestep",
-    "init_population",
     "dialogues_per_timestep",
     "batch_implied_weights",
 ]
@@ -85,21 +82,6 @@ ASSERTION_ORDER = (
     AssertionIndex.ONLY_SECOND,
     AssertionIndex.NEITHER,
 )
-
-
-@dataclass(frozen=True)
-class AgentState:
-    """One agent: an id, its dimension weight, and its reliability as a speaker."""
-
-    agent_id: int
-    weight: float
-    reliability: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"weight must lie in [0, 1], got {self.weight}")
-        if not 0.0 <= self.reliability <= 1.0:
-            raise ValueError(f"reliability must lie in [0, 1], got {self.reliability}")
 
 
 @dataclass(frozen=True)
@@ -145,20 +127,6 @@ class GameConfig:
             raise ValueError(f"schedule must be 'ordered' or 'unordered', got {self.schedule!r}")
 
 
-@dataclass(frozen=True)
-class DialogueOutcome:
-    """What happened in one dialogue, from the listener's point of view."""
-
-    asserted: AssertionIndex
-    updated: bool
-    target: float | None
-    listener_weight_after: float
-
-    def __post_init__(self) -> None:
-        if self.updated and self.target is None:
-            raise ValueError("an update requires a target weight")
-
-
 def _initial_state(config: GameConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Initial weights and reliabilities of one run, one array entry per agent."""
     n = config.n_agents
@@ -167,15 +135,6 @@ def _initial_state(config: GameConfig, rng: np.random.Generator) -> tuple[np.nda
     else:
         weights = np.full(n, config.weight_init, dtype=np.float64)
     return weights, np.full(n, config.reliability, dtype=np.float64)
-
-
-def init_population(config: GameConfig, rng: np.random.Generator) -> list[AgentState]:
-    """Create the initial agents; uniform random weights unless configured otherwise."""
-    weights, rels = _initial_state(config, rng)
-    return [
-        AgentState(agent_id=i, weight=w, reliability=r)
-        for i, (w, r) in enumerate(zip(weights.tolist(), rels.tolist()))
-    ]
 
 
 def dialogues_per_timestep(n_agents: int, schedule: str = "ordered") -> int:
@@ -228,9 +187,17 @@ def _dialogue(
     return asserted, (_solve(mu_first, mu_second, rel) if wants_update else None)
 
 
-def choose_assertion(speaker: AgentState, labels: tuple[Label, Label], x: tuple[float, float]) -> AssertionIndex:
-    """The signed conjunction with maximal membership for the speaker; ties go to the earliest in ``ASSERTION_ORDER``."""
-    return _assertion(speaker.weight, labels[0].membership(x[0]), labels[1].membership(x[1]))
+def _check_unit(**values: float) -> None:
+    """Reject any weight or reliability outside [0, 1]."""
+    for name, value in values.items():
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
+
+def choose_assertion(weight: float, labels: tuple[Label, Label], x: tuple[float, float]) -> AssertionIndex:
+    """The signed conjunction with maximal membership for a speaker of weight ``weight``; ties go to the earliest in ``ASSERTION_ORDER``."""
+    _check_unit(weight=weight)
+    return _assertion(weight, labels[0].membership(x[0]), labels[1].membership(x[1]))
 
 
 def implied_weight(
@@ -249,30 +216,30 @@ def implied_weight(
     return _solve(*signed, reliability)
 
 
-def apply_update(listener: AgentState, target: float, rate: float) -> AgentState:
-    """Move the listener's weight a fraction ``rate`` of the way toward ``target``."""
-    return replace(listener, weight=listener.weight + rate * (target - listener.weight))
-
-
 def run_dialogue(
-    speaker: AgentState,
-    listener: AgentState,
+    w_speaker: float,
+    w_listener: float,
+    reliability: float,
     labels: tuple[Label, Label],
     x: tuple[float, float],
     rate: float,
     model: int,
-) -> tuple[AgentState, DialogueOutcome]:
+) -> tuple[float, AssertionIndex, float | None]:
     """One dialogue: the speaker asserts, the listener may move toward the implied weight.
 
-    The reliability granted to the assertion is the speaker's own; the
-    update rule is ``_dialogue``'s.
+    ``reliability`` is the speaker's own, granted to its assertion; the
+    update rule is ``_dialogue``'s, and an update moves the listener's
+    weight a fraction ``rate`` of the way toward the target, as in
+    ``_apply_sequential``.  Returns the listener's weight after the
+    dialogue, the assertion, and the target, or None when the listener
+    kept its weight.
     """
+    _check_unit(w_speaker=w_speaker, w_listener=w_listener, reliability=reliability)
     m1, m2 = labels[0].membership(x[0]), labels[1].membership(x[1])
-    asserted, target = _dialogue(speaker.weight, listener.weight, speaker.reliability, m1, m2, model)
-    if target is None:
-        return listener, DialogueOutcome(asserted, False, None, listener.weight)
-    listener = apply_update(listener, target, rate)
-    return listener, DialogueOutcome(asserted, True, target, listener.weight)
+    asserted, target = _dialogue(w_speaker, w_listener, reliability, m1, m2, model)
+    if target is not None:
+        w_listener = w_listener + rate * (target - w_listener)
+    return w_listener, asserted, target
 
 
 def batch_implied_weights(
@@ -283,8 +250,8 @@ def batch_implied_weights(
     """Vectorised implied weights for many observations at once.
 
     Signs are chosen per dimension by majority membership (ties count as
-    positive).  That is ``choose_assertion``'s choice for a speaker of
-    weight w when min(w, 1 - w) * |2m - 1| exceeds 2**-50 for both
+    positive).  That is the assertion ``choose_assertion(w, labels, x)``
+    makes when min(w, 1 - w) * |2m - 1| exceeds 2**-50 for both
     memberships m other than exactly 1/2 (see ``_stacked_timestep``); nearer
     the ends of [0, 1] rounding can pick another compound, for example
     weight 1e-17 asserts BOTH at memberships (0.3, 0.8), where the majority
@@ -334,22 +301,19 @@ def _signed_targets(m1: np.ndarray, m2: np.ndarray, reliability, signs=None):
     return targets, usable, m1, m2
 
 
-_PAIR_CACHE: dict[tuple[int, str], tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=1)
 def _base_pairs(n: int, schedule: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed canonical enumeration of the schedule's pairs as int32, cached per size."""
-    key = (n, schedule)
-    cached = _PAIR_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Fixed canonical enumeration of the schedule's pairs as int32.
+
+    Only the last size is cached: every timestep of an experiment, sweep
+    or comparison uses one size, and an older size's arrays are freed.
+    """
     if schedule == "ordered":
         grid = np.arange(n, dtype=np.int32)
         firsts = np.repeat(grid, n - 1)
         seconds = np.concatenate([np.delete(grid, i) for i in range(n)])
     else:
         firsts, seconds = (a.astype(np.int32) for a in np.triu_indices(n, k=1))
-    _PAIR_CACHE[key] = (firsts, seconds)
     return firsts, seconds
 
 
@@ -387,34 +351,6 @@ def _draw_schedule(n: int, schedule: str, rngs: Sequence[np.random.Generator]):
             np.where(heads, listeners, speakers),
         )
     return speakers.reshape(-1), listeners.reshape(-1)
-
-
-def run_timestep(
-    population: Sequence[AgentState],
-    labels: tuple[Label, Label],
-    env,
-    rate: float,
-    model: int,
-    rng: np.random.Generator,
-    schedule: str = "ordered",
-) -> list[AgentState]:
-    """Play every scheduled dialogue once, applying updates sequentially.
-
-    ``env`` must provide ``sample_batch(rng, count)`` returning one observation
-    per row.  Returns the population after the timestep; ids are preserved.
-    This is the one-run case of ``_stacked_timestep``.
-    """
-    n = len(population)
-    if n < 2:
-        raise ValueError("a timestep needs at least two agents")
-    speakers, listeners = _draw_schedule(n, schedule, [rng])
-    m1, m2 = _memberships(labels, env.sample_batch(rng, speakers.size))
-    weights = _stacked_timestep(
-        np.asarray([a.weight for a in population]),
-        np.asarray([a.reliability for a in population]),
-        m1, m2, speakers, listeners, rate, model, schedule, 1, n,
-    )
-    return [replace(a, weight=float(w)) for a, w in zip(population, weights)]
 
 
 def _apply_sequential(weights, rels, m1, m2, speakers, listeners, rate, model):

@@ -8,11 +8,8 @@ from labelgames.analysis import (
     EstimationError,
     NonConvergenceError,
     Prediction,
-    Region,
     RunningMoments,
-    UpdateDirection,
     build_prediction,
-    classify_region,
     estimate_target_moments,
     mean_trajectory,
     model1_resting_mean,
@@ -25,7 +22,10 @@ from labelgames.analysis import (
     variance_trajectory,
 )
 from labelgames.experiment import mix_seed
-from labelgames.game import AssertionIndex
+from labelgames.game import ASSERTION_ORDER, AssertionIndex, choose_assertion, implied_weight
+from labelgames.labels import canonical_label_pair
+
+LABELS = canonical_label_pair()
 
 
 def random_box_envs(count, seed):
@@ -43,43 +43,41 @@ def random_box_envs(count, seed):
 
 
 class TestClassifyRegion:
+    """Quadrants through ``choose_assertion`` at weight 1/2, directions through ``update_directions``."""
+
     def test_quadrants(self):
-        assert classify_region((0.8, 0.6)).quadrant is AssertionIndex.BOTH
-        assert classify_region((0.8, 0.2)).quadrant is AssertionIndex.ONLY_FIRST
-        assert classify_region((0.2, 0.8)).quadrant is AssertionIndex.ONLY_SECOND
-        assert classify_region((0.2, 0.1)).quadrant is AssertionIndex.NEITHER
+        assert choose_assertion(0.5, LABELS, (0.8, 0.6)) is AssertionIndex.BOTH
+        assert choose_assertion(0.5, LABELS, (0.8, 0.2)) is AssertionIndex.ONLY_FIRST
+        assert choose_assertion(0.5, LABELS, (0.2, 0.8)) is AssertionIndex.ONLY_SECOND
+        assert choose_assertion(0.5, LABELS, (0.2, 0.1)) is AssertionIndex.NEITHER
 
     def test_half_lines_count_as_positive_side(self):
-        assert classify_region((0.5, 0.5)).quadrant is AssertionIndex.BOTH
-        assert classify_region((0.5, 0.2)).quadrant is AssertionIndex.ONLY_FIRST
+        assert choose_assertion(0.5, LABELS, (0.5, 0.5)) is AssertionIndex.BOTH
+        assert choose_assertion(0.5, LABELS, (0.5, 0.2)) is AssertionIndex.ONLY_FIRST
 
     def test_directions_within_quadrants(self):
-        assert classify_region((0.9, 0.6)).direction is UpdateDirection.POSITIVE
-        assert classify_region((0.6, 0.9)).direction is UpdateDirection.NEGATIVE
-        assert classify_region((0.9, 0.3)).direction is UpdateDirection.POSITIVE
-        assert classify_region((0.6, 0.1)).direction is UpdateDirection.NEGATIVE
-        assert classify_region((0.1, 0.6)).direction is UpdateDirection.POSITIVE
-        assert classify_region((0.4, 0.9)).direction is UpdateDirection.NEGATIVE
-        assert classify_region((0.1, 0.3)).direction is UpdateDirection.POSITIVE
-        assert classify_region((0.3, 0.1)).direction is UpdateDirection.NEGATIVE
+        xs = np.array([
+            (0.9, 0.6), (0.6, 0.9), (0.9, 0.3), (0.6, 0.1),
+            (0.1, 0.6), (0.4, 0.9), (0.1, 0.3), (0.3, 0.1),
+        ])
+        assert update_directions(xs).tolist() == [1, -1, 1, -1, 1, -1, 1, -1]
 
     def test_boundaries(self):
-        assert classify_region((0.7, 0.7)).direction is UpdateDirection.BOUNDARY
-        assert classify_region((0.6, 0.4)).direction is UpdateDirection.BOUNDARY
-        assert classify_region((0.2, 0.2)).direction is UpdateDirection.BOUNDARY
-
-    def test_rejects_points_off_the_square(self):
-        with pytest.raises(ValueError):
-            classify_region((1.2, 0.5))
-        with pytest.raises(ValueError):
-            classify_region((0.5, -0.1))
+        xs = np.array([(0.7, 0.7), (0.6, 0.4), (0.2, 0.2)])
+        assert update_directions(xs).tolist() == [0, 0, 0]
 
     def test_vectorised_directions_agree(self):
+        # The scalar route: the quadrant a speaker of weight 1/2 asserts and
+        # the implied weight at full reliability, 1 for an upward pull, 0
+        # for a downward one, and undefined on the boundary.
         rng = np.random.default_rng(31)
         xs = rng.random((500, 2))
         dirs = update_directions(xs)
-        for row, d in zip(xs, dirs):
-            assert int(d) == classify_region(tuple(row)).direction.value
+        for (x1, x2), d in zip(xs.tolist(), dirs.tolist()):
+            asserted = choose_assertion(0.5, LABELS, (x1, x2))
+            assert asserted is ASSERTION_ORDER[2 * (x1 < 0.5) + (x2 < 0.5)]
+            target = implied_weight(asserted, LABELS, (x1, x2), 1.0)
+            assert d == (0 if target is None else 2 * target - 1)
 
 
 class TestEnvironment:

@@ -46,6 +46,14 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def assert_usage_error(capsys, *argv):
+    """The parser refuses the arguments with exit code 2 and a message."""
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 2
+    assert "expected at least one number" in capsys.readouterr().err
+
+
 def parse_kv(text):
     out = {}
     for line in text.splitlines():
@@ -201,13 +209,20 @@ class TestSweep:
         assert "outside [0, 1]" in capsys.readouterr().err
         assert run_cli("sweep", "--config", base_cfg, "--param", "h", "--values", "0") == 2
 
-    def test_empty_value_list_warns_instead_of_writing(self, base_cfg, tmp_path, capsys):
+    def test_empty_value_list_is_rejected(self, base_cfg, tmp_path, capsys):
         out = tmp_path / "empty"
+        for values in ("", ","):
+            assert_usage_error(capsys, "sweep", "--config", base_cfg, "--param", "w",
+                               "--values", values, "--out", out, "--emit-plot-data")
+        assert not out.exists()
+
+    def test_values_naming_one_subdirectory_are_rejected(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "sw"
         assert run_cli("sweep", "--config", base_cfg, "--param", "w",
-                       "--values", "", "--out", out, "--emit-plot-data") == 0
+                       "--values", "0.1,0.1000001", "--out", out) == 2
         captured = capsys.readouterr()
-        assert "warning: no data" in captured.err
-        assert not (out / "sweep_mean.dat").exists()
+        assert "both format as 0.1" in captured.err and captured.out == ""
+        assert not out.exists()
 
 
 class TestCompare:
@@ -224,6 +239,18 @@ class TestCompare:
 
     def test_rejects_bad_reliability(self, base_cfg, capsys):
         assert run_cli("compare", "--config", base_cfg, "--w-values", "-0.5") == 2
+
+    def test_empty_value_list_is_rejected(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert_usage_error(capsys, "compare", "--config", base_cfg, "--w-values", ",", "--out", out)
+        assert not out.exists()
+
+    def test_values_naming_one_subdirectory_are_rejected(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert run_cli("compare", "--config", base_cfg, "--w-values", "0.5,0.5", "--out", out) == 2
+        captured = capsys.readouterr()
+        assert "both format as 0.5" in captured.err and captured.out == ""
+        assert not out.exists()
 
 
 class TestValidate:
@@ -254,4 +281,17 @@ class TestValidate:
         assert run_cli("validate", "--config", model2_cfg, "--h-values", "0.05",
                        "--samples", 0, "--out", out) == 2
         assert "--samples must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_value_list_is_rejected(self, model2_cfg, tmp_path, capsys):
+        out = tmp_path / "val"
+        assert_usage_error(capsys, "validate", "--config", model2_cfg, "--h-values", ",", "--out", out)
+        assert not out.exists()
+
+    def test_values_naming_one_subdirectory_are_rejected(self, model2_cfg, tmp_path, capsys):
+        out = tmp_path / "val"
+        assert run_cli("validate", "--config", model2_cfg, "--h-values", "0.05,0.0500000001",
+                       "--samples", 1000, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert "both format as 0.05" in captured.err and captured.out == ""
         assert not out.exists()

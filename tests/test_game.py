@@ -1,5 +1,7 @@
 """Dialogue mechanics, the sequential reference and the stacked kernel."""
 
+import gc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -12,18 +14,13 @@ from labelgames.analysis import Environment, update_directions
 from labelgames.experiment import ExperimentConfig, run_experiment, run_single
 from labelgames.game import (
     ASSERTION_ORDER,
-    AgentState,
     AssertionIndex,
-    DialogueOutcome,
     GameConfig,
-    apply_update,
     batch_implied_weights,
     choose_assertion,
     dialogues_per_timestep,
     implied_weight,
-    init_population,
     run_dialogue,
-    run_timestep,
 )
 from labelgames.labels import (
     ConceptualSpace,
@@ -36,10 +33,6 @@ from labelgames.labels import (
 LABELS = canonical_label_pair()
 
 
-def agent(weight, reliability=1.0, agent_id=0):
-    return AgentState(agent_id=agent_id, weight=weight, reliability=reliability)
-
-
 class CountingEnv:
     """Unit-square sampler that records how many observations were requested."""
 
@@ -49,6 +42,16 @@ class CountingEnv:
     def sample_batch(self, rng, count):
         self.requests.append(count)
         return rng.random((count, 2))
+
+
+def reference_dialogue(w_speaker, w_listener, reliability, x, rate, model):
+    """The listener's weight after one dialogue played by ``_apply_sequential``."""
+    m1, m2 = game._memberships(LABELS, np.array([x]))
+    after = game._apply_sequential(
+        np.array([w_speaker, w_listener]), np.array([reliability, 0.0]),
+        m1, m2, np.array([0]), np.array([1]), rate, model,
+    )
+    return after[1]
 
 
 class TestAssertionIndex:
@@ -64,15 +67,28 @@ class TestAssertionIndex:
 
 
 class TestAgentState:
+    """An agent is a weight and a reliability, both floats in [0, 1]."""
+
     def test_valid_state(self):
-        a = agent(0.5, 0.8)
-        assert a.weight == 0.5 and a.reliability == 0.8
+        # Both ends of [0, 1] are valid for every float the wrappers take.
+        # At weight 0 or 1 one label decides, and ties go first.
+        assert choose_assertion(0.0, LABELS, (0.8, 0.2)) is AssertionIndex.ONLY_FIRST
+        assert choose_assertion(1.0, LABELS, (0.8, 0.2)) is AssertionIndex.BOTH
+        after, _, target = run_dialogue(1.0, 0.0, 0.0, LABELS, (0.8, 0.6), 1e-3, 2)
+        assert target == 0.0 and after == 0.0
+        after, _, target = run_dialogue(0.0, 1.0, 1.0, LABELS, (0.8, 0.6), 1e-3, 1)
+        assert target == 1.0 and after == 1.0
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            agent(-0.1)
-        with pytest.raises(ValueError):
-            agent(0.5, 1.1)
+        for bad in (-0.1, 1.1, float("nan")):
+            with pytest.raises(ValueError, match="weight"):
+                choose_assertion(bad, LABELS, (0.8, 0.6))
+            with pytest.raises(ValueError, match="w_speaker"):
+                run_dialogue(bad, 0.5, 1.0, LABELS, (0.8, 0.6), 1e-3, 1)
+            with pytest.raises(ValueError, match="w_listener"):
+                run_dialogue(0.5, bad, 1.0, LABELS, (0.8, 0.6), 1e-3, 1)
+            with pytest.raises(ValueError, match="reliability"):
+                run_dialogue(0.5, 0.5, bad, LABELS, (0.8, 0.6), 1e-3, 1)
 
 
 class TestGameConfig:
@@ -115,27 +131,20 @@ class TestGameConfig:
             GameConfig(labels=(two_dim, two_dim))
 
 
-class TestDialogueOutcome:
-    def test_update_requires_target(self):
-        with pytest.raises(ValueError):
-            DialogueOutcome(AssertionIndex.BOTH, True, None, 0.5)
-
-
 class TestInitPopulation:
     def test_uniform_draw_is_reproducible(self):
         cfg = GameConfig(n_agents=5)
-        pop = init_population(cfg, np.random.default_rng(3))
-        expected = np.random.default_rng(3).random(5)
-        assert [a.weight for a in pop] == list(expected)
-        assert [a.agent_id for a in pop] == [0, 1, 2, 3, 4]
+        weights, rels = game._initial_state(cfg, np.random.default_rng(3))
+        assert weights.tolist() == np.random.default_rng(3).random(5).tolist()
+        assert rels.tolist() == [1.0] * 5
 
     def test_fixed_and_per_agent_init(self):
         cfg = GameConfig(n_agents=3, weight_init=0.25)
-        assert [a.weight for a in init_population(cfg, np.random.default_rng(0))] == [0.25] * 3
+        assert game._initial_state(cfg, np.random.default_rng(0))[0].tolist() == [0.25] * 3
         cfg = GameConfig(n_agents=3, weight_init=(0.1, 0.2, 0.3), reliability=(1.0, 0.5, 0.9))
-        pop = init_population(cfg, np.random.default_rng(0))
-        assert [a.weight for a in pop] == [0.1, 0.2, 0.3]
-        assert [a.reliability for a in pop] == [1.0, 0.5, 0.9]
+        weights, rels = game._initial_state(cfg, np.random.default_rng(0))
+        assert weights.tolist() == [0.1, 0.2, 0.3]
+        assert rels.tolist() == [1.0, 0.5, 0.9]
 
 
 class TestScheduleSize:
@@ -149,29 +158,39 @@ class TestScheduleSize:
             dialogues_per_timestep(10, "weekly")
 
 
+class TestPairCache:
+    def test_only_the_last_size_is_kept(self):
+        firsts, seconds = game._base_pairs(3, "ordered")
+        refs = [weakref.ref(firsts), weakref.ref(seconds)]
+        del firsts, seconds
+        game._base_pairs(4, "ordered")
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+
+
 class TestChooseAssertion:
     def test_dominant_first_dimension(self):
-        got = choose_assertion(agent(0.5), LABELS, (0.8, 0.2))
+        got = choose_assertion(0.5, LABELS, (0.8, 0.2))
         assert got is AssertionIndex.ONLY_FIRST
 
     def test_both_dimensions_high(self):
-        got = choose_assertion(agent(0.5), LABELS, (0.6, 0.7))
+        got = choose_assertion(0.5, LABELS, (0.6, 0.7))
         assert got is AssertionIndex.BOTH
 
     def test_both_dimensions_low(self):
-        got = choose_assertion(agent(0.5), LABELS, (0.2, 0.3))
+        got = choose_assertion(0.5, LABELS, (0.2, 0.3))
         assert got is AssertionIndex.NEITHER
 
     def test_centre_tie_goes_to_first_in_order(self):
-        got = choose_assertion(agent(0.5), LABELS, (0.5, 0.5))
+        got = choose_assertion(0.5, LABELS, (0.5, 0.5))
         assert got is AssertionIndex.BOTH
 
     def test_interior_weight_does_not_change_the_assertion(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
             x = tuple(rng.random(2))
-            a = choose_assertion(agent(0.25), LABELS, x)
-            b = choose_assertion(agent(0.75), LABELS, x)
+            a = choose_assertion(0.25, LABELS, x)
+            b = choose_assertion(0.75, LABELS, x)
             assert a is b
 
     def test_asserted_membership_at_least_one_half(self):
@@ -179,8 +198,7 @@ class TestChooseAssertion:
         for _ in range(200):
             x = tuple(rng.random(2))
             lam = float(rng.random())
-            speaker = agent(lam)
-            asserted = choose_assertion(speaker, LABELS, x)
+            asserted = choose_assertion(lam, LABELS, x)
             s1, s2 = asserted.signs
             m1 = LABELS[0].membership(x[0])
             m2 = LABELS[1].membership(x[1])
@@ -211,57 +229,64 @@ class TestImpliedWeight:
 
 
 class TestApplyUpdate:
+    """The update w + rate * (target - w), through ``run_dialogue`` and the reference."""
+
     def test_small_step_toward_one(self):
-        moved = apply_update(agent(0.4), 1.0, 1e-3)
-        assert moved.weight == pytest.approx(0.4006, abs=1e-12)
+        after, _, target = run_dialogue(0.9, 0.4, 1.0, LABELS, (0.8, 0.6), 1e-3, 1)
+        assert target == 1.0
+        assert after == pytest.approx(0.4006, abs=1e-12)
+        assert after == reference_dialogue(0.9, 0.4, 1.0, (0.8, 0.6), 1e-3, 1)
 
     def test_fixed_point(self):
-        moved = apply_update(agent(0.4), 0.4, 1e-3)
-        assert moved.weight == 0.4
+        # BOTH at memberships (0.75, 0.5) with reliability 0.625 implies
+        # exactly 0.5, and a listener at 0.5 fits it exactly, so model 1
+        # updates and the weight stays put.
+        after, asserted, target = run_dialogue(0.5, 0.5, 0.625, LABELS, (0.75, 0.5), 1e-3, 1)
+        assert asserted is AssertionIndex.BOTH
+        assert target == 0.5
+        assert after == 0.5
+        assert after == reference_dialogue(0.5, 0.5, 0.625, (0.75, 0.5), 1e-3, 1)
 
     def test_step_toward_zero(self):
-        moved = apply_update(agent(0.8), 0.0, 0.01)
-        assert moved.weight == pytest.approx(0.792, abs=1e-12)
+        after, _, target = run_dialogue(0.9, 0.8, 1.0, LABELS, (0.6, 0.8), 0.01, 1)
+        assert target == 0.0
+        assert after == pytest.approx(0.792, abs=1e-12)
+        assert after == reference_dialogue(0.9, 0.8, 1.0, (0.6, 0.8), 0.01, 1)
 
 
 class TestRunDialogue:
     def test_model_one_updates_under_full_reliability(self):
-        listener, outcome = run_dialogue(agent(0.9), agent(0.4, agent_id=1), LABELS, (0.8, 0.6), 1e-3, 1)
-        assert outcome.asserted is AssertionIndex.BOTH
-        assert outcome.updated and outcome.target == 1.0
-        assert listener.weight == pytest.approx(0.4006, abs=1e-12)
-        assert outcome.listener_weight_after == listener.weight
+        after, asserted, target = run_dialogue(0.9, 0.4, 1.0, LABELS, (0.8, 0.6), 1e-3, 1)
+        assert asserted is AssertionIndex.BOTH
+        assert target == 1.0
+        assert after == pytest.approx(0.4006, abs=1e-12)
 
     def test_model_one_skips_when_listener_membership_exceeds_reliability(self):
-        speaker = agent(0.9, reliability=0.0)
-        listener, outcome = run_dialogue(speaker, agent(0.4, agent_id=1), LABELS, (0.8, 0.6), 1e-3, 1)
-        assert not outcome.updated
-        assert listener.weight == 0.4
+        after, _, target = run_dialogue(0.9, 0.4, 0.0, LABELS, (0.8, 0.6), 1e-3, 1)
+        assert target is None
+        assert after == 0.4
 
     def test_model_two_skips_on_exact_membership_match(self):
         # listener membership 0.5 * 0.8 + 0.5 * 0.6 equals the reliability exactly
-        speaker = agent(0.9, reliability=0.7)
-        listener, outcome = run_dialogue(speaker, agent(0.5, agent_id=1), LABELS, (0.8, 0.6), 1e-3, 2)
-        assert not outcome.updated
-        assert listener.weight == 0.5
+        after, _, target = run_dialogue(0.9, 0.5, 0.7, LABELS, (0.8, 0.6), 1e-3, 2)
+        assert target is None
+        assert after == 0.5
 
     def test_model_two_updates_on_any_mismatch(self):
-        speaker = agent(0.9, reliability=1.0)
-        listener, outcome = run_dialogue(speaker, agent(0.5, agent_id=1), LABELS, (0.8, 0.6), 1e-3, 2)
-        assert outcome.updated and outcome.target == 1.0
+        after, _, target = run_dialogue(0.9, 0.5, 1.0, LABELS, (0.8, 0.6), 1e-3, 2)
+        assert target == 1.0
+        assert after == reference_dialogue(0.9, 0.5, 1.0, (0.8, 0.6), 1e-3, 2)
 
     def test_undefined_target_never_updates(self):
-        listener, outcome = run_dialogue(agent(0.9), agent(0.4, agent_id=1), LABELS, (0.6, 0.6), 1e-3, 1)
-        assert not outcome.updated
-        assert outcome.target is None
-        assert listener.weight == 0.4
+        after, _, target = run_dialogue(0.9, 0.4, 1.0, LABELS, (0.6, 0.6), 1e-3, 1)
+        assert target is None
+        assert after == 0.4
 
     def test_speakers_own_reliability_is_granted(self):
-        speaker = agent(0.9, reliability=0.7)
-        quiet_listener = agent(0.1, reliability=0.2, agent_id=1)
-        _, outcome = run_dialogue(speaker, quiet_listener, LABELS, (0.8, 0.6), 1e-3, 1)
-        assert outcome.updated
-        assert outcome.target == pytest.approx(0.5, abs=1e-12)
+        # The reliability passed in is the speaker's; the listener has none here.
+        after, _, target = run_dialogue(0.9, 0.1, 0.7, LABELS, (0.8, 0.6), 1e-3, 1)
+        assert target == pytest.approx(0.5, abs=1e-12)
+        assert after == reference_dialogue(0.9, 0.1, 0.7, (0.8, 0.6), 1e-3, 1)
 
 
 class TestBatchImpliedWeights:
@@ -269,10 +294,9 @@ class TestBatchImpliedWeights:
         rng = np.random.default_rng(21)
         xs = rng.random((500, 2))
         targets, usable, mu_first, mu_second = batch_implied_weights(LABELS, xs, 0.8)
-        speaker = agent(0.37, reliability=0.8)
         for k in range(xs.shape[0]):
             x = (float(xs[k, 0]), float(xs[k, 1]))
-            asserted = choose_assertion(speaker, LABELS, x)
+            asserted = choose_assertion(0.37, LABELS, x)
             scalar = implied_weight(asserted, LABELS, x, 0.8)
             if scalar is None:
                 assert not usable[k]
@@ -297,54 +321,56 @@ class TestBatchImpliedWeights:
         assert (targets[usable & (dirs < 0)] == 0.0).all()
 
 
-def lanes(population):
-    """The weights and reliabilities of a population as float arrays."""
-    return (
-        np.array([a.weight for a in population]),
-        np.array([a.reliability for a in population]),
-    )
+def kernel_timestep(weights, rels, env, rate, model, rng, schedule="ordered"):
+    """One run's timestep on the array kernel, drawn in the engine's order."""
+    n = len(weights)
+    speakers, listeners = game._draw_schedule(n, schedule, [rng])
+    m1, m2 = game._memberships(LABELS, env.sample_batch(rng, speakers.size))
+    return game._stacked_timestep(
+        weights, rels, m1, m2, speakers, listeners, rate, model, schedule, 1, n
+    ).tolist()
 
 
-def reference_timestep(population, labels, env, rate, model, seed, schedule):
+def reference_timestep(weights, rels, env, rate, model, seed, schedule):
     """Re-draw the identical schedule and replay it strictly sequentially."""
     rng = np.random.default_rng(seed)
-    speakers, listeners = game._draw_schedule(len(population), schedule, [rng])
-    m1, m2 = game._memberships(labels, env.sample_batch(rng, speakers.size))
-    weights, rels = lanes(population)
+    speakers, listeners = game._draw_schedule(len(weights), schedule, [rng])
+    m1, m2 = game._memberships(LABELS, env.sample_batch(rng, speakers.size))
     return game._apply_sequential(weights, rels, m1, m2, speakers, listeners, rate, model).tolist()
 
 
 class TestRunTimestep:
+    """One run's timestep: the engine's draw, the kernel and the reference."""
+
     def test_ordered_schedule_samples_one_observation_per_pair(self):
         env = CountingEnv()
-        pop = init_population(GameConfig(n_agents=10), np.random.default_rng(0))
-        out = run_timestep(pop, LABELS, env, 1e-3, 1, np.random.default_rng(1))
+        config = ExperimentConfig(game=GameConfig(n_agents=10, timesteps=1), env=env, runs=1)
+        record = run_single(config, 0)
         assert env.requests == [90]
-        assert [a.agent_id for a in out] == list(range(10))
-        assert all(0.0 <= a.weight <= 1.0 for a in out)
+        assert record.final_weights.shape == (10,)
+        assert ((0.0 <= record.final_weights) & (record.final_weights <= 1.0)).all()
 
     def test_two_agent_and_unordered_counts(self):
         env = CountingEnv()
-        pop = init_population(GameConfig(n_agents=2), np.random.default_rng(0))
-        run_timestep(pop, LABELS, env, 1e-3, 1, np.random.default_rng(1))
+        run_single(ExperimentConfig(game=GameConfig(n_agents=2, timesteps=1), env=env, runs=1), 0)
         assert env.requests == [2]
         env = CountingEnv()
-        pop = init_population(GameConfig(n_agents=10), np.random.default_rng(0))
-        run_timestep(pop, LABELS, env, 1e-3, 1, np.random.default_rng(1), schedule="unordered")
+        game_config = GameConfig(n_agents=10, timesteps=1, schedule="unordered")
+        run_single(ExperimentConfig(game=game_config, env=env, runs=1), 0)
         assert env.requests == [45]
 
     def test_needs_two_agents(self):
-        with pytest.raises(ValueError):
-            run_timestep([agent(0.5)], LABELS, Environment(), 1e-3, 1, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="two agents"):
+            ExperimentConfig(game=GameConfig(n_agents=1))
 
     def test_same_seed_reproduces_weights_exactly(self):
         env = Environment(((0.0, 1.0), (0.0, 0.5)))
-        pop = init_population(GameConfig(n_agents=6), np.random.default_rng(5))
-        first = run_timestep(pop, LABELS, env, 1e-3, 1, np.random.default_rng(9))
-        second = run_timestep(pop, LABELS, env, 1e-3, 1, np.random.default_rng(9))
-        assert [a.weight for a in first] == [a.weight for a in second]
-        third = run_timestep(pop, LABELS, env, 1e-3, 1, np.random.default_rng(10))
-        assert [a.weight for a in first] != [a.weight for a in third]
+        weights, rels = game._initial_state(GameConfig(n_agents=6), np.random.default_rng(5))
+        first = kernel_timestep(weights, rels, env, 1e-3, 1, np.random.default_rng(9))
+        second = kernel_timestep(weights, rels, env, 1e-3, 1, np.random.default_rng(9))
+        assert first == second
+        third = kernel_timestep(weights, rels, env, 1e-3, 1, np.random.default_rng(10))
+        assert first != third
 
     @pytest.mark.parametrize("model", [1, 2])
     @pytest.mark.parametrize("schedule", ["ordered", "unordered"])
@@ -357,42 +383,39 @@ class TestRunTimestep:
     def test_fast_path_matches_sequential_reference(self, model, schedule, n_agents, reliability, seed):
         env = Environment(((0.0, 1.0), (0.0, 0.5)))
         cfg = GameConfig(n_agents=n_agents, reliability=reliability, schedule=schedule, model=model)
-        pop = init_population(cfg, np.random.default_rng(seed))
-        got = run_timestep(pop, LABELS, env, 0.05, model, np.random.default_rng(seed + 1), schedule=schedule)
-        want = reference_timestep(pop, LABELS, env, 0.05, model, seed + 1, schedule)
-        assert [a.weight for a in got] == want
+        weights, rels = game._initial_state(cfg, np.random.default_rng(seed))
+        got = kernel_timestep(weights, rels, env, 0.05, model, np.random.default_rng(seed + 1), schedule)
+        want = reference_timestep(weights, rels, env, 0.05, model, seed + 1, schedule)
+        assert got == want
 
     def test_boundary_weights_fall_back_to_the_reference(self):
         env = Environment(((0.0, 1.0), (0.0, 0.5)))
-        cfg = GameConfig(n_agents=4, weight_init=(0.0, 1.0, 0.5, 0.25))
-        pop = init_population(cfg, np.random.default_rng(0))
-        got = run_timestep(pop, LABELS, env, 1e-2, 1, np.random.default_rng(42))
-        want = reference_timestep(pop, LABELS, env, 1e-2, 1, 42, "ordered")
-        assert [a.weight for a in got] == want
+        weights, rels = np.array([0.0, 1.0, 0.5, 0.25]), np.ones(4)
+        got = kernel_timestep(weights, rels, env, 1e-2, 1, np.random.default_rng(42))
+        want = reference_timestep(weights, rels, env, 1e-2, 1, 42, "ordered")
+        assert got == want
 
     def test_extreme_rate_near_the_upper_edge_stays_exact(self):
         # weights one ulp under 1 with a large rate exercise the decline path
         env = Environment(((0.0, 1.0), (0.0, 0.5)))
         edge = 1.0 - 2.0 ** -53
-        cfg = GameConfig(n_agents=5, weight_init=(edge, 0.5, edge, 1e-12, 0.9), rate=0.6)
-        pop = init_population(cfg, np.random.default_rng(0))
-        got = run_timestep(pop, LABELS, env, 0.6, 1, np.random.default_rng(77))
-        want = reference_timestep(pop, LABELS, env, 0.6, 1, 77, "ordered")
-        assert [a.weight for a in got] == want
+        weights, rels = np.array([edge, 0.5, edge, 1e-12, 0.9]), np.ones(5)
+        got = kernel_timestep(weights, rels, env, 0.6, 1, np.random.default_rng(77))
+        want = reference_timestep(weights, rels, env, 0.6, 1, 77, "ordered")
+        assert got == want
 
     def test_chained_timesteps_share_one_generator(self):
         env = Environment(((0.25, 0.75), (0.0, 0.5)))
-        cfg = GameConfig(n_agents=6, model=2)
-        pop_fast = init_population(cfg, np.random.default_rng(88))
-        w_ref, rels = lanes(pop_fast)
+        w_fast, rels = game._initial_state(GameConfig(n_agents=6, model=2), np.random.default_rng(88))
+        w_ref = w_fast
         rng_fast = np.random.default_rng(99)
         rng_ref = np.random.default_rng(99)
         for _ in range(3):
-            pop_fast = run_timestep(pop_fast, LABELS, env, 0.02, 2, rng_fast)
+            w_fast = np.array(kernel_timestep(w_fast, rels, env, 0.02, 2, rng_fast))
             speakers, listeners = game._draw_schedule(6, "ordered", [rng_ref])
             m1, m2 = game._memberships(LABELS, env.sample_batch(rng_ref, speakers.size))
             w_ref = game._apply_sequential(w_ref, rels, m1, m2, speakers, listeners, 0.02, 2)
-        assert [a.weight for a in pop_fast] == w_ref.tolist()
+        assert w_fast.tolist() == w_ref.tolist()
 
 
 # Weights at and within rounding distance of 0 and 1, log-uniform weights
@@ -489,13 +512,10 @@ class TestStackedKernel:
                 weights[run], rels[run], *game._memberships(LABELS, xs),
                 speakers, listeners, rate, model,
             ).tolist()
-            pop = [
-                agent(float(weights[r * n + i]), float(rels[r * n + i]), agent_id=i)
-                for i in range(n)
-            ]
-            for s, l, x in zip(speakers, listeners, xs):
-                pop[l], _ = run_dialogue(pop[s], pop[l], LABELS, (float(x[0]), float(x[1])), rate, model)
-            replayed += [a.weight for a in pop]
+            pop, rel = weights[run].tolist(), rels[run].tolist()
+            for s, l, x in zip(speakers.tolist(), listeners.tolist(), xs.tolist()):
+                pop[l], _, _ = run_dialogue(pop[s], pop[l], rel[s], LABELS, tuple(x), rate, model)
+            replayed += pop
         assert got.tolist() == want
         assert replayed == want
 
