@@ -71,6 +71,8 @@ class Environment:
         cleaned = tuple(
             (float(lo), float(hi)) for lo, hi in self.intervals
         )
+        if len(cleaned) != 2:
+            raise ValueError(f"an environment has two intervals, got {len(cleaned)}")
         for lo, hi in cleaned:
             if not lo < hi:
                 raise ValueError(f"interval ({lo}, {hi}) must have lo < hi")
@@ -176,11 +178,16 @@ def positive_update_probability(env: Environment) -> float:
     return covered / env.area
 
 
+# Observations drawn at once by the Monte Carlo estimators.  Each chunk is
+# drawn dimension by dimension, so the sizes are part of their output.
+_MC_CHUNK = 1 << 20
+_MOMENTS_CHUNK = 1 << 19
+
+
 def positive_update_probability_mc(
     env: Environment,
     n_samples: int,
     rng: np.random.Generator,
-    chunk: int = 1 << 20,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the upward-pull probability.
 
@@ -192,7 +199,7 @@ def positive_update_probability_mc(
     hits = 0
     done = 0
     while done < n_samples:
-        take = min(chunk, n_samples - done)
+        take = min(_MC_CHUNK, n_samples - done)
         xs = env.sample_batch(rng, take)
         hits += int(np.count_nonzero(update_directions(xs) > 0))
         done += take
@@ -259,66 +266,6 @@ class TargetMoments:
     count: int
 
 
-def _materialized_targets(
-    env: Environment,
-    labels: tuple[Label, Label],
-    reliability: float,
-    n_samples: int,
-    rng: np.random.Generator,
-):
-    xs = env.sample_batch(rng, n_samples)
-    return batch_implied_weights(labels, xs, reliability)
-
-
-def model1_resting_mean(
-    env: Environment,
-    reliability: float,
-    n_samples: int,
-    rng: np.random.Generator,
-    labels: tuple[Label, Label] | None = None,
-) -> float:
-    """Self-consistent population mean when updates require fitting speech.
-
-    Under the threshold update rule a listener only moves when the
-    asserted compound already fits the observation at least as well as
-    the speaker's reliability, and how well it fits depends on the
-    listener's own weight.  This solves that circularity by iterating
-    lam <- mean of targets over samples that would update a listener
-    holding lam, from a neutral start of 0.5, until successive iterates
-    differ by less than 1e-4 (or 100 iterations pass, returning the last
-    iterate).  An iterate with no updating samples raises
-    NonConvergenceError, which is what happens when reliability is so low
-    that no assertion ever fits well enough.
-    """
-    if labels is None:
-        labels = canonical_label_pair()
-    targets, usable, mu_first, mu_second = _materialized_targets(
-        env, labels, reliability, n_samples, rng
-    )
-    return _resting_mean_from_samples(
-        targets, usable, mu_first, mu_second, reliability
-    )
-
-
-def _resting_mean_from_samples(
-    targets, usable, mu_first, mu_second, reliability, tol=1e-4, max_iter=100
-):
-    current = 0.5
-    for _ in range(max_iter):
-        fit = current * mu_first + (1.0 - current) * mu_second
-        updating = usable & (fit <= reliability)
-        if not updating.any():
-            raise NonConvergenceError(
-                "no observation would trigger an update at weight "
-                f"{current:.6g} with reliability {reliability:.6g}"
-            )
-        revised = float(targets[updating].mean())
-        if abs(revised - current) < tol:
-            return revised
-        current = revised
-    return current
-
-
 def estimate_target_moments(
     env: Environment,
     reliability: float = 1.0,
@@ -326,17 +273,24 @@ def estimate_target_moments(
     n_samples: int = 1_000_000,
     rng: np.random.Generator | None = None,
     labels: tuple[Label, Label] | None = None,
-    chunk: int = 1 << 19,
 ) -> TargetMoments:
     """Monte Carlo moments of the clamped update target.
 
     With the mismatch update rule (model 2) every observation with a
     defined target counts, and sampling streams through fixed-size chunks
     so the sample count can be large.  With the threshold rule (model 1)
-    the updating set depends on the listener's weight, so the samples are
-    materialized once and conditioned on the resting weight found by
-    model1_resting_mean.  Raises EstimationError when no sample has a
-    defined target.
+    a listener only moves when the asserted compound already fits the
+    observation at least as well as the speaker's reliability, and how
+    well it fits depends on the listener's own weight.  So the samples
+    are materialized once and conditioned on the resting weight, the
+    self-consistent population mean: lam <- mean of targets over samples
+    that would update a listener holding lam, iterated from a neutral
+    start of 0.5 until successive iterates differ by less than 1e-4 (or
+    100 iterations pass, keeping the last iterate).  Raises
+    EstimationError when no sample has a defined target, and
+    NonConvergenceError when an iterate has no updating samples, which is
+    what happens when reliability is so low that no assertion ever fits
+    well enough.
     """
     if model not in (1, 2):
         raise ValueError("model must be 1 or 2")
@@ -347,11 +301,11 @@ def estimate_target_moments(
     if labels is None:
         labels = canonical_label_pair()
 
+    moments = RunningMoments()
     if model == 2:
-        moments = RunningMoments()
         done = 0
         while done < n_samples:
-            take = min(chunk, n_samples - done)
+            take = min(_MOMENTS_CHUNK, n_samples - done)
             xs = env.sample_batch(rng, take)
             targets, usable, _, _ = batch_implied_weights(
                 labels, xs, reliability
@@ -362,24 +316,33 @@ def estimate_target_moments(
             raise EstimationError(
                 "every sampled observation fit both labels equally well"
             )
-        return TargetMoments(
-            mean=moments.mean, variance=moments.variance, count=moments.count
+    else:
+        targets, usable, mu_first, mu_second = batch_implied_weights(
+            labels, env.sample_batch(rng, n_samples), reliability
         )
-
-    targets, usable, mu_first, mu_second = _materialized_targets(
-        env, labels, reliability, n_samples, rng
-    )
-    if not usable.any():
-        raise EstimationError(
-            "every sampled observation fit both labels equally well"
+        if not usable.any():
+            raise EstimationError(
+                "every sampled observation fit both labels equally well"
+            )
+        resting = 0.5
+        for _ in range(100):
+            updating = usable & (
+                resting * mu_first + (1.0 - resting) * mu_second <= reliability
+            )
+            if not updating.any():
+                raise NonConvergenceError(
+                    "no observation would trigger an update at weight "
+                    f"{resting:.6g} with reliability {reliability:.6g}"
+                )
+            revised = float(targets[updating].mean())
+            converged = abs(revised - resting) < 1e-4
+            resting = revised
+            if converged:
+                break
+        updating = usable & (
+            resting * mu_first + (1.0 - resting) * mu_second <= reliability
         )
-    resting = _resting_mean_from_samples(
-        targets, usable, mu_first, mu_second, reliability
-    )
-    fit = resting * mu_first + (1.0 - resting) * mu_second
-    updating = usable & (fit <= reliability)
-    moments = RunningMoments()
-    moments.update(targets[updating])
+        moments.update(targets[updating])
     return TargetMoments(
         mean=moments.mean, variance=moments.variance, count=moments.count
     )

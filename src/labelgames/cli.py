@@ -24,6 +24,7 @@ from .experiment import (
     _PREDICTION_STREAM_BASE,
     ExperimentConfig,
     FootprintError,
+    _check_distinct,
     _format,
     compare_models,
     mix_seed,
@@ -51,20 +52,12 @@ def _parse_float_list(raw: str) -> list[float]:
     return values
 
 
-def _check_distinct(flag: str, values: list[float]) -> None:
-    """Refuse two values that would share an output subdirectory and row label.
-
-    Both are named with ``:g``, so values that format alike would run
-    into one directory and print two rows under one label.
-    """
-    seen = {}
-    for value in values:
-        label = f"{value:g}"
-        if label in seen:
-            raise ConfigError(
-                f"{flag}: {seen[label]!r} and {value!r} both format as {label}"
-            )
-        seen[label] = value
+def _refuse_alike(flag: str, values: list[float]) -> None:
+    """Exit 2 before any run when two values would share a subdirectory."""
+    try:
+        _check_distinct(flag, values)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,7 +280,7 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"swept w value {value:g} outside [0, 1]")
         if args.param == "h" and not 0.0 < value < 1.0:
             raise ConfigError(f"swept h value {value:g} outside (0, 1)")
-    _check_distinct("--values", args.values)
+    _refuse_alike("--values", args.values)
     points = sweep(config, args.param, args.values)
     for point in points:
         print(
@@ -312,7 +305,7 @@ def _cmd_compare(args) -> int:
     for value in args.w_values:
         if not 0.0 <= value <= 1.0:
             raise ConfigError(f"reliability value {value:g} outside [0, 1]")
-    _check_distinct("--w-values", args.w_values)
+    _refuse_alike("--w-values", args.w_values)
     rows = compare_models(config, args.w_values)
     for row in rows:
         print(
@@ -342,7 +335,7 @@ def _cmd_validate(args) -> int:
     for value in args.h_values:
         if not 0.0 < value < 1.0:
             raise ConfigError(f"update rate {value:g} outside (0, 1)")
-    _check_distinct("--h-values", args.h_values)
+    _refuse_alike("--h-values", args.h_values)
     if config.game.model != 2:
         raise ConfigError("validate requires model = 2 in the config")
     if config.game.schedule != "ordered":

@@ -10,10 +10,11 @@ pass (``game._draw_schedule``, ``Environment.sample_runs``), every run
 from its own generator and in the same order as a run drawn alone.  The
 observations are turned into memberships before the kernel runs, and
 one timestep's arrays are freed before the next timestep draws.
-``run_single`` replays one run dialogue by dialogue and gives
-bit-identical records.  Identical configuration and master seed give
-byte-identical output files.  A configuration whose timestep cannot fit
-in physical memory is refused before anything runs.
+``run_single`` drives one run through the same loop but replays it
+dialogue by dialogue, and gives bit-identical records.  Identical
+configuration and master seed give byte-identical output files.  A
+configuration whose timestep cannot fit in physical memory is refused
+before anything runs.
 
 Sweeps, model comparisons, and prediction validation are thin layers that
 re-run the experiment with one field changed and tabulate the results.
@@ -131,11 +132,39 @@ def _population_stats(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return weights.mean(axis=1), weights.std(axis=1, ddof=1)
 
 
-def _records(run_ids, times, stats, final_weights) -> list[RunRecord]:
-    """One record per run from the (means, sds) rows of each recorded timestep."""
+def _drive(config: ExperimentConfig, run_ids, advance) -> list[RunRecord]:
+    """Seed, draw and record the given runs; ``advance`` plays each timestep.
+
+    Run r draws from a generator seeded with mix_seed(master_seed, r):
+    its initial state, then per timestep its schedule
+    (``_draw_schedule``) and its observations (``Environment.sample_runs``),
+    which become memberships before ``advance(weights, rels, m1, m2,
+    speakers, listeners)`` returns the stacked weights after the timestep.
+    """
+    game = config.game
+    n = game.n_agents
+    runs = len(run_ids)
+    per_run = dialogues_per_timestep(n, game.schedule)
+    rngs = [np.random.default_rng(mix_seed(config.master_seed, r)) for r in run_ids]
+    states = [_initial_state(game, rng) for rng in rngs]
+    weights = np.concatenate([w for w, _ in states])
+    rels = np.concatenate([r for _, r in states])
+
+    times = record_times(game.timesteps, config.record_every)
+    wanted = set(int(t) for t in times)
+    stats = [_population_stats(weights.reshape(runs, n))]
+    for t in range(1, game.timesteps + 1):
+        speakers, listeners = _draw_schedule(n, game.schedule, rngs)
+        m1, m2 = _memberships(game.labels, config.env.sample_runs(rngs, per_run))
+        weights = advance(weights, rels, m1, m2, speakers, listeners)
+        # The next timestep draws its arrays only after these are freed.
+        del speakers, listeners, m1, m2
+        if t in wanted:
+            stats.append(_population_stats(weights.reshape(runs, n)))
     means, sds = (np.column_stack(rows) for rows in zip(*stats))
+    final = weights.reshape(runs, n)
     return [
-        RunRecord(run_id, times, means[r], sds[r], final_weights[r].copy())
+        RunRecord(run_id, times, means[r], sds[r], final[r].copy())
         for r, run_id in enumerate(run_ids)
     ]
 
@@ -144,24 +173,17 @@ def run_single(config: ExperimentConfig, run_id: int) -> RunRecord:
     """Execute one run dialogue by dialogue through ``_apply_sequential``.
 
     This is the reference the stacked engine is measured against; both
-    must produce bit-identical records for the same configuration.
+    must produce bit-identical records for the same configuration.  It
+    shares the engine's driver: the same seeding, schedule and
+    observation draws, memberships and recording, with the one run
+    advanced by the reference instead of the kernel.
     """
     game = config.game
-    rng = np.random.default_rng(mix_seed(config.master_seed, run_id))
-    weights, rels = _initial_state(game, rng)
-    times = record_times(game.timesteps, config.record_every)
-    wanted = set(int(t) for t in times)
-
-    stats = [_population_stats(weights[np.newaxis])]
-    for t in range(1, game.timesteps + 1):
-        speakers, listeners = _draw_schedule(game.n_agents, game.schedule, [rng])
-        m1, m2 = _memberships(game.labels, config.env.sample_batch(rng, speakers.size))
-        weights = _apply_sequential(
-            weights, rels, m1, m2, speakers, listeners, game.rate, game.model
-        )
-        if t in wanted:
-            stats.append(_population_stats(weights[np.newaxis]))
-    (record,) = _records([run_id], times, stats, weights[np.newaxis])
+    (record,) = _drive(
+        config,
+        [run_id],
+        lambda *state: _apply_sequential(*state, game.rate, game.model),
+    )
     return record
 
 
@@ -174,42 +196,13 @@ def _run_stacked(config: ExperimentConfig) -> list[RunRecord]:
     without changing a single bit of any run's results.
     """
     game = config.game
-    env = config.env
-    n = game.n_agents
-    runs = config.runs
-    per_run = dialogues_per_timestep(n, game.schedule)
-    rngs = [
-        np.random.default_rng(mix_seed(config.master_seed, r))
-        for r in range(runs)
-    ]
-    states = [_initial_state(game, rng) for rng in rngs]
-    weights = np.concatenate([w for w, _ in states])
-    rels = np.concatenate([r for _, r in states])
-
-    times = record_times(game.timesteps, config.record_every)
-    wanted = set(int(t) for t in times)
-    stats = [_population_stats(weights.reshape(runs, n))]
-    for t in range(1, game.timesteps + 1):
-        speakers, listeners = _draw_schedule(n, game.schedule, rngs)
-        m1, m2 = _memberships(game.labels, env.sample_runs(rngs, per_run))
-        weights = _stacked_timestep(
-            weights,
-            rels,
-            m1,
-            m2,
-            speakers,
-            listeners,
-            game.rate,
-            game.model,
-            game.schedule,
-            runs,
-            n,
-        )
-        # The next timestep draws its arrays only after these are freed.
-        del speakers, listeners, m1, m2
-        if t in wanted:
-            stats.append(_population_stats(weights.reshape(runs, n)))
-    return _records(range(runs), times, stats, weights.reshape(runs, n))
+    return _drive(
+        config,
+        range(config.runs),
+        lambda *state: _stacked_timestep(
+            *state, game.rate, game.model, game.schedule, config.runs, game.n_agents
+        ),
+    )
 
 
 def aggregate_runs(records: list[RunRecord]) -> AggregateRecord:
@@ -367,6 +360,28 @@ def _subdir_config(
     return replace(config, outputs=Path(config.outputs) / name)
 
 
+def _check_distinct(name: str, values) -> None:
+    """Refuse two values that would share an output subdirectory and row label.
+
+    Both are named with ``:g``, so values that format alike would run
+    into one directory and print two rows under one label.
+    """
+    seen = {}
+    for value in values:
+        label = f"{value:g}"
+        if label in seen:
+            raise ValueError(
+                f"{name}: {seen[label]!r} and {value!r} both format as {label}"
+            )
+        seen[label] = value
+
+
+def _final_stats(config: ExperimentConfig) -> tuple[float, float]:
+    """Run the experiment; its final mean of means and mean sd."""
+    aggregate = run_experiment(config).aggregate
+    return float(aggregate.mean_of_means[-1]), float(aggregate.mean_sd[-1])
+
+
 def sweep(
     config: ExperimentConfig,
     parameter: str,
@@ -376,23 +391,20 @@ def sweep(
 
     ``parameter`` selects the speaker reliability ("w") or the update rate
     ("h").  When the config has an output directory each value writes its
-    full experiment into a subdirectory named after the value.
+    full experiment into a subdirectory named after the value.  Every
+    value's config is built and checked before the first run.
     """
     if parameter not in _SWEEP_FIELDS:
         raise ValueError("parameter must be one of 'w' or 'h'")
-    points = []
-    for value in values:
-        sub = _with_parameter(config, parameter, float(value))
-        sub = _subdir_config(sub, f"{parameter}_{float(value):g}")
-        result = run_experiment(sub)
-        points.append(
-            SweepPoint(
-                value=float(value),
-                final_mean=float(result.aggregate.mean_of_means[-1]),
-                final_sd=float(result.aggregate.mean_sd[-1]),
-            )
-        )
-    return points
+    values = [float(value) for value in values]
+    _check_distinct(f"{parameter} values", values)
+    subs = [
+        _subdir_config(_with_parameter(config, parameter, value), f"{parameter}_{value:g}")
+        for value in values
+    ]
+    return [
+        SweepPoint(value, *_final_stats(sub)) for value, sub in zip(values, subs)
+    ]
 
 
 @dataclass(frozen=True)
@@ -409,29 +421,24 @@ class ModelComparison:
 def compare_models(
     config: ExperimentConfig, w_values
 ) -> list[ModelComparison]:
-    """Run both update rules across reliabilities and tabulate end states."""
-    rows = []
-    for w in w_values:
-        stats = {}
-        for model in (1, 2):
-            game = replace(config.game, reliability=float(w), model=model)
-            sub = replace(config, game=game)
-            sub = _subdir_config(sub, f"model{model}_w_{float(w):g}")
-            result = run_experiment(sub)
-            stats[model] = (
-                float(result.aggregate.mean_of_means[-1]),
-                float(result.aggregate.mean_sd[-1]),
-            )
-        rows.append(
-            ModelComparison(
-                reliability=float(w),
-                model1_mean=stats[1][0],
-                model1_sd=stats[1][1],
-                model2_mean=stats[2][0],
-                model2_sd=stats[2][1],
-            )
+    """Run both update rules across reliabilities and tabulate end states.
+
+    Every config is built and checked before the first run.
+    """
+    ws = [float(w) for w in w_values]
+    _check_distinct("w values", ws)
+    subs = [
+        _subdir_config(
+            replace(config, game=replace(config.game, reliability=w, model=model)),
+            f"model{model}_w_{w:g}",
         )
-    return rows
+        for w in ws
+        for model in (1, 2)
+    ]
+    return [
+        ModelComparison(w, *_final_stats(first), *_final_stats(second))
+        for w, first, second in zip(ws, subs[::2], subs[1::2])
+    ]
 
 
 _PREDICTION_STREAM_BASE = 1 << 32
@@ -470,6 +477,7 @@ def validate_predictions(
     closed forms assume, and only the ordered schedule gives every agent
     exactly n-1 updates per timestep, so anything else is rejected; so is
     a per-agent reliability, since the target moments take one value.
+    Every rate's config is built and checked before the first run.
     """
     if config.game.model != 2:
         raise ValueError("prediction validation requires model 2")
@@ -479,16 +487,22 @@ def validate_predictions(
         raise ValueError(
             "prediction validation requires one reliability for all agents"
         )
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    rates = [float(rate) for rate in rate_values]
+    _check_distinct("rates", rates)
+    subs = [
+        _subdir_config(_with_parameter(config, "h", rate), f"h_{rate:g}")
+        for rate in rates
+    ]
     rows = []
-    for index, rate in enumerate(rate_values):
-        sub = _with_parameter(config, "h", float(rate))
-        sub = _subdir_config(sub, f"h_{float(rate):g}")
+    for index, (rate, sub) in enumerate(zip(rates, subs)):
         result = run_experiment(sub)
         aggregate = result.aggregate
 
         prediction = build_prediction(
             config.env,
-            float(rate),
+            rate,
             reliability=config.game.reliability,
             model=2,
             n_samples=n_samples,
@@ -510,7 +524,7 @@ def validate_predictions(
         predicted_var = prediction.variance_at(float(empirical_var[0]), steps)
         rows.append(
             ValidationRow(
-                rate=float(rate),
+                rate=rate,
                 times=aggregate.times.copy(),
                 update_steps=steps,
                 empirical_mean=empirical_mean,

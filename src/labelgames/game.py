@@ -24,13 +24,15 @@ in one pass, each run from its own generator.  ``_stacked_timestep`` is
 the one array kernel: given the dialogues' memberships, it advances
 those runs at once, stacked lane by lane, on a (round, lane) grid of
 dialogues sorted by listener, which it builds one block of rounds at a
-time, and is bit-identical to the reference.  Speakers assert the
-majority-sign compound, which rounding cannot change while a weight
-keeps a margin from 0 and 1; a speaker without that margin on entry,
-such as one at weight 0 or 1, is pinned, and its assertions are
-computed exactly from its entry weight.  A run is replayed through the
-reference only when a pinned weight moves or another weight loses its
-margin within the timestep.
+time, and is bit-identical to the reference.  One per-lane guard keeps
+it exact.  Speakers assert the majority-sign compound, which rounding
+cannot change while a weight keeps a margin from 0 and 1; a lane without
+that margin on entry, such as one at weight 0 or 1, is pinned, and its
+assertions are computed exactly from its entry weight.  Only the lanes
+that could fall to the margin within the timestep, the pinned ones among
+them, are checked after each round, and a run is replayed through the
+reference only when a pinned weight moves or another lane loses its
+margin.
 """
 
 from __future__ import annotations
@@ -461,7 +463,8 @@ def _sign_margin(m: np.ndarray, runs: int) -> np.ndarray:
 
     Doubling is exact, so 2 * |m - 1/2| is |2m - 1| to the bit.
     """
-    d = np.abs(m - 0.5)
+    d = m - 0.5
+    np.abs(d, out=d)
     d[d == 0.0] = 0.5
     return 2.0 * d.reshape(runs, -1).min(axis=1)
 
@@ -498,113 +501,96 @@ def _stacked_timestep(
     listener's update is the same arithmetic whatever its weight, and only
     the speaker's weight decides what it asserts.  A speaker is taken to
     assert the majority-sign compound (positive where m >= 1/2), whatever
-    its weight, unless it is pinned (below).
+    its weight, unless its lane is pinned.
 
-    The majority sign is exact under a margin.  The reference computes a
+    The exactness guard works lane by lane.  The reference computes a
     compound as fl(fl(w*p1) + fl(fl(1-w)*p2)) with p in {m, fl(1-m)}.
     Rounding is monotone, so the majority compound never comes out below
     another one, but it can tie one that ``ASSERTION_ORDER`` puts first.
     Exactly, it leads by at least min(w, 1-w) * |2m-1|.  A computed
     compound is off by at most 7 * 2**-54: 2**-54 each for fl(1-w), the two
-    fl(1-m) and the two products, and 2**-53 for the sum.  So a margin
-    above 2**-50 = 16 * 2**-54 rules a tie out, with room for rounding the
-    margin itself.  A membership of exactly 1/2 ties exactly and takes the
-    positive sign on both paths, so it is left out of the min.  A speaker
-    holds its lane's weight on entry or after some round, so each run's
-    margin must hold on entry and after every round.  One update toward a
-    target in [0, 1] leaves min(w, 1-w) at least (1-rate) * min(w, 1-w) *
-    (1-c) - 2**-54, where rounding keeps c below 4 * 2**-53 / (1-rate).
-    So a run whose entry margin, times half of (1-rate)**rounds, exceeds
-    2**-50 + rounds * 2**-53 keeps its margin through every round: the half
-    covers (1-c)**rounds and the rounding of the test itself (the test
-    passes only if (1-rate)**rounds > 2**-49, which keeps rounds * c
-    below 1/4).  When every run passes on entry that way the per-round
-    check is skipped; otherwise it runs after every round, and a run that
-    loses its margin is replayed from its entry state through
-    ``_apply_sequential`` on its block's memberships.
-
-    Pinned speakers.  A lane whose min(w, 1-w) times its run's sign margin
-    is at most 2**-50 on entry, as any lane at weight 0 or 1 is, is pinned
-    and left out of its run's margin, which then covers the other lanes (a
-    run whose lanes are all pinned has margin inf), so every run passes on
-    entry.  Only when some lane is pinned are the speaker ids gathered for
-    every block; where the speaker is pinned, its assertion is computed
-    from its entry weight exactly as the reference does (``_assertions``),
-    and the cell's memberships take that compound's signs.  After every
-    round each pinned lane's weight is compared, bit for bit, with its
-    entry weight.  In dialogue order, a speaker holds the weight its lane
-    had after the rounds of its earlier listening dialogues, so while every
-    pinned weight is unchanged the pinned assertions are the reference's;
-    a run one of whose pinned lanes moved is replayed through
-    ``_apply_sequential`` instead.
+    fl(1-m) and the two products, and 2**-53 for the sum.  A lane's margin
+    is min(w, 1-w) times its run's least |2m-1| (a membership of exactly
+    1/2 ties exactly and takes the positive sign on both paths, so it is
+    left out), and above 2**-50 = 16 * 2**-54 it rules a tie out, with
+    room for rounding the margin itself.  A lane whose margin is at most
+    2**-50 on entry, as any lane at weight 0 or 1, is pinned: where it
+    speaks, its assertion is computed from its entry weight exactly as the
+    reference does (``_assertions``) and the cell's memberships take that
+    compound's signs; speaker ids are gathered for every block only when
+    some lane is pinned.  One update toward a target in [0, 1] leaves
+    min(w, 1-w) at least (1-rate) * min(w, 1-w) * (1-c) - 2**-54, where
+    rounding keeps c below 4 * 2**-53 / (1-rate).  So a lane whose entry
+    margin, times half of (1-rate)**rounds, exceeds 2**-50 + rounds *
+    2**-53 keeps its margin through every round: the half covers
+    (1-c)**rounds and the rounding of the test itself (the test passes
+    only if (1-rate)**rounds > 2**-49, which keeps rounds * c below 1/4).
+    Every other lane is watched, every pinned lane among them.  A speaker
+    holds its lane's weight on entry or after some round, so after every
+    round the watched lanes are checked: one whose bits differ from its
+    entry bits fails if it is pinned or has lost its margin.  While no
+    lane of a run fails, every assertion in it is the reference's; a run
+    with a failing lane is replayed from its entry state through
+    ``_apply_sequential`` on its block's memberships, and the round loop
+    stops once every run is to be replayed.
     """
     total = runs * n
     per_run = speakers.size // runs
-    sign_margin = np.minimum(_sign_margin(m1, runs), _sign_margin(m2, runs))
-    pinned = np.empty(0, dtype=np.intp)
-
-    def margin(w):
-        lane = np.minimum(w, 1.0 - w)
-        if pinned.size:
-            lane[pinned] = np.inf
-        return lane.reshape(runs, n).min(axis=1) * sign_margin
-
-    entry = margin(weights)
-    if not np.all(entry > _MARGIN):
-        near = np.minimum(weights, 1.0 - weights) * np.repeat(sign_margin, n) <= _MARGIN
-        pinned = np.flatnonzero(near)
-        entry = margin(weights)
-        held = weights[pinned].view(np.uint64)
-    # With its pinned lanes left out, every run passes on entry.
+    scale = np.repeat(np.minimum(_sign_margin(m1, runs), _sign_margin(m2, runs)), n)
+    margin = np.minimum(weights, 1.0 - weights) * scale
+    take, padding = _group_by_listener(listeners, runs, n, schedule)
+    rounds = take.shape[0]
+    pinned = margin <= _MARGIN
+    any_pinned = pinned.any()
+    watched = np.flatnonzero(
+        margin * (0.5 * (1.0 - rate) ** rounds) <= _MARGIN + rounds * 2.0**-53
+    )
+    held = weights[watched].view(np.uint64)
     fast = np.ones(runs, dtype=bool)
     updated = weights.copy()
 
-    take, padding = _group_by_listener(listeners, runs, n, schedule)
-    rounds = take.shape[0]
     one_rel = rels.min() == rels.max()
-    shrunk = entry * (0.5 * (1.0 - rate) ** rounds)
-    watch = not np.all(shrunk > _MARGIN + rounds * 2.0**-53)
-    may_fall_back = bool(pinned.size) or watch
     moves = np.less_equal if model == 1 else np.not_equal
     mu = np.empty(total)
     step = np.empty(total)
     moving = np.empty(total, dtype=bool)
     span = max(1, _CHUNK // total)
-    for lo in range(0, rounds, span):
-        ids = take[lo:lo + span]
-        first, second = m1[ids], m2[ids]
-        by_speaker = speakers[ids] if pinned.size or not one_rel else None
-        if one_rel:
-            # One reliability for every lane needs no gather by speaker.
-            rel = np.broadcast_to(rels[:1], first.shape)
-        else:
-            rel = rels[by_speaker]
-        signs = None
-        if pinned.size:
-            signs = _pinned_signs(first, second, by_speaker, weights, near)
-        target, active, first, second = _signed_targets(first, second, rel, signs)
-        if padding is not None:
-            active &= ~padding[lo:lo + span]
-        for r in range(ids.shape[0]):
-            # mu = w * first + (1 - w) * second, then w + rate * (target - w)
-            np.multiply(updated, first[r], out=mu)
-            np.subtract(1.0, updated, out=step)
-            step *= second[r]
-            mu += step
-            moves(mu, rel[r], out=moving)
-            moving &= active[r]
-            np.subtract(target[r], updated, out=step)
-            step *= rate
-            step += updated
-            np.copyto(updated, step, where=moving)
-            if pinned.size:
-                fast[pinned[updated[pinned].view(np.uint64) != held] // n] = False
-            if watch:
-                fast &= margin(updated) > _MARGIN
-            if may_fall_back and not fast.any():
-                break
-        if may_fall_back and not fast.any():
-            break
+    for r in range(rounds):
+        row = r % span
+        if row == 0:
+            ids = take[r:r + span]
+            first, second = m1[ids], m2[ids]
+            by_speaker = speakers[ids] if any_pinned or not one_rel else None
+            if one_rel:
+                # One reliability for every lane needs no gather by speaker.
+                rel = np.broadcast_to(rels[:1], first.shape)
+            else:
+                rel = rels[by_speaker]
+            signs = None
+            if any_pinned:
+                signs = _pinned_signs(first, second, by_speaker, weights, pinned)
+            target, active, first, second = _signed_targets(first, second, rel, signs)
+            if padding is not None:
+                active &= ~padding[r:r + span]
+        # mu = w * first + (1 - w) * second, then w + rate * (target - w)
+        np.multiply(updated, first[row], out=mu)
+        np.subtract(1.0, updated, out=step)
+        step *= second[row]
+        mu += step
+        moves(mu, rel[row], out=moving)
+        moving &= active[row]
+        np.subtract(target[row], updated, out=step)
+        step *= rate
+        step += updated
+        np.copyto(updated, step, where=moving)
+        if watched.size:
+            moved = watched[updated[watched].view(np.uint64) != held]
+            if moved.size:
+                w = updated[moved]
+                lost = pinned[moved] | (np.minimum(w, 1.0 - w) * scale[moved] <= _MARGIN)
+                fast[moved[lost] // n] = False
+                if not fast.any():
+                    break
 
     for r in np.flatnonzero(~fast):
         lanes = slice(r * n, (r + 1) * n)

@@ -206,7 +206,8 @@ class Label:
             )
         for k, (lo, hi) in enumerate(self.space.bounds):
             col = cols[:, k]
-            if col.size and (col.min() < lo or col.max() > hi):
+            # Written so that NaN, for which every comparison is false, fails.
+            if col.size and not (lo <= col.min() and col.max() <= hi):
                 raise ValueError("batch contains points outside the space bounds")
         return np.asarray(self.threshold.survival(self.metric.distances(xs, self.prototype)))
 

@@ -1,4 +1,4 @@
-"""Shared fixtures plus the acceptance-line reporter.
+"""Shared fixtures, the ``deep`` hypothesis profile and the acceptance-line reporter.
 
 The acceptance tests each register one pass/fail line; the terminal
 summary hook replays them after the run so the verdict for every
@@ -10,8 +10,13 @@ from __future__ import annotations
 import sys
 
 import pytest
+from hypothesis import settings
 
 from labelgames.analysis import Environment
+
+# ``pytest --hypothesis-profile=deep`` runs the kernel's differential test
+# at 3,000 examples; by default it runs 300.
+settings.register_profile("deep", max_examples=3000)
 
 _ACCEPTANCE_LINES: list[str] = []
 

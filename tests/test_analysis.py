@@ -12,7 +12,6 @@ from labelgames.analysis import (
     build_prediction,
     estimate_target_moments,
     mean_trajectory,
-    model1_resting_mean,
     positive_update_probability,
     positive_update_probability_mc,
     resting_variance,
@@ -98,6 +97,11 @@ class TestEnvironment:
             Environment(((0.0, 1.2), (0.0, 1.0)))
         with pytest.raises(ValueError):
             Environment(((-0.1, 0.5), (0.0, 1.0)))
+
+    def test_needs_exactly_two_intervals(self):
+        for intervals in (((0.0, 1.0),), ((0.0, 1.0),) * 3):
+            with pytest.raises(ValueError, match="two intervals"):
+                Environment(intervals)
 
     def test_samples_stay_inside_the_box(self, env_b):
         xs = env_b.sample_batch(np.random.default_rng(0), 1000)
@@ -223,7 +227,7 @@ class TestTargetMoments:
         from labelgames.labels import canonical_label_pair
 
         moments = estimate_target_moments(env_b, model=2, n_samples=30_000,
-                                          rng=np.random.default_rng(9), chunk=30_000)
+                                          rng=np.random.default_rng(9))
         xs = env_b.sample_batch(np.random.default_rng(9), 30_000)
         targets, usable, _, _ = batch_implied_weights(canonical_label_pair(), xs, 1.0)
         kept = targets[usable]
@@ -234,19 +238,16 @@ class TestTargetMoments:
 
 class TestRestrictedFixedPoint:
     def test_full_reliability_reduces_to_positive_share(self, env_a):
-        got = model1_resting_mean(env_a, 1.0, 200_000, np.random.default_rng(41))
-        assert got == pytest.approx(0.5, abs=0.005)
+        moments = estimate_target_moments(
+            env_a, reliability=1.0, model=1, n_samples=200_000, rng=np.random.default_rng(41)
+        )
+        assert moments.mean == pytest.approx(0.5, abs=0.005)
 
     def test_zero_reliability_never_updates(self, env_a):
         with pytest.raises(NonConvergenceError):
-            model1_resting_mean(env_a, 0.0, 10_000, np.random.default_rng(0))
-
-    def test_band_environment_regression(self, env_b):
-        # Frozen from a million-sample run; an independent numerical
-        # integration of the self-consistency condition gives 0.3647558.
-        got = model1_resting_mean(env_b, 0.8, 1_000_000, np.random.default_rng(mix_seed(0, 1 << 32)))
-        assert got == pytest.approx(0.36475713704710155, abs=1e-12)
-        assert abs(got - 0.36475583061225303) < 5e-6
+            estimate_target_moments(
+                env_a, reliability=0.0, model=1, n_samples=10_000, rng=np.random.default_rng(0)
+            )
 
     def test_restricted_moments_condition_on_the_resting_weight(self, env_b):
         moments = estimate_target_moments(
@@ -255,6 +256,9 @@ class TestRestrictedFixedPoint:
         )
         assert moments.count == 800996
         assert moments.mean == pytest.approx(0.3647571364802597, abs=1e-12)
+        # An independent numerical integration of the self-consistency
+        # condition gives 0.36475583061225303.
+        assert abs(moments.mean - 0.36475583061225303) < 5e-6
         assert moments.variance == pytest.approx(0.19295141594587348, abs=1e-12)
         assert moments.count < 1_000_000
 

@@ -301,6 +301,19 @@ class TestSweep:
     def test_empty_values_yield_no_points(self):
         assert sweep(small_config(), "w", []) == []
 
+    def test_values_naming_one_subdirectory_are_rejected_before_running(self, tmp_path):
+        config = small_config(outputs=tmp_path / "d")
+        with pytest.raises(ValueError, match="both format as 0.1"):
+            sweep(config, "w", [0.1, 0.1000001])
+        with pytest.raises(ValueError, match="both format as 0.5"):
+            compare_models(config, [0.5, 0.5])
+        assert not (tmp_path / "d").exists()
+
+    def test_invalid_value_is_rejected_before_running(self, tmp_path):
+        with pytest.raises(ValueError, match="reliability must lie in"):
+            sweep(small_config(outputs=tmp_path / "d"), "w", [0.5, 1.5])
+        assert not (tmp_path / "d").exists()
+
 
 class TestCompareModels:
     def test_rules_coincide_at_full_reliability(self, tmp_path):
@@ -336,6 +349,12 @@ class TestValidatePredictions:
         )
         with pytest.raises(ValueError, match="one reliability"):
             validate_predictions(config, [0.01])
+        assert not (tmp_path / "val").exists()
+
+    def test_zero_samples_rejected_before_running(self, tmp_path):
+        config = small_config(model=2, outputs=tmp_path / "val")
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            validate_predictions(config, [0.01], n_samples=0)
         assert not (tmp_path / "val").exists()
 
     def test_rows_carry_consistent_curves(self, tmp_path):

@@ -39,9 +39,9 @@ class CountingEnv:
     def __init__(self):
         self.requests = []
 
-    def sample_batch(self, rng, count):
+    def sample_runs(self, rngs, count):
         self.requests.append(count)
-        return rng.random((count, 2))
+        return np.vstack([rng.random((count, 2)) for rng in rngs])
 
 
 def reference_dialogue(w_speaker, w_listener, reliability, x, rate, model):
@@ -440,6 +440,25 @@ INTERVALS = st.one_of(
 HELD_INTERVALS = st.sampled_from(((0.0, 0.5), (0.5, 1.0), (0.0, 1.0), (0.1, 0.4)))
 
 
+# Model-2 runs whose weights pass the margin on entry but collapse toward 0
+# or 1 within the timestep at rates near 1, so that only the per-round
+# check sends them to the reference (found by random search).
+MARGIN_LOST = [
+    (43, "ordered", 0.9989033723956832,
+     (1.0846147220943166e-09, 0.9999999999666682, 0.9999999999997771),
+     (0.4510313870011089, 0.9553145792212376, 0.8919016691830427),
+     (0.27853429777937566, 0.27863302551894353), (0.004077724985988684, 0.4219995748472628)),
+    (80, "ordered", 0.9988162297568676,
+     (3.7003548707621556e-11, 3.26799857913714e-11, 0.9999999999997793, 6.74222611516607e-11),
+     (0.3020920366180293, 0.6088661044496464, 0.2922756613688998, 0.6239372372696742),
+     (0.29922759715969116, 0.539945609476942), (0.5827000659736606, 0.6561332460538947)),
+    (370, "unordered", 0.9982993000164456,
+     (0.99999999995341, 4.196166588200647e-14, 1.1396345797848785e-14),
+     (0.20200629573551543, 0.04339249970186865, 0.3396987300118618),
+     (0.007027833514284043, 0.22707378084311336), (0.04089647182081013, 0.46197319066362197)),
+]
+
+
 def counting_fallbacks(monkeypatch):
     """Record the runs the kernel replays through ``_apply_sequential``."""
     calls = []
@@ -454,7 +473,7 @@ def counting_fallbacks(monkeypatch):
 
 
 class TestStackedKernel:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=max(300, settings().max_examples), deadline=None)
     @given(data=st.data())
     def test_matches_a_sequential_replay_of_every_run(self, data):
         runs = data.draw(st.integers(1, 3), label="runs")
@@ -566,23 +585,7 @@ class TestStackedKernel:
         assert want[:n] == [1.0] * n and want[n] != 1.0
         assert got.tolist() == want
 
-    # Model-2 runs whose weights pass the margin on entry but collapse
-    # toward 0 or 1 within the timestep at rates near 1, so that only the
-    # per-round check sends them to the reference (found by random search).
-    @pytest.mark.parametrize("seed,schedule,rate,weights,rels,x1,x2", [
-        (43, "ordered", 0.9989033723956832,
-         (1.0846147220943166e-09, 0.9999999999666682, 0.9999999999997771),
-         (0.4510313870011089, 0.9553145792212376, 0.8919016691830427),
-         (0.27853429777937566, 0.27863302551894353), (0.004077724985988684, 0.4219995748472628)),
-        (80, "ordered", 0.9988162297568676,
-         (3.7003548707621556e-11, 3.26799857913714e-11, 0.9999999999997793, 6.74222611516607e-11),
-         (0.3020920366180293, 0.6088661044496464, 0.2922756613688998, 0.6239372372696742),
-         (0.29922759715969116, 0.539945609476942), (0.5827000659736606, 0.6561332460538947)),
-        (370, "unordered", 0.9982993000164456,
-         (0.99999999995341, 4.196166588200647e-14, 1.1396345797848785e-14),
-         (0.20200629573551543, 0.04339249970186865, 0.3396987300118618),
-         (0.007027833514284043, 0.22707378084311336), (0.04089647182081013, 0.46197319066362197)),
-    ])
+    @pytest.mark.parametrize("seed,schedule,rate,weights,rels,x1,x2", MARGIN_LOST)
     def test_margin_lost_within_the_timestep_falls_back(self, seed, schedule, rate, weights, rels, x1, x2):
         rng = np.random.default_rng(seed)
         speakers, listeners = game._draw_schedule(len(weights), schedule, [rng])
@@ -595,6 +598,43 @@ class TestStackedKernel:
             weights, rels, *game._memberships(LABELS, xs), speakers, listeners, rate, 2
         )
         assert got.tolist() == want.tolist()
+
+    def test_watched_and_pinned_lanes_share_one_stack(self, monkeypatch):
+        # Run 0 loses its margin within the timestep (the first case above),
+        # run 1 is held at weight 1 with every x2 below 1/2, and run 2 keeps
+        # interior weights.  Each lane has its own reliability, and only run
+        # 0 goes to the reference.
+        seed, schedule, rate, weights, rels, x1, x2 = MARGIN_LOST[0]
+        n = len(weights)
+        half = Environment(((0.0, 1.0), (0.0, 0.5)))
+        stack = [
+            (seed, weights, rels, Environment((x1, x2))),
+            (5, (1.0,) * n, (1.0,) * n, half),
+            (6, (0.3, 0.5, 0.7), (0.6, 0.8, 0.9), half),
+        ]
+        blocks = []
+        for r, (run_seed, _, _, env) in enumerate(stack):
+            rng = np.random.default_rng(run_seed)
+            speakers, listeners = game._draw_schedule(n, schedule, [rng])
+            m1, m2 = game._memberships(LABELS, env.sample_batch(rng, speakers.size))
+            blocks.append((m1, m2, speakers + r * n, listeners + r * n))
+        weights = np.concatenate([w for _, w, _, _ in stack])
+        rels = np.concatenate([rel for _, _, rel, _ in stack])
+        replay = game._apply_sequential
+        want = []
+        for r, (m1, m2, speakers, listeners) in enumerate(blocks):
+            run = slice(r * n, (r + 1) * n)
+            want += replay(
+                weights[run], rels[run], m1, m2, speakers - r * n, listeners - r * n, rate, 2
+            ).tolist()
+        calls = counting_fallbacks(monkeypatch)
+        got = game._stacked_timestep(
+            weights, rels, *(np.concatenate(column) for column in zip(*blocks)),
+            rate, 2, schedule, len(stack), n,
+        )
+        assert [args[0].tolist() for args in calls] == [list(stack[0][1])]
+        assert want[n:2 * n] == [1.0] * n
+        assert got.tolist() == want
 
     @pytest.mark.parametrize("schedule", ["ordered", "unordered"])
     @pytest.mark.parametrize("chunk", [30, 45])

@@ -209,6 +209,14 @@ class TestLabelValidation:
         with pytest.raises(ValueError):
             lab.membership_batch(np.array([0.2, 1.2]))
 
+    def test_batch_rejects_nan_as_the_scalar_call_does(self):
+        lab = canonical_label()
+        with pytest.raises(ValueError):
+            lab.membership(float("nan"))
+        for xs in ([0.2, float("nan")], [float("nan")] * 2):
+            with pytest.raises(ValueError, match="outside the space bounds"):
+                lab.membership_batch(np.array(xs))
+
     def test_batch_dimension_mismatch_rejected(self):
         lab = canonical_label()
         with pytest.raises(ValueError):
