@@ -10,8 +10,10 @@ update target, the resting mean and variance of the population, and
 closed-form trajectories with convergence-step counts.
 
 Time here is counted in updates of a single agent's weight.  A simulation
-timestep gives every agent one update per speaker it listens to, so the
-caller converts with steps = timestep * (n_agents - 1) before comparing.
+timestep gives every agent one update per dialogue it listens to, so the
+caller converts at the mean number of those, dialogues_per_timestep(n,
+schedule) / n: n - 1 under the ordered schedule, (n - 1) / 2 under the
+unordered one.  Refused arguments raise ``ConfigError`` before any draw.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .game import batch_implied_weights
+from .game import ConfigError, batch_implied_weights
 from .labels import Label, canonical_label_pair
 
 
@@ -72,13 +74,18 @@ class Environment:
             (float(lo), float(hi)) for lo, hi in self.intervals
         )
         if len(cleaned) != 2:
-            raise ValueError(f"an environment has two intervals, got {len(cleaned)}")
-        for lo, hi in cleaned:
+            raise ConfigError(
+                f"an environment has two intervals, got {len(cleaned)}", "intervals"
+            )
+        for dim, (lo, hi) in enumerate(cleaned):
             if not lo < hi:
-                raise ValueError(f"interval ({lo}, {hi}) must have lo < hi")
+                raise ConfigError(
+                    f"interval ({lo}, {hi}) must have lo < hi", f"intervals[{dim}]"
+                )
             if lo < 0.0 or hi > 1.0:
-                raise ValueError(
-                    f"interval ({lo}, {hi}) must lie within the unit square"
+                raise ConfigError(
+                    f"interval ({lo}, {hi}) must lie within the unit square",
+                    f"intervals[{dim}]",
                 )
         object.__setattr__(self, "intervals", cleaned)
 
@@ -195,7 +202,7 @@ def positive_update_probability_mc(
     caller can check the analytic value against estimate +- 3 se.
     """
     if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+        raise ConfigError("n_samples must be at least 1", "n_samples")
     hits = 0
     done = 0
     while done < n_samples:
@@ -293,9 +300,13 @@ def estimate_target_moments(
     well enough.
     """
     if model not in (1, 2):
-        raise ValueError("model must be 1 or 2")
+        raise ConfigError("model must be 1 or 2", "model")
     if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+        raise ConfigError("n_samples must be at least 1", "n_samples")
+    if not 0.0 <= reliability <= 1.0:
+        raise ConfigError(
+            f"reliability must lie in [0, 1], got {reliability}", "reliability"
+        )
     if rng is None:
         rng = np.random.default_rng(0)
     if labels is None:
@@ -356,7 +367,7 @@ def resting_variance(rate: float, target_variance: float) -> float:
     rate / (2 - rate) times the target variance.
     """
     if not 0.0 < rate < 1.0:
-        raise ValueError("rate must lie strictly between 0 and 1")
+        raise ConfigError("rate must lie strictly between 0 and 1", "rate")
     return rate / (2.0 - rate) * target_variance
 
 
@@ -368,7 +379,7 @@ def mean_trajectory(start_mean, target_mean, rate, steps):
     be a scalar or an array; arrays come back as arrays.
     """
     if not 0.0 < rate < 1.0:
-        raise ValueError("rate must lie strictly between 0 and 1")
+        raise ConfigError("rate must lie strictly between 0 and 1", "rate")
     steps_arr = np.asarray(steps, dtype=np.float64)
     decay = np.power(1.0 - rate, steps_arr)
     value = target_mean + (start_mean - target_mean) * decay
@@ -400,9 +411,9 @@ def steps_to_mean_convergence(start_mean, target_mean, rate, tol) -> int:
     Zero when the start is already within tolerance of the target.
     """
     if tol <= 0.0:
-        raise ValueError("tol must be positive")
+        raise ConfigError("tol must be positive", "tol")
     if not 0.0 < rate < 1.0:
-        raise ValueError("rate must lie strictly between 0 and 1")
+        raise ConfigError("rate must lie strictly between 0 and 1", "rate")
     gap = abs(start_mean - target_mean)
     if gap <= tol:
         return 0
@@ -418,7 +429,7 @@ def steps_to_variance_convergence(
     mean-convergence count with twice the log-decay in the denominator.
     """
     if tol <= 0.0:
-        raise ValueError("tol must be positive")
+        raise ConfigError("tol must be positive", "tol")
     rest = resting_variance(rate, target_variance)
     gap = abs(start_variance - rest)
     if gap <= tol:
@@ -485,7 +496,7 @@ def build_prediction(
     explicit generator to control the stream.
     """
     if not 0.0 < rate < 1.0:
-        raise ValueError("rate must lie strictly between 0 and 1")
+        raise ConfigError("rate must lie strictly between 0 and 1", "rate")
     if rng is None:
         rng = np.random.default_rng(0)
     moments = estimate_target_moments(

@@ -7,111 +7,73 @@ keys that follow with ``section.``, so the two spellings
     [env]
     x1 = uniform(0, 1)
 
-and ``env.x1 = uniform(0, 1)`` are equivalent.  Every recognised key has a
-default except the two environment dimensions, which must be given.  All
-parse and range errors carry the offending line number.
+and ``env.x1 = uniform(0, 1)`` are equivalent.  This module parses syntax
+only; the two environment dimensions must be given.  Every other default
+and every range rule belongs to ``GameConfig``, ``ExperimentConfig`` and
+``Environment``, which see only the keys a file sets.  Each error carries
+the line of the key that caused it.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from .analysis import Environment
 from .experiment import ExperimentConfig
-from .game import GameConfig
-
-
-class ConfigError(Exception):
-    """A configuration file could not be read, parsed, or validated."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.message = message
-        self.line = line
-        super().__init__(message)
-
-    def __str__(self) -> str:
-        if self.line is None:
-            return self.message
-        return f"line {self.line}: {self.message}"
-
+from .game import ConfigError, GameConfig
 
 _UNIFORM = re.compile(r"^uniform\(\s*([^,()\s]+)\s*,\s*([^,()\s]+)\s*\)$")
 _FIXED = re.compile(r"^fixed\(\s*([^,()\s]+)\s*\)$")
 _SECTION = re.compile(r"^\[\s*([A-Za-z0-9_.]+)\s*\]$")
 
-_KNOWN_KEYS = (
-    "agents",
-    "timesteps",
-    "h",
-    "w",
-    "model",
-    "runs",
-    "seed",
-    "record_every",
-    "env.x1",
-    "env.x2",
-    "lambda_init",
-    "schedule",
-)
 
-
-def _parse_float(raw: str, key: str, line: int) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {raw!r}", line) from None
-
-
-def _parse_int(raw: str, key: str, line: int) -> int:
-    try:
-        return int(raw, 10)
-    except ValueError:
-        raise ConfigError(
-            f"{key} must be an integer, got {raw!r}", line
-        ) from None
-
-
-def _parse_interval(raw: str, key: str, line: int) -> tuple[float, float]:
+def _interval(raw: str) -> tuple[float, float]:
     match = _UNIFORM.match(raw)
     if not match:
-        raise ConfigError(
-            f"{key} must look like uniform(lo, hi), got {raw!r}", line
-        )
-    lo = _parse_float(match.group(1), key, line)
-    hi = _parse_float(match.group(2), key, line)
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ConfigError(
-            f"{key} needs 0 <= lo < hi <= 1, got uniform({lo:g}, {hi:g})",
-            line,
-        )
-    return lo, hi
+        raise ValueError(raw)
+    return tuple(float(end) for end in match.groups())
 
 
-def _parse_weight_init(raw: str, line: int) -> float | None:
+def _weight_init(raw: str) -> float | None:
     if raw == "uniform":
         return None
     match = _FIXED.match(raw)
     if not match:
-        raise ConfigError(
-            f"lambda_init must be 'uniform' or fixed(v), got {raw!r}", line
-        )
-    value = _parse_float(match.group(1), "lambda_init", line)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(
-            f"lambda_init must lie in [0, 1], got {value:g}", line
-        )
-    return value
+        raise ValueError(raw)
+    return float(match.group(1))
+
+
+# Each key's library field, its parser, which raises ValueError on bad
+# syntax, and the syntax it expects.  The interval fields are named as
+# ``Environment`` names them in its errors.
+_KEYS = {
+    "agents": ("n_agents", int, "an integer"),
+    "timesteps": ("timesteps", int, "an integer"),
+    "h": ("rate", float, "a number"),
+    "w": ("reliability", float, "a number"),
+    "model": ("model", int, "an integer"),
+    "lambda_init": ("weight_init", _weight_init, "'uniform' or fixed(v)"),
+    "schedule": ("schedule", str, "a word"),
+    "runs": ("runs", int, "an integer"),
+    "seed": ("master_seed", int, "an integer"),
+    "record_every": ("record_every", int, "an integer"),
+    "env.x1": ("intervals[0]", _interval, "uniform(lo, hi)"),
+    "env.x2": ("intervals[1]", _interval, "uniform(lo, hi)"),
+}
+_GAME_FIELDS = {f.name for f in fields(GameConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse config text into an experiment configuration.
 
     Raises ConfigError, with a line number where one applies, for unknown
-    or duplicated keys, malformed or out-of-range values, and missing
-    environment dimensions.
+    or duplicated keys, malformed values, missing environment dimensions,
+    and any value the library's constructors refuse.
     """
-    entries: dict[str, tuple[str, int]] = {}
+    values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     section = ""
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -123,7 +85,7 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         if "=" not in line:
             raise ConfigError(
-                f"expected key = value, got {line!r}", line_no
+                f"expected key = value, got {line!r}", line=line_no
             )
         key, _, value = line.partition("=")
         key = key.strip()
@@ -131,107 +93,38 @@ def parse_config(text: str) -> ExperimentConfig:
         if section:
             key = f"{section}.{key}"
         if not key:
-            raise ConfigError("missing key before '='", line_no)
+            raise ConfigError("missing key before '='", line=line_no)
         if not value:
-            raise ConfigError(f"missing value for {key}", line_no)
-        if key not in _KNOWN_KEYS:
-            raise ConfigError(f"unknown key {key!r}", line_no)
-        if key in entries:
-            first_line = entries[key][1]
+            raise ConfigError(f"missing value for {key}", line=line_no)
+        if key not in _KEYS:
+            raise ConfigError(f"unknown key {key!r}", line=line_no)
+        field, parse, expected = _KEYS[key]
+        if field in lines:
             raise ConfigError(
-                f"duplicate key {key!r} (first set on line {first_line})",
-                line_no,
+                f"duplicate key {key!r} (first set on line {lines[field]})",
+                line=line_no,
             )
-        entries[key] = (value, line_no)
+        try:
+            values[field] = parse(value)
+        except ValueError:
+            raise ConfigError(
+                f"{key} must be {expected}, got {value!r}", line=line_no
+            ) from None
+        lines[field] = line_no
 
-    def take(key: str):
-        return entries.pop(key, (None, None))
-
-    raw, line = take("agents")
-    agents = 10 if raw is None else _parse_int(raw, "agents", line)
-    if agents < 2:
-        raise ConfigError("agents must be at least 2", line)
-
-    raw, line = take("timesteps")
-    timesteps = 2000 if raw is None else _parse_int(raw, "timesteps", line)
-    if timesteps < 1:
-        raise ConfigError("timesteps must be at least 1", line)
-
-    raw, line = take("h")
-    rate = 1e-3 if raw is None else _parse_float(raw, "h", line)
-    if not 0.0 < rate < 1.0:
-        raise ConfigError("h must lie strictly between 0 and 1", line)
-
-    raw, line = take("w")
-    reliability = 1.0 if raw is None else _parse_float(raw, "w", line)
-    if not 0.0 <= reliability <= 1.0:
-        raise ConfigError("w must lie in [0, 1]", line)
-
-    raw, line = take("model")
-    model = 1 if raw is None else _parse_int(raw, "model", line)
-    if model not in (1, 2):
-        raise ConfigError("model must be 1 or 2", line)
-
-    raw, line = take("runs")
-    runs = 25 if raw is None else _parse_int(raw, "runs", line)
-    if runs < 1:
-        raise ConfigError("runs must be at least 1", line)
-
-    raw, line = take("seed")
-    seed = 0 if raw is None else _parse_int(raw, "seed", line)
-    if not 0 <= seed < 1 << 64:
-        raise ConfigError("seed must fit in 64 bits", line)
-
-    raw, record_line = take("record_every")
-    record_every = (
-        1 if raw is None else _parse_int(raw, "record_every", record_line)
-    )
-    if record_every < 1:
-        raise ConfigError("record_every must be at least 1", record_line)
-    if record_every > timesteps:
-        raise ConfigError(
-            f"record_every ({record_every}) cannot exceed timesteps "
-            f"({timesteps})",
-            record_line,
+    for key in ("env.x1", "env.x2"):
+        if _KEYS[key][0] not in values:
+            raise ConfigError(f"{key} is required, e.g. {key} = uniform(0, 1)")
+    try:
+        env = Environment(
+            (values.pop("intervals[0]"), values.pop("intervals[1]"))
         )
-
-    raw, line = take("env.x1")
-    if raw is None:
-        raise ConfigError("env.x1 is required, e.g. env.x1 = uniform(0, 1)")
-    interval1 = _parse_interval(raw, "env.x1", line)
-
-    raw, line = take("env.x2")
-    if raw is None:
-        raise ConfigError("env.x2 is required, e.g. env.x2 = uniform(0, 1)")
-    interval2 = _parse_interval(raw, "env.x2", line)
-
-    raw, line = take("lambda_init")
-    weight_init = None if raw is None else _parse_weight_init(raw, line)
-
-    raw, line = take("schedule")
-    schedule = "ordered" if raw is None else raw
-    if schedule not in ("ordered", "unordered"):
-        raise ConfigError(
-            f"schedule must be 'ordered' or 'unordered', got {schedule!r}",
-            line,
+        game = GameConfig(
+            **{f: values.pop(f) for f in list(values) if f in _GAME_FIELDS}
         )
-
-    game = GameConfig(
-        n_agents=agents,
-        timesteps=timesteps,
-        rate=rate,
-        model=model,
-        reliability=reliability,
-        weight_init=weight_init,
-        schedule=schedule,
-    )
-    return ExperimentConfig(
-        game=game,
-        env=Environment((interval1, interval2)),
-        runs=runs,
-        master_seed=seed,
-        record_every=record_every,
-    )
+        return ExperimentConfig(game=game, env=env, **values)
+    except ConfigError as err:
+        raise ConfigError(err.message, err.field, lines.get(err.field)) from None
 
 
 def load_config(path: str | Path) -> ExperimentConfig:

@@ -12,9 +12,11 @@ observations are turned into memberships before the kernel runs, and
 one timestep's arrays are freed before the next timestep draws.
 ``run_single`` drives one run through the same loop but replays it
 dialogue by dialogue, and gives bit-identical records.  Identical
-configuration and master seed give byte-identical output files.  A
-configuration whose timestep cannot fit in physical memory is refused
-before anything runs.
+configuration and master seed give byte-identical output files.
+``ExperimentConfig`` checks its values, and that each label's space
+contains its dimension's interval, on construction.  A configuration
+whose timestep cannot fit in physical memory is refused before anything
+runs, with ``FootprintError``, a ``ConfigError``.
 
 Sweeps, model comparisons, and prediction validation are thin layers that
 re-run the experiment with one field changed and tabulate the results.
@@ -30,11 +32,13 @@ import numpy as np
 
 from .analysis import Environment, build_prediction
 from .game import (
+    ConfigError,
     GameConfig,
     _STACK_BYTES_PER_DIALOGUE,
     _apply_sequential,
     _draw_schedule,
     _initial_state,
+    _count,
     _memberships,
     _stacked_timestep,
     dialogues_per_timestep,
@@ -78,14 +82,24 @@ class ExperimentConfig:
     outputs: str | Path | None = None
 
     def __post_init__(self) -> None:
-        if self.runs < 1:
-            raise ValueError("runs must be at least 1")
-        if not 0 <= self.master_seed < 1 << 64:
-            raise ValueError("master_seed must fit in 64 bits")
-        if self.record_every < 1:
-            raise ValueError("record_every must be at least 1")
-        if self.record_every > self.game.timesteps:
-            raise ValueError("record_every cannot exceed timesteps")
+        _count(self, "runs", 1)
+        seed = _count(self, "master_seed", 0)
+        if seed >= 1 << 64:
+            raise ConfigError(f"master_seed must fit in 64 bits, got {seed}", "master_seed")
+        every = _count(self, "record_every", 1)
+        if every > self.game.timesteps:
+            raise ConfigError(
+                f"record_every ({every}) cannot exceed timesteps ({self.game.timesteps})",
+                "record_every",
+            )
+        for label, (lo, hi) in zip(self.game.labels, self.env.intervals):
+            (low, high), = label.space.bounds
+            if lo < low or hi > high:
+                raise ConfigError(
+                    f"label space [{low}, {high}] does not contain the "
+                    f"environment's interval [{lo}, {hi}]",
+                    "labels",
+                )
 
 
 def record_times(timesteps: int, record_every: int) -> np.ndarray:
@@ -280,7 +294,7 @@ def persist_experiment(
     write_final_csv(out_dir / "final_lambdas.csv", records)
 
 
-class FootprintError(ValueError):
+class FootprintError(ConfigError):
     """A configuration whose stacked timestep cannot fit in physical memory."""
 
 
@@ -370,7 +384,7 @@ def _check_distinct(name: str, values) -> None:
     for value in values:
         label = f"{value:g}"
         if label in seen:
-            raise ValueError(
+            raise ConfigError(
                 f"{name}: {seen[label]!r} and {value!r} both format as {label}"
             )
         seen[label] = value
@@ -395,7 +409,7 @@ def sweep(
     value's config is built and checked before the first run.
     """
     if parameter not in _SWEEP_FIELDS:
-        raise ValueError("parameter must be one of 'w' or 'h'")
+        raise ConfigError("parameter must be one of 'w' or 'h'", "parameter")
     values = [float(value) for value in values]
     _check_distinct(f"{parameter} values", values)
     subs = [
@@ -480,15 +494,17 @@ def validate_predictions(
     Every rate's config is built and checked before the first run.
     """
     if config.game.model != 2:
-        raise ValueError("prediction validation requires model 2")
+        raise ConfigError("prediction validation requires model 2", "model")
     if config.game.schedule != "ordered":
-        raise ValueError("prediction validation requires the ordered schedule")
+        raise ConfigError(
+            "prediction validation requires the ordered schedule", "schedule"
+        )
     if isinstance(config.game.reliability, tuple):
-        raise ValueError(
-            "prediction validation requires one reliability for all agents"
+        raise ConfigError(
+            "prediction validation requires one reliability for all agents", "reliability"
         )
     if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+        raise ConfigError("n_samples must be at least 1", "n_samples")
     rates = [float(rate) for rate in rate_values]
     _check_distinct("rates", rates)
     subs = [

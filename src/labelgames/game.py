@@ -6,6 +6,11 @@ complement).  In a dialogue the speaker observes a point of the unit square,
 asserts the signed conjunction it judges most apt, and the listener nudges its
 own weight toward the weight implied by that assertion.
 
+``GameConfig`` holds a game's parameters and checks them on
+construction.  Every value the library refuses, here or in the
+experiment and analysis modules, raises ``ConfigError``, which names the
+refused field.
+
 Model 1 listeners update only when their current membership for the asserted
 compound does not exceed the speaker's reliability; model 2 listeners update
 whenever the two differ.
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -47,6 +53,7 @@ import numpy as np
 from .labels import Label, canonical_label_pair
 
 __all__ = [
+    "ConfigError",
     "AssertionIndex",
     "ASSERTION_ORDER",
     "GameConfig",
@@ -86,6 +93,39 @@ ASSERTION_ORDER = (
 )
 
 
+class ConfigError(ValueError):
+    """A parameter value the library refuses, before any compute.
+
+    ``field`` names the refused parameter, where one is to blame, and
+    ``line`` the configuration-file line that set it, where a file did.
+    """
+
+    def __init__(self, message: str, field: str | None = None, line: int | None = None):
+        self.message = message
+        self.field = field
+        self.line = line
+        super().__init__(message)
+
+    def __str__(self) -> str:
+        return self.message if self.line is None else f"line {self.line}: {self.message}"
+
+
+def _count(owner, name: str, least: int) -> int:
+    """Store the named field of a frozen dataclass as an int of at least ``least``.
+
+    numpy integers are accepted; floats, even integral ones, are not.
+    """
+    value = getattr(owner, name)
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}", name) from None
+    if value < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value}", name)
+    object.__setattr__(owner, name, value)
+    return value
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Static parameters of a population game."""
@@ -101,32 +141,32 @@ class GameConfig:
     schedule: str = "ordered"
 
     def __post_init__(self) -> None:
-        if self.n_agents < 2:
-            raise ValueError(f"a game needs at least two agents, got {self.n_agents}")
-        if self.timesteps < 1:
-            raise ValueError(f"timesteps must be at least 1, got {self.timesteps}")
+        n = _count(self, "n_agents", 2)
+        _count(self, "timesteps", 1)
         if not 0.0 < self.rate < 1.0:
-            raise ValueError(f"update rate must lie in (0, 1), got {self.rate}")
+            raise ConfigError(f"update rate must lie in (0, 1), got {self.rate}", "rate")
         if self.model not in (1, 2):
-            raise ValueError(f"model must be 1 or 2, got {self.model}")
+            raise ConfigError(f"model must be 1 or 2, got {self.model}", "model")
         if len(self.labels) != 2 or any(l.space.dims != 1 for l in self.labels):
-            raise ValueError("the game is played over exactly two 1-d labels")
+            raise ConfigError("the game is played over exactly two 1-d labels", "labels")
         if isinstance(self.reliability, tuple):
-            if len(self.reliability) != self.n_agents:
-                raise ValueError("per-agent reliability list must match n_agents")
+            if len(self.reliability) != n:
+                raise ConfigError("per-agent reliability list must match n_agents", "reliability")
             if any(not 0.0 <= r <= 1.0 for r in self.reliability):
-                raise ValueError("reliabilities must lie in [0, 1]")
+                raise ConfigError("reliabilities must lie in [0, 1]", "reliability")
         elif not 0.0 <= self.reliability <= 1.0:
-            raise ValueError(f"reliability must lie in [0, 1], got {self.reliability}")
+            raise ConfigError(f"reliability must lie in [0, 1], got {self.reliability}", "reliability")
         if isinstance(self.weight_init, tuple):
-            if len(self.weight_init) != self.n_agents:
-                raise ValueError("per-agent weight list must match n_agents")
+            if len(self.weight_init) != n:
+                raise ConfigError("per-agent weight list must match n_agents", "weight_init")
             if any(not 0.0 <= v <= 1.0 for v in self.weight_init):
-                raise ValueError("initial weights must lie in [0, 1]")
+                raise ConfigError("initial weights must lie in [0, 1]", "weight_init")
         elif self.weight_init is not None and not 0.0 <= self.weight_init <= 1.0:
-            raise ValueError(f"initial weight must lie in [0, 1], got {self.weight_init}")
+            raise ConfigError(f"initial weight must lie in [0, 1], got {self.weight_init}", "weight_init")
         if self.schedule not in ("ordered", "unordered"):
-            raise ValueError(f"schedule must be 'ordered' or 'unordered', got {self.schedule!r}")
+            raise ConfigError(
+                f"schedule must be 'ordered' or 'unordered', got {self.schedule!r}", "schedule"
+            )
 
 
 def _initial_state(config: GameConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +184,7 @@ def dialogues_per_timestep(n_agents: int, schedule: str = "ordered") -> int:
         return n_agents * (n_agents - 1)
     if schedule == "unordered":
         return n_agents * (n_agents - 1) // 2
-    raise ValueError(f"unknown schedule {schedule!r}")
+    raise ConfigError(f"unknown schedule {schedule!r}", "schedule")
 
 
 def _assertion(share: float, m1: float, m2: float) -> AssertionIndex:
@@ -193,7 +233,7 @@ def _check_unit(**values: float) -> None:
     """Reject any weight or reliability outside [0, 1]."""
     for name, value in values.items():
         if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+            raise ConfigError(f"{name} must lie in [0, 1], got {value}", name)
 
 
 def choose_assertion(weight: float, labels: tuple[Label, Label], x: tuple[float, float]) -> AssertionIndex:

@@ -1,5 +1,8 @@
 """Region geometry, target moments, and closed-form convergence predictions."""
 
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -21,7 +24,13 @@ from labelgames.analysis import (
     variance_trajectory,
 )
 from labelgames.experiment import mix_seed
-from labelgames.game import ASSERTION_ORDER, AssertionIndex, choose_assertion, implied_weight
+from labelgames.game import (
+    ASSERTION_ORDER,
+    AssertionIndex,
+    ConfigError,
+    choose_assertion,
+    implied_weight,
+)
 from labelgames.labels import canonical_label_pair
 
 LABELS = canonical_label_pair()
@@ -221,6 +230,16 @@ class TestTargetMoments:
             estimate_target_moments(env_a, model=3)
         with pytest.raises(ValueError):
             estimate_target_moments(env_a, n_samples=0)
+
+    @pytest.mark.parametrize("model", [1, 2])
+    @pytest.mark.parametrize("reliability", [math.nan, 1.5, -0.2])
+    def test_bad_reliability_rejected_before_the_first_draw(self, env_b, model, reliability):
+        for estimate in (estimate_target_moments, partial(build_prediction, rate=1e-3)):
+            rng = np.random.default_rng(5)
+            before = rng.bit_generator.state
+            with pytest.raises(ConfigError, match="reliability must lie in"):
+                estimate(env_b, reliability=reliability, model=model, n_samples=1000, rng=rng)
+            assert rng.bit_generator.state == before
 
     def test_streaming_estimate_matches_direct_computation(self, env_b):
         from labelgames.game import batch_implied_weights

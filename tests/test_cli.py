@@ -173,6 +173,26 @@ class TestPredict:
         assert float(t0) == 0.0
         assert float(mean0) == pytest.approx(0.5, abs=1e-9)
 
+    def test_unordered_schedule_converts_at_the_mean_listens_per_agent(self, tmp_path, capsys):
+        cfg = tmp_path / "unordered.cfg"
+        cfg.write_text(MODEL2 + "schedule = unordered\n")
+        out = tmp_path / "pred"
+        assert run_cli("predict", "--config", cfg, "--samples", 20_000,
+                       "--out", out, "--emit-plot-data") == 0
+        got = parse_kv(capsys.readouterr().out)
+        # Each of 8 agents is in 7 of the 28 pairs and listens in half of
+        # them on average: 3.5 updates per timestep, not 7.
+        for curve in ("mean", "variance"):
+            updates = int(got[f"{curve}_convergence_updates"])
+            assert math.ceil(updates / 7) < math.ceil(updates / 3.5)
+            assert int(got[f"{curve}_convergence_timesteps"]) == math.ceil(updates / 3.5)
+        rest = float(got["resting_mean"])
+        rows = (out / "predict_mean.dat").read_text().splitlines()
+        assert len(rows) == 6
+        for row in rows:
+            t, mean = map(float, row.split())
+            assert mean == pytest.approx(rest + (0.5 - rest) * 0.95 ** (3.5 * t), abs=1e-8)
+
     def test_reports_an_impossible_fixed_point(self, tmp_path, capsys):
         cfg = tmp_path / "stuck.cfg"
         cfg.write_text("w = 0\n" + BASE)
@@ -206,7 +226,7 @@ class TestSweep:
 
     def test_range_checked_values(self, base_cfg, capsys):
         assert run_cli("sweep", "--config", base_cfg, "--param", "w", "--values", "1.5") == 2
-        assert "outside [0, 1]" in capsys.readouterr().err
+        assert "reliability must lie in [0, 1]" in capsys.readouterr().err
         assert run_cli("sweep", "--config", base_cfg, "--param", "h", "--values", "0") == 2
 
     def test_empty_value_list_is_rejected(self, base_cfg, tmp_path, capsys):
@@ -271,7 +291,7 @@ class TestValidate:
 
     def test_requires_model_two(self, base_cfg, capsys):
         assert run_cli("validate", "--config", base_cfg, "--h-values", "0.05") == 2
-        assert "model = 2" in capsys.readouterr().err
+        assert "requires model 2" in capsys.readouterr().err
 
     def test_rejects_out_of_range_rates(self, model2_cfg, capsys):
         assert run_cli("validate", "--config", model2_cfg, "--h-values", "1.0") == 2
