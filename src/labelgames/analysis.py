@@ -13,7 +13,8 @@ Time here is counted in updates of a single agent's weight.  A simulation
 timestep gives every agent one update per dialogue it listens to, so the
 caller converts at the mean number of those, dialogues_per_timestep(n,
 schedule) / n: n - 1 under the ordered schedule, (n - 1) / 2 under the
-unordered one.  Refused arguments raise ``ConfigError`` before any draw.
+unordered one.  Every value argument is checked by ``game``'s rules, and
+a refused one raises ``ConfigError``, naming it, before any draw.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .game import ConfigError, batch_implied_weights
+from .game import ConfigError, _integer, _model, _real, batch_implied_weights
 from .labels import Label, canonical_label_pair
 
 
@@ -70,24 +71,19 @@ class Environment:
     )
 
     def __post_init__(self) -> None:
-        cleaned = tuple(
-            (float(lo), float(hi)) for lo, hi in self.intervals
-        )
-        if len(cleaned) != 2:
-            raise ConfigError(
-                f"an environment has two intervals, got {len(cleaned)}", "intervals"
-            )
-        for dim, (lo, hi) in enumerate(cleaned):
+        intervals = self.intervals
+        if not isinstance(intervals, (tuple, list)) or len(intervals) != 2:
+            raise ConfigError(f"an environment has two intervals, got {intervals!r}", "intervals")
+        cleaned = []
+        for dim, interval in enumerate(intervals):
+            name = f"intervals[{dim}]"
+            if not isinstance(interval, (tuple, list)) or len(interval) != 2:
+                raise ConfigError(f"{name} must be a (lo, hi) pair, got {interval!r}", name)
+            lo, hi = (_real(end, name) for end in interval)
             if not lo < hi:
-                raise ConfigError(
-                    f"interval ({lo}, {hi}) must have lo < hi", f"intervals[{dim}]"
-                )
-            if lo < 0.0 or hi > 1.0:
-                raise ConfigError(
-                    f"interval ({lo}, {hi}) must lie within the unit square",
-                    f"intervals[{dim}]",
-                )
-        object.__setattr__(self, "intervals", cleaned)
+                raise ConfigError(f"interval ({lo}, {hi}) must have lo < hi", name)
+            cleaned.append((lo, hi))
+        object.__setattr__(self, "intervals", tuple(cleaned))
 
     @property
     def area(self) -> float:
@@ -201,8 +197,7 @@ def positive_update_probability_mc(
     Returns the estimate together with its binomial standard error, so a
     caller can check the analytic value against estimate +- 3 se.
     """
-    if n_samples < 1:
-        raise ConfigError("n_samples must be at least 1", "n_samples")
+    n_samples = _integer(n_samples, "n_samples", 1)
     hits = 0
     done = 0
     while done < n_samples:
@@ -299,14 +294,8 @@ def estimate_target_moments(
     what happens when reliability is so low that no assertion ever fits
     well enough.
     """
-    if model not in (1, 2):
-        raise ConfigError("model must be 1 or 2", "model")
-    if n_samples < 1:
-        raise ConfigError("n_samples must be at least 1", "n_samples")
-    if not 0.0 <= reliability <= 1.0:
-        raise ConfigError(
-            f"reliability must lie in [0, 1], got {reliability}", "reliability"
-        )
+    reliability, model = _real(reliability, "reliability"), _model(model)
+    n_samples = _integer(n_samples, "n_samples", 1)
     if rng is None:
         rng = np.random.default_rng(0)
     if labels is None:
@@ -366,9 +355,8 @@ def resting_variance(rate: float, target_variance: float) -> float:
     and the geometric averaging leaves a residual variance of
     rate / (2 - rate) times the target variance.
     """
-    if not 0.0 < rate < 1.0:
-        raise ConfigError("rate must lie strictly between 0 and 1", "rate")
-    return rate / (2.0 - rate) * target_variance
+    rate = _real(rate, "rate", closed=False)
+    return rate / (2.0 - rate) * _real(target_variance, "target_variance")
 
 
 def mean_trajectory(start_mean, target_mean, rate, steps):
@@ -378,8 +366,8 @@ def mean_trajectory(start_mean, target_mean, rate, steps):
     geometrically from its start toward the target mean.  ``steps`` may
     be a scalar or an array; arrays come back as arrays.
     """
-    if not 0.0 < rate < 1.0:
-        raise ConfigError("rate must lie strictly between 0 and 1", "rate")
+    start_mean, target_mean = _real(start_mean, "start_mean"), _real(target_mean, "target_mean")
+    rate = _real(rate, "rate", closed=False)
     steps_arr = np.asarray(steps, dtype=np.float64)
     decay = np.power(1.0 - rate, steps_arr)
     value = target_mean + (start_mean - target_mean) * decay
@@ -405,19 +393,25 @@ def variance_trajectory(start_variance, target_variance, rate, steps):
     return value
 
 
+def _log_decay(rate) -> float:
+    """log(1 - rate); a rate at which 1 - rate rounds to 1 never closes a gap and is refused."""
+    decay = math.log(1.0 - _real(rate, "rate", closed=False))
+    if decay == 0.0:
+        raise ConfigError(f"rate {rate!r} is too small: 1 - rate rounds to 1", "rate")
+    return decay
+
+
 def steps_to_mean_convergence(start_mean, target_mean, rate, tol) -> int:
     """Smallest update count bringing the expected weight within ``tol``.
 
     Zero when the start is already within tolerance of the target.
     """
-    if tol <= 0.0:
-        raise ConfigError("tol must be positive", "tol")
-    if not 0.0 < rate < 1.0:
-        raise ConfigError("rate must lie strictly between 0 and 1", "rate")
+    start_mean, target_mean = _real(start_mean, "start_mean"), _real(target_mean, "target_mean")
+    decay, tol = _log_decay(rate), _real(tol, "tol", 0, math.inf, closed=False)
     gap = abs(start_mean - target_mean)
     if gap <= tol:
         return 0
-    return math.ceil((math.log(tol) - math.log(gap)) / math.log(1.0 - rate))
+    return math.ceil((math.log(tol) - math.log(gap)) / decay)
 
 
 def steps_to_variance_convergence(
@@ -428,15 +422,12 @@ def steps_to_variance_convergence(
     The variance gap closes at the squared decay rate, so this is the
     mean-convergence count with twice the log-decay in the denominator.
     """
-    if tol <= 0.0:
-        raise ConfigError("tol must be positive", "tol")
+    decay, tol = _log_decay(rate), _real(tol, "tol", 0, math.inf, closed=False)
     rest = resting_variance(rate, target_variance)
-    gap = abs(start_variance - rest)
+    gap = abs(_real(start_variance, "start_variance") - rest)
     if gap <= tol:
         return 0
-    return math.ceil(
-        (math.log(tol) - math.log(gap)) / (2.0 * math.log(1.0 - rate))
-    )
+    return math.ceil((math.log(tol) - math.log(gap)) / (2.0 * decay))
 
 
 @dataclass(frozen=True)
@@ -495,8 +486,8 @@ def build_prediction(
     default generator is seeded to zero so repeated calls agree; pass an
     explicit generator to control the stream.
     """
-    if not 0.0 < rate < 1.0:
-        raise ConfigError("rate must lie strictly between 0 and 1", "rate")
+    rate = _real(rate, "rate", closed=False)
+    reliability, model = _real(reliability, "reliability"), _model(model)
     if rng is None:
         rng = np.random.default_rng(0)
     moments = estimate_target_moments(

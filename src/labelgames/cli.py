@@ -34,7 +34,7 @@ from .experiment import (
     sweep,
     validate_predictions,
 )
-from .game import ConfigError, dialogues_per_timestep
+from .game import ConfigError, _integer, dialogues_per_timestep
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -213,8 +213,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_predict(args) -> int:
     config = _load(args)
-    if args.samples < 1:
-        raise ConfigError("--samples must be at least 1")
+    _integer(args.samples, "--samples", 1)
     if not args.tol > 0.0:
         raise ConfigError("--tol must be positive")
     game = config.game
@@ -317,8 +316,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_validate(args) -> int:
     config = _load(args)
-    if args.samples < 1:
-        raise ConfigError("--samples must be at least 1")
+    _integer(args.samples, "--samples", 1)
     rows = validate_predictions(config, args.h_values, n_samples=args.samples)
     for row in rows:
         print(

@@ -38,8 +38,9 @@ from .game import (
     _apply_sequential,
     _draw_schedule,
     _initial_state,
-    _count,
+    _integer,
     _memberships,
+    _real,
     _stacked_timestep,
     dialogues_per_timestep,
 )
@@ -60,11 +61,10 @@ def mix_seed(master_seed: int, stream: int) -> int:
     streams offset far above any plausible run count.  The function is
     pure, so any subset of runs can be reproduced in isolation.
     """
-    if not 0 <= master_seed < 1 << 64:
-        raise ValueError("master_seed must fit in 64 bits")
-    if stream < 0:
-        raise ValueError("stream must be non-negative")
-    z = (master_seed + (stream + 1) * 0x9E3779B97F4A7C15) & _MASK64
+    seed = _integer(master_seed, "master_seed", 0)
+    if seed >= 1 << 64:
+        raise ConfigError(f"master_seed must fit in 64 bits, got {seed}", "master_seed")
+    z = (seed + (_integer(stream, "stream", 0) + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
@@ -82,14 +82,13 @@ class ExperimentConfig:
     outputs: str | Path | None = None
 
     def __post_init__(self) -> None:
-        _count(self, "runs", 1)
-        seed = _count(self, "master_seed", 0)
-        if seed >= 1 << 64:
-            raise ConfigError(f"master_seed must fit in 64 bits, got {seed}", "master_seed")
-        every = _count(self, "record_every", 1)
-        if every > self.game.timesteps:
+        for name, least in (("runs", 1), ("master_seed", 0), ("record_every", 1)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
+        mix_seed(self.master_seed, 0)  # refuses a seed past 64 bits
+        if self.record_every > self.game.timesteps:
             raise ConfigError(
-                f"record_every ({every}) cannot exceed timesteps ({self.game.timesteps})",
+                f"record_every ({self.record_every}) cannot exceed "
+                f"timesteps ({self.game.timesteps})",
                 "record_every",
             )
         for label, (lo, hi) in zip(self.game.labels, self.env.intervals):
@@ -374,7 +373,7 @@ def _subdir_config(
     return replace(config, outputs=Path(config.outputs) / name)
 
 
-def _check_distinct(name: str, values) -> None:
+def _check_distinct(field: str, values) -> None:
     """Refuse two values that would share an output subdirectory and row label.
 
     Both are named with ``:g``, so values that format alike would run
@@ -385,7 +384,7 @@ def _check_distinct(name: str, values) -> None:
         label = f"{value:g}"
         if label in seen:
             raise ConfigError(
-                f"{name}: {seen[label]!r} and {value!r} both format as {label}"
+                f"{field} values {seen[label]!r} and {value!r} both format as {label}", field
             )
         seen[label] = value
 
@@ -410,8 +409,9 @@ def sweep(
     """
     if parameter not in _SWEEP_FIELDS:
         raise ConfigError("parameter must be one of 'w' or 'h'", "parameter")
-    values = [float(value) for value in values]
-    _check_distinct(f"{parameter} values", values)
+    field = _SWEEP_FIELDS[parameter]
+    values = [_real(value, field, closed=field == "reliability") for value in values]
+    _check_distinct(field, values)
     subs = [
         _subdir_config(_with_parameter(config, parameter, value), f"{parameter}_{value:g}")
         for value in values
@@ -439,8 +439,8 @@ def compare_models(
 
     Every config is built and checked before the first run.
     """
-    ws = [float(w) for w in w_values]
-    _check_distinct("w values", ws)
+    ws = [_real(w, "reliability") for w in w_values]
+    _check_distinct("reliability", ws)
     subs = [
         _subdir_config(
             replace(config, game=replace(config.game, reliability=w, model=model)),
@@ -503,10 +503,9 @@ def validate_predictions(
         raise ConfigError(
             "prediction validation requires one reliability for all agents", "reliability"
         )
-    if n_samples < 1:
-        raise ConfigError("n_samples must be at least 1", "n_samples")
-    rates = [float(rate) for rate in rate_values]
-    _check_distinct("rates", rates)
+    n_samples = _integer(n_samples, "n_samples", 1)
+    rates = [_real(rate, "rate", closed=False) for rate in rate_values]
+    _check_distinct("rate", rates)
     subs = [
         _subdir_config(_with_parameter(config, "h", rate), f"h_{rate:g}")
         for rate in rates

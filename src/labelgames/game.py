@@ -6,10 +6,14 @@ complement).  In a dialogue the speaker observes a point of the unit square,
 asserts the signed conjunction it judges most apt, and the listener nudges its
 own weight toward the weight implied by that assertion.
 
-``GameConfig`` holds a game's parameters and checks them on
-construction.  Every value the library refuses, here or in the
-experiment and analysis modules, raises ``ConfigError``, which names the
-refused field.
+Each kind of input value has one checking rule, written once here:
+``_integer`` (an int of at least a minimum), ``_real`` (a float in a
+closed or open range), ``_per_agent`` (one value in [0, 1], or one per
+agent, kept as a tuple) and ``_model`` (the int 1 or 2).  Bools,
+strings, NaN and arrays are refused where a number belongs.
+``GameConfig``, the single-agent API and the experiment and analysis
+entry points check every value through them and keep plain ints, floats
+and tuples; a refusal raises ``ConfigError``, which names the field.
 
 Model 1 listeners update only when their current membership for the asserted
 compound does not exceed the speaker's reliability; model 2 listeners update
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import enum
 import functools
-import operator
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -110,20 +114,41 @@ class ConfigError(ValueError):
         return self.message if self.line is None else f"line {self.line}: {self.message}"
 
 
-def _count(owner, name: str, least: int) -> int:
-    """Store the named field of a frozen dataclass as an int of at least ``least``.
-
-    numpy integers are accepted; floats, even integral ones, are not.
-    """
-    value = getattr(owner, name)
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}", name) from None
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an int of at least ``least``; numpy integers pass, bools and floats do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}", name)
     if value < least:
         raise ConfigError(f"{name} must be at least {least}, got {value}", name)
-    object.__setattr__(owner, name, value)
-    return value
+    return int(value)
+
+
+def _real(value, name: str, lo=0, hi=1, closed: bool = True) -> float:
+    """``value`` as a float in [lo, hi], or in (lo, hi) when not ``closed``.
+
+    Python and numpy reals pass; bools, strings, arrays and NaN do not.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if real and (lo <= value <= hi if closed else lo < value < hi):
+        return float(value)
+    span = f"[{lo}, {hi}]" if closed else f"({lo}, {hi})"
+    raise ConfigError(f"{name} must lie in {span}, got {value!r}", name)
+
+
+def _per_agent(value, name: str, n: int) -> float | tuple[float, ...]:
+    """One value in [0, 1] for all agents, or n as a tuple, list or 1-d array, kept as a tuple."""
+    if not isinstance(value, (tuple, list, np.ndarray)):
+        return _real(value, name)
+    if isinstance(value, np.ndarray) and value.ndim != 1 or len(value) != n:
+        raise ConfigError(f"{name} must be one value or {n}, one per agent", name)
+    return tuple(_real(v, name) for v in value)
+
+
+def _model(value) -> int:
+    """The update rule, the int 1 or 2."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool) and value in (1, 2):
+        return int(value)
+    raise ConfigError(f"model must be 1 or 2, got {value!r}", "model")
 
 
 @dataclass(frozen=True)
@@ -141,32 +166,22 @@ class GameConfig:
     schedule: str = "ordered"
 
     def __post_init__(self) -> None:
-        n = _count(self, "n_agents", 2)
-        _count(self, "timesteps", 1)
-        if not 0.0 < self.rate < 1.0:
-            raise ConfigError(f"update rate must lie in (0, 1), got {self.rate}", "rate")
-        if self.model not in (1, 2):
-            raise ConfigError(f"model must be 1 or 2, got {self.model}", "model")
-        if len(self.labels) != 2 or any(l.space.dims != 1 for l in self.labels):
+        n = _integer(self.n_agents, "n_agents", 2)
+        dialogues_per_timestep(n, self.schedule)  # refuses an unknown schedule
+        init = self.weight_init
+        for name, value in (
+            ("n_agents", n),
+            ("timesteps", _integer(self.timesteps, "timesteps", 1)),
+            ("rate", _real(self.rate, "rate", closed=False)),
+            ("model", _model(self.model)),
+            ("reliability", _per_agent(self.reliability, "reliability", n)),
+            ("weight_init", None if init is None else _per_agent(init, "weight_init", n)),
+        ):
+            object.__setattr__(self, name, value)
+        if not (isinstance(self.labels, tuple) and len(self.labels) == 2) or any(
+            not isinstance(l, Label) or l.space.dims != 1 for l in self.labels
+        ):
             raise ConfigError("the game is played over exactly two 1-d labels", "labels")
-        if isinstance(self.reliability, tuple):
-            if len(self.reliability) != n:
-                raise ConfigError("per-agent reliability list must match n_agents", "reliability")
-            if any(not 0.0 <= r <= 1.0 for r in self.reliability):
-                raise ConfigError("reliabilities must lie in [0, 1]", "reliability")
-        elif not 0.0 <= self.reliability <= 1.0:
-            raise ConfigError(f"reliability must lie in [0, 1], got {self.reliability}", "reliability")
-        if isinstance(self.weight_init, tuple):
-            if len(self.weight_init) != n:
-                raise ConfigError("per-agent weight list must match n_agents", "weight_init")
-            if any(not 0.0 <= v <= 1.0 for v in self.weight_init):
-                raise ConfigError("initial weights must lie in [0, 1]", "weight_init")
-        elif self.weight_init is not None and not 0.0 <= self.weight_init <= 1.0:
-            raise ConfigError(f"initial weight must lie in [0, 1], got {self.weight_init}", "weight_init")
-        if self.schedule not in ("ordered", "unordered"):
-            raise ConfigError(
-                f"schedule must be 'ordered' or 'unordered', got {self.schedule!r}", "schedule"
-            )
 
 
 def _initial_state(config: GameConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -180,11 +195,11 @@ def _initial_state(config: GameConfig, rng: np.random.Generator) -> tuple[np.nda
 
 
 def dialogues_per_timestep(n_agents: int, schedule: str = "ordered") -> int:
-    if schedule == "ordered":
-        return n_agents * (n_agents - 1)
-    if schedule == "unordered":
-        return n_agents * (n_agents - 1) // 2
-    raise ConfigError(f"unknown schedule {schedule!r}", "schedule")
+    """Dialogues in one timestep: one per ordered pair of agents, or per unordered pair."""
+    n = _integer(n_agents, "n_agents", 2)
+    if isinstance(schedule, str) and schedule in ("ordered", "unordered"):
+        return n * (n - 1) // (1 if schedule == "ordered" else 2)
+    raise ConfigError(f"schedule must be 'ordered' or 'unordered', got {schedule!r}", "schedule")
 
 
 def _assertion(share: float, m1: float, m2: float) -> AssertionIndex:
@@ -229,16 +244,9 @@ def _dialogue(
     return asserted, (_solve(mu_first, mu_second, rel) if wants_update else None)
 
 
-def _check_unit(**values: float) -> None:
-    """Reject any weight or reliability outside [0, 1]."""
-    for name, value in values.items():
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"{name} must lie in [0, 1], got {value}", name)
-
-
 def choose_assertion(weight: float, labels: tuple[Label, Label], x: tuple[float, float]) -> AssertionIndex:
     """The signed conjunction with maximal membership for a speaker of weight ``weight``; ties go to the earliest in ``ASSERTION_ORDER``."""
-    _check_unit(weight=weight)
+    weight = _real(weight, "weight")
     return _assertion(weight, labels[0].membership(x[0]), labels[1].membership(x[1]))
 
 
@@ -254,6 +262,7 @@ def implied_weight(
     and clamped to [0, 1].  Returns None when both signed memberships coincide,
     in which case no weight is implied.
     """
+    reliability = _real(reliability, "reliability")
     signed = _signed(asserted, labels[0].membership(x[0]), labels[1].membership(x[1]))
     return _solve(*signed, reliability)
 
@@ -276,7 +285,9 @@ def run_dialogue(
     dialogue, the assertion, and the target, or None when the listener
     kept its weight.
     """
-    _check_unit(w_speaker=w_speaker, w_listener=w_listener, reliability=reliability)
+    w_speaker, w_listener = _real(w_speaker, "w_speaker"), _real(w_listener, "w_listener")
+    reliability, rate = _real(reliability, "reliability"), _real(rate, "rate", closed=False)
+    model = _model(model)
     m1, m2 = labels[0].membership(x[0]), labels[1].membership(x[1])
     asserted, target = _dialogue(w_speaker, w_listener, reliability, m1, m2, model)
     if target is not None:

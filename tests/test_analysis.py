@@ -241,6 +241,31 @@ class TestTargetMoments:
                 estimate(env_b, reliability=reliability, model=model, n_samples=1000, rng=rng)
             assert rng.bit_generator.state == before
 
+    # Each Monte Carlo entry point, its checked arguments and their valid values.
+    MC_ENTRY_POINTS = [
+        (estimate_target_moments, {"reliability": 1.0, "model": 2, "n_samples": 1000}),
+        (build_prediction, {"rate": 1e-3, "reliability": 1.0, "model": 2, "n_samples": 1000}),
+        (positive_update_probability_mc, {"n_samples": 1000}),
+    ]
+
+    @pytest.mark.parametrize("field, value", [
+        ("reliability", (1.0, 0.5)), ("reliability", [1.0]), ("reliability", "1"),
+        ("reliability", True), ("reliability", np.array([1.0])),
+        ("model", 2.0), ("model", 3), ("model", True), ("model", "2"),
+        ("n_samples", 10.5), ("n_samples", 0), ("n_samples", True), ("n_samples", None),
+        ("rate", "0.1"), ("rate", 0.0), ("rate", 1.0), ("rate", math.nan), ("rate", True),
+    ])
+    def test_refused_argument_leaves_the_generator_untouched(self, env_b, field, value):
+        for estimate, valid in self.MC_ENTRY_POINTS:
+            if field not in valid:
+                continue
+            rng = np.random.default_rng(5)
+            before = rng.bit_generator.state
+            with pytest.raises(ConfigError) as info:
+                estimate(env_b, **{**valid, field: value}, rng=rng)
+            assert info.value.field == field
+            assert rng.bit_generator.state == before
+
     def test_streaming_estimate_matches_direct_computation(self, env_b):
         from labelgames.game import batch_implied_weights
         from labelgames.labels import canonical_label_pair

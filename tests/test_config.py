@@ -106,8 +106,8 @@ class TestErrors:
 
     def test_range_checks(self):
         assert "at least 2" in err("agents = 1\n" + MINIMAL).message
-        assert "update rate must lie in (0, 1)" in err("h = 0\n" + MINIMAL).message
-        assert "update rate" in err("h = 1.5\n" + MINIMAL).message
+        assert "rate must lie in (0, 1)" in err("h = 0\n" + MINIMAL).message
+        assert "rate must lie in (0, 1)" in err("h = 1.5\n" + MINIMAL).message
         assert "[0, 1]" in err("w = 1.2\n" + MINIMAL).message
         assert "1 or 2" in err("model = 3\n" + MINIMAL).message
         assert "at least 1" in err("runs = 0\n" + MINIMAL).message
@@ -133,7 +133,7 @@ class TestErrors:
         assert "must have lo < hi" in err(
             "env.x1 = uniform(0.5, 0.2)\nenv.x2 = uniform(0, 0.5)\n"
         ).message
-        assert "within the unit square" in err(
+        assert "intervals[0] must lie in [0, 1]" in err(
             "env.x1 = uniform(0, 1.5)\nenv.x2 = uniform(0, 0.5)\n"
         ).message
 

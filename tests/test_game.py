@@ -15,6 +15,7 @@ from labelgames.experiment import ExperimentConfig, run_experiment, run_single
 from labelgames.game import (
     ASSERTION_ORDER,
     AssertionIndex,
+    ConfigError,
     GameConfig,
     batch_implied_weights,
     choose_assertion,
@@ -91,6 +92,19 @@ class TestAgentState:
                 run_dialogue(0.5, bad, 1.0, LABELS, (0.8, 0.6), 1e-3, 1)
             with pytest.raises(ValueError, match="reliability"):
                 run_dialogue(0.5, 0.5, bad, LABELS, (0.8, 0.6), 1e-3, 1)
+            with pytest.raises(ConfigError, match="reliability"):
+                implied_weight(AssertionIndex.BOTH, LABELS, (0.3, 0.8), bad)
+        for bad in (5.0, "1", True):
+            with pytest.raises(ConfigError, match="reliability"):
+                implied_weight(AssertionIndex.BOTH, LABELS, (0.3, 0.8), bad)
+        for rate in (2.0, 1.0, 0.0, float("nan"), "0.1", True):
+            with pytest.raises(ConfigError, match="rate") as info:
+                run_dialogue(0.5, 0.5, 1.0, LABELS, (0.3, 0.8), rate, 2)
+            assert info.value.field == "rate"
+        for model in (3, 0, 2.0, True):
+            with pytest.raises(ConfigError, match="model must be 1 or 2") as info:
+                run_dialogue(0.5, 0.5, 1.0, LABELS, (0.3, 0.8), 0.1, model)
+            assert info.value.field == "model"
 
 
 class TestGameConfig:
@@ -153,11 +167,21 @@ class TestScheduleSize:
     def test_ordered_pair_count(self):
         assert dialogues_per_timestep(10) == 90
         assert dialogues_per_timestep(2) == 2
+        assert dialogues_per_timestep(np.int64(3)) == 6
+
+    @pytest.mark.parametrize("n_agents", [2.5, 2.0, 1, 0, -3, True, "10", None])
+    def test_needs_an_integer_count_of_at_least_two(self, n_agents):
+        for schedule in ("ordered", "unordered"):
+            with pytest.raises(ConfigError) as info:
+                dialogues_per_timestep(n_agents, schedule)
+            assert info.value.field == "n_agents"
 
     def test_unordered_pair_count(self):
         assert dialogues_per_timestep(10, "unordered") == 45
-        with pytest.raises(ValueError):
-            dialogues_per_timestep(10, "weekly")
+        for schedule in ("weekly", None, ["ordered"], np.array(["ordered", "unordered"])):
+            with pytest.raises(ConfigError) as info:
+                dialogues_per_timestep(10, schedule)
+            assert info.value.field == "schedule"
 
 
 class TestPairCache:
