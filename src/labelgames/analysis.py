@@ -387,18 +387,18 @@ def variance_trajectory(start_variance, target_variance, rate, steps):
     rest = resting_variance(rate, target_variance)
     steps_arr = np.asarray(steps, dtype=np.float64)
     decay = np.power(1.0 - rate, 2.0 * steps_arr)
-    value = start_variance * decay + rest * (1.0 - decay)
+    value = _real(start_variance, "start_variance") * decay + rest * (1.0 - decay)
     if steps_arr.ndim == 0:
         return float(value)
     return value
 
 
-def _log_decay(rate) -> float:
-    """log(1 - rate); a rate at which 1 - rate rounds to 1 never closes a gap and is refused."""
-    decay = math.log(1.0 - _real(rate, "rate", closed=False))
-    if decay == 0.0:
+def _rate(rate) -> float:
+    """``rate`` in (0, 1); one at which 1 - rate rounds to 1 never closes a gap and is refused."""
+    rate = _real(rate, "rate", closed=False)
+    if 1.0 - rate == 1.0:
         raise ConfigError(f"rate {rate!r} is too small: 1 - rate rounds to 1", "rate")
-    return decay
+    return rate
 
 
 def steps_to_mean_convergence(start_mean, target_mean, rate, tol) -> int:
@@ -407,7 +407,7 @@ def steps_to_mean_convergence(start_mean, target_mean, rate, tol) -> int:
     Zero when the start is already within tolerance of the target.
     """
     start_mean, target_mean = _real(start_mean, "start_mean"), _real(target_mean, "target_mean")
-    decay, tol = _log_decay(rate), _real(tol, "tol", 0, math.inf, closed=False)
+    decay, tol = math.log(1.0 - _rate(rate)), _real(tol, "tol", 0, math.inf, closed=False)
     gap = abs(start_mean - target_mean)
     if gap <= tol:
         return 0
@@ -422,7 +422,7 @@ def steps_to_variance_convergence(
     The variance gap closes at the squared decay rate, so this is the
     mean-convergence count with twice the log-decay in the denominator.
     """
-    decay, tol = _log_decay(rate), _real(tol, "tol", 0, math.inf, closed=False)
+    decay, tol = math.log(1.0 - _rate(rate)), _real(tol, "tol", 0, math.inf, closed=False)
     rest = resting_variance(rate, target_variance)
     gap = abs(_real(start_variance, "start_variance") - rest)
     if gap <= tol:
@@ -486,8 +486,7 @@ def build_prediction(
     default generator is seeded to zero so repeated calls agree; pass an
     explicit generator to control the stream.
     """
-    rate = _real(rate, "rate", closed=False)
-    reliability, model = _real(reliability, "reliability"), _model(model)
+    rate, reliability, model = _rate(rate), _real(reliability, "reliability"), _model(model)
     if rng is None:
         rng = np.random.default_rng(0)
     moments = estimate_target_moments(

@@ -30,10 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import Environment, build_prediction
+from .analysis import Environment, _rate, build_prediction
 from .game import (
     ConfigError,
     GameConfig,
+    _INT32_IDS,
     _STACK_BYTES_PER_DIALOGUE,
     _apply_sequential,
     _draw_schedule,
@@ -84,6 +85,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         for name, least in (("runs", 1), ("master_seed", 0), ("record_every", 1)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, least))
+        _integer(self.runs, "runs", 1, (_INT32_IDS - 1) // self.game.n_agents)  # int32 lane ids
         mix_seed(self.master_seed, 0)  # refuses a seed past 64 bits
         if self.record_every > self.game.timesteps:
             raise ConfigError(
@@ -157,7 +159,6 @@ def _drive(config: ExperimentConfig, run_ids, advance) -> list[RunRecord]:
     game = config.game
     n = game.n_agents
     runs = len(run_ids)
-    per_run = dialogues_per_timestep(n, game.schedule)
     rngs = [np.random.default_rng(mix_seed(config.master_seed, r)) for r in run_ids]
     states = [_initial_state(game, rng) for rng in rngs]
     weights = np.concatenate([w for w, _ in states])
@@ -168,7 +169,7 @@ def _drive(config: ExperimentConfig, run_ids, advance) -> list[RunRecord]:
     stats = [_population_stats(weights.reshape(runs, n))]
     for t in range(1, game.timesteps + 1):
         speakers, listeners = _draw_schedule(n, game.schedule, rngs)
-        m1, m2 = _memberships(game.labels, config.env.sample_runs(rngs, per_run))
+        m1, m2 = _memberships(game.labels, config.env.sample_runs(rngs, speakers.size // runs))
         weights = advance(weights, rels, m1, m2, speakers, listeners)
         # The next timestep draws its arrays only after these are freed.
         del speakers, listeners, m1, m2
@@ -407,7 +408,7 @@ def sweep(
     full experiment into a subdirectory named after the value.  Every
     value's config is built and checked before the first run.
     """
-    if parameter not in _SWEEP_FIELDS:
+    if not (isinstance(parameter, str) and parameter in _SWEEP_FIELDS):
         raise ConfigError("parameter must be one of 'w' or 'h'", "parameter")
     field = _SWEEP_FIELDS[parameter]
     values = [_real(value, field, closed=field == "reliability") for value in values]
@@ -504,7 +505,7 @@ def validate_predictions(
             "prediction validation requires one reliability for all agents", "reliability"
         )
     n_samples = _integer(n_samples, "n_samples", 1)
-    rates = [_real(rate, "rate", closed=False) for rate in rate_values]
+    rates = [_rate(rate) for rate in rate_values]
     _check_distinct("rate", rates)
     subs = [
         _subdir_config(_with_parameter(config, "h", rate), f"h_{rate:g}")

@@ -28,8 +28,8 @@ helpers; ``choose_assertion``, ``implied_weight`` and ``run_dialogue``
 wrap them for single agents and take floats.  ``_apply_sequential`` is the
 reference: it plays the dialogues one at a time through ``_dialogue`` on a
 float array of weights, given each dialogue's memberships.
-``_draw_schedule`` shuffles one timestep's pairs for any number of runs
-in one pass, each run from its own generator.  ``_stacked_timestep`` is
+``_draw_schedule`` shuffles and decodes one timestep's pairs for any number
+of runs in one pass, each from its own generator.  ``_stacked_timestep`` is
 the one array kernel: given the dialogues' memberships, it advances
 those runs at once, stacked lane by lane, on a (round, lane) grid of
 dialogues sorted by listener, which it builds one block of rounds at a
@@ -47,7 +47,6 @@ margin.
 from __future__ import annotations
 
 import enum
-import functools
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -114,12 +113,14 @@ class ConfigError(ValueError):
         return self.message if self.line is None else f"line {self.line}: {self.message}"
 
 
-def _integer(value, name: str, least: int) -> int:
-    """``value`` as an int of at least ``least``; numpy integers pass, bools and floats do not."""
+def _integer(value, name: str, least: int, most: int | None = None) -> int:
+    """``value`` as an int in [least, most]; numpy integers pass, bools and floats do not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}", name)
     if value < least:
         raise ConfigError(f"{name} must be at least {least}, got {value}", name)
+    if most is not None and value > most:
+        raise ConfigError(f"{name} must be at most {most}, got {value}", name)
     return int(value)
 
 
@@ -166,7 +167,7 @@ class GameConfig:
     schedule: str = "ordered"
 
     def __post_init__(self) -> None:
-        n = _integer(self.n_agents, "n_agents", 2)
+        n = _integer(self.n_agents, "n_agents", 2, 46_341)  # n(n-1) < _INT32_IDS
         dialogues_per_timestep(n, self.schedule)  # refuses an unknown schedule
         init = self.weight_init
         for name, value in (
@@ -354,48 +355,44 @@ def _signed_targets(m1: np.ndarray, m2: np.ndarray, reliability, signs=None):
     return targets, usable, m1, m2
 
 
-@functools.lru_cache(maxsize=1)
-def _base_pairs(n: int, schedule: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed canonical enumeration of the schedule's pairs as int32.
+def _pairs(q, n: int, schedule: str):
+    """The two agents of each int32 pair id ``q``, speaker-major or row-major i < j.
 
-    Only the last size is cached: every timestep of an experiment, sweep
-    or comparison uses one size, and an older size's arrays are freed.
+    Ordered: speaker s = q // (n-1), listener k + (k >= s) with k = q mod (n-1).
+    Unordered: c = n(n-1)/2 - 1 - q counts back from the last pair; i = n-2-r and
+    j = n-1 - (c - r(r+1)/2) with r = floor((sqrt(8c+1) - 1) / 2), exact since
+    8c+1 < 2**35 is an exact double and sqrt is correctly rounded; r(r+1) < 2**31.
     """
     if schedule == "ordered":
-        grid = np.arange(n, dtype=np.int32)
-        firsts = np.repeat(grid, n - 1)
-        seconds = np.concatenate([np.delete(grid, i) for i in range(n)])
-    else:
-        firsts, seconds = (a.astype(np.int32) for a in np.triu_indices(n, k=1))
-    return firsts, seconds
+        first = q // (n - 1)  # np.divmod is slower on int32 arrays
+        second = q - first * (n - 1)
+        return first, second + (second >= first)
+    c = (n * (n - 1) // 2 - 1) - q
+    r = ((np.sqrt(8.0 * c + 1.0) - 1.0) * 0.5).astype(np.int32)  # truncation is floor here
+    return (n - 2) - r, (n - 1) - (c - (r * (r + 1) >> 1))
 
 
 def _draw_schedule(n: int, schedule: str, rngs: Sequence[np.random.Generator]):
     """Speaker and listener lane ids for one timestep of every run, freshly shuffled.
 
-    Run r draws from ``rngs[r]`` alone; its agents are lanes r*n to
-    r*n + n-1 and its dialogues fill the r-th block of the int32 arrays, so
-    a single generator gives plain agent ids.  Consumption order of each
-    generator is part of the determinism contract: first the pair
-    permutation, then (unordered only) the role coins, then the caller
-    draws the observations.  Shuffling an ``arange`` in place consumes
-    exactly the draws of ``rng.permutation``, and ``rng.random(out=row)``
-    those of ``rng.random(row.size)``; the pair lookup and lane offsets
-    then run once over the whole stack.
+    Run r draws from ``rngs[r]`` alone; its agents are lanes r*n to r*n + n-1 and
+    its dialogues fill the r-th block of the int32 arrays.  Each generator draws
+    the pair permutation, then (unordered only) the role coins, a coin below 1/2
+    keeping the first agent as speaker; the caller then draws the observations.
+    Shuffling an intp ``arange`` (twice as fast as int32) in place and
+    ``rng.random(out=row)`` consume exactly the draws of ``rng.permutation`` and
+    ``rng.random(row.size)``; ``_pairs`` and the lane offsets run once per stack.
     """
-    firsts, seconds = _base_pairs(n, schedule)
-    runs = len(rngs)
-    picks = np.empty((runs, firsts.size), dtype=np.intp)
-    picks[:] = np.arange(firsts.size)
+    picks = np.empty((len(rngs), dialogues_per_timestep(n, schedule)), dtype=np.intp)
+    picks[:] = np.arange(picks.shape[1])
     coins = np.empty(picks.shape) if schedule == "unordered" else None
     for r, rng in enumerate(rngs):
         rng.shuffle(picks[r])
         if coins is not None:
             rng.random(out=coins[r])
-    offsets = np.arange(0, runs * n, n, dtype=np.int32)[:, np.newaxis]
-    speakers = firsts[picks]
+    speakers, listeners = _pairs(picks.astype(np.int32), n, schedule)
+    offsets = np.arange(0, len(rngs) * n, n, dtype=np.int32)[:, np.newaxis]
     speakers += offsets
-    listeners = seconds[picks]
     listeners += offsets
     if coins is not None:
         heads = coins < 0.5
@@ -497,16 +494,19 @@ _MARGIN = 2.0**-50
 # Elements that one step of a chunked loop converts or computes at once.
 _CHUNK = 1 << 16
 
+# Pair and lane ids are int32: below 2**31 of each, so at most 46,341 agents.
+_INT32_IDS = 2**31
+
 # Bytes one stacked timestep holds per dialogue at its peak: the drawn
 # schedule, the memberships, the take-index and one block of the (round,
 # lane) grid with its temporaries.  Measured peaks (ru_maxrss of
-# two-timestep runs, above the RSS after imports): 73 bytes for 1000
-# agents with no pinned lane, 74 with every lane pinned at weight 1 and 82
+# two-timestep runs, above the RSS after imports): 58 bytes for 1000
+# agents with no pinned lane, 59 with every lane pinned at weight 1 and 67
 # when the run falls back; for 2000 unordered runs of 20 agents, whose
-# padded take-index has about twice as many slots as dialogues, 94 with no
-# pinned lane and 94 with every lane pinned.  The constant is the largest
-# of these plus about a quarter.
-_STACK_BYTES_PER_DIALOGUE = 120
+# padded take-index has about twice as many slots as dialogues, 100 with
+# no pinned lane and 94 with every lane pinned.  The constant is the
+# largest of these plus about a quarter.
+_STACK_BYTES_PER_DIALOGUE = 125
 
 
 def _sign_margin(m: np.ndarray, runs: int) -> np.ndarray:

@@ -15,8 +15,10 @@ from hypothesis import settings
 from labelgames.analysis import Environment
 
 # ``pytest --hypothesis-profile=deep`` runs the kernel's differential test
-# (test_game.py, ``test_matches_a_sequential_replay_of_every_run``) and the
-# input-contract property (test_inputs.py,
+# (test_game.py, ``test_matches_a_sequential_replay_of_every_run``), the
+# whole-run spec (test_experiment.py,
+# ``test_run_experiment_equals_the_spec_run_by_run``) and the input-contract
+# property (test_inputs.py,
 # ``test_each_value_is_stored_plain_or_refused_naming_its_field``) at 3,000
 # examples; by default each runs 300.
 settings.register_profile("deep", max_examples=3000)

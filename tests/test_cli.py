@@ -2,10 +2,12 @@
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from labelgames import analysis
 from labelgames.cli import build_parser, main
 
 BASE = """\
@@ -131,7 +133,7 @@ class TestErrorPaths:
 
     def test_oversized_population_is_refused_before_any_compute(self, tmp_path, capsys):
         huge = tmp_path / "huge.cfg"
-        huge.write_text(BASE.replace("agents = 4", "agents = 200000"))
+        huge.write_text(BASE.replace("agents = 4", "agents = 40000").replace("runs = 2", "runs = 1000"))
         out = tmp_path / "out"
         start = time.perf_counter()
         assert run_cli("simulate", "--config", huge, "--out", out) == 2
@@ -198,6 +200,14 @@ class TestPredict:
         cfg.write_text("w = 0\n" + BASE)
         assert run_cli("predict", "--config", cfg, "--samples", 5000) == 1
         assert "prediction failed" in capsys.readouterr().err
+
+    def test_rejects_a_rate_too_small_to_converge_before_sampling(self, tmp_path, capsys):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(MODEL2.replace("h = 0.05", "h = 1e-20"))
+        with mock.patch.object(analysis, "estimate_target_moments", side_effect=AssertionError):
+            assert run_cli("predict", "--config", cfg, "--samples", 1000) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "rate" in err
 
     def test_rejects_bad_sample_count_and_tolerance_up_front(self, model2_cfg, tmp_path, capsys):
         out = tmp_path / "pred"

@@ -1,5 +1,7 @@
 """Seeding, run replication, persistence, and the stacked engine."""
 
+import gc
+import itertools
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -7,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from labelgames import experiment, game
+from labelgames import experiment
 from labelgames.analysis import Environment
 from labelgames.experiment import (
     AGGREGATE_CSV_HEADER,
@@ -29,7 +33,7 @@ from labelgames.experiment import (
     validate_predictions,
 )
 from labelgames.experiment import _run_stacked
-from labelgames.game import _STACK_BYTES_PER_DIALOGUE, GameConfig
+from labelgames.game import _STACK_BYTES_PER_DIALOGUE, GameConfig, run_dialogue
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -167,15 +171,14 @@ class TestStackedEngine:
 
     def test_thousand_agent_timestep_peak_stays_small(self):
         # numpy reports its buffers to tracemalloc, so the traced peak of
-        # one 1000-agent timestep counts the schedule, the memberships, the
-        # take-index and the kernel's blocks of rounds: about 49 bytes per
-        # dialogue, against about 75 when the whole grid is built at once.
-        # The cached pair enumeration is built first, outside the trace.
+        # one 1000-agent timestep counts the schedule and its draw, the
+        # memberships, the take-index and the kernel's blocks of rounds:
+        # about 49 bytes per dialogue, against about 75 when the whole grid
+        # is built at once.
         config = small_config(
             n_agents=1000, timesteps=1, runs=1, rate=1e-3, model=2,
             reliability=0.8, master_seed=7,
         )
-        game._base_pairs(1000, "ordered")
         tracemalloc.start()
         try:
             run_experiment(config)
@@ -183,6 +186,125 @@ class TestStackedEngine:
         finally:
             tracemalloc.stop()
         assert peak / 999_000 < 56
+
+    def test_a_finished_run_keeps_nothing_alive(self):
+        # No pair table or other array outlives the call: what is still
+        # traced once the result is dropped is small change, not 8 bytes
+        # per dialogue of the population's size.
+        config = small_config(n_agents=1000, timesteps=1, runs=1, master_seed=7)
+        run_experiment(small_config(timesteps=1, runs=1))  # modules a run imports lazily
+        tracemalloc.start()
+        try:
+            result = run_experiment(config)
+            del result
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024
+
+
+def spec_runs(config):
+    """Each run's times, means, sds and final weights, from the documented contract alone.
+
+    Shares nothing with the engine but ``mix_seed``.  Run r draws from
+    ``default_rng(mix_seed(master_seed, r))``: its initial weights, then per
+    timestep a permutation of the pairs (ordered: speaker-major, listeners
+    ascending; unordered: row-major i < j, then one coin per dialogue, below
+    1/2 keeping i as speaker), then dimension one's and dimension two's
+    observations.  Each dialogue is played by the scalar ``run_dialogue``.
+    """
+    game = config.game
+    n, count = game.n_agents, game.n_agents * (game.n_agents - 1)
+    per_agent = lambda value: list(value) if isinstance(value, tuple) else [value] * n
+    if game.schedule == "ordered":
+        pairs = list(itertools.permutations(range(n), 2))
+    else:
+        pairs, count = list(itertools.combinations(range(n), 2)), count // 2
+    every = config.record_every
+    wanted = sorted({0, game.timesteps, *range(every, game.timesteps + 1, every)})
+    for run in range(config.runs):
+        rng = np.random.default_rng(mix_seed(config.master_seed, run))
+        w = rng.random(n).tolist() if game.weight_init is None else per_agent(game.weight_init)
+        rel = per_agent(game.reliability)
+        rows = [w[:]]
+        for t in range(1, game.timesteps + 1):
+            drawn = [pairs[k] for k in rng.permutation(count)]
+            if game.schedule == "unordered":
+                coins = rng.random(count)
+                drawn = [(i, j) if coin < 0.5 else (j, i) for (i, j), coin in zip(drawn, coins)]
+            x1, x2 = (rng.random(count) * (hi - lo) + lo for lo, hi in config.env.intervals)
+            for (s, l), a, b in zip(drawn, x1, x2):
+                w[l], _, _ = run_dialogue(
+                    w[s], w[l], rel[s], game.labels, (a, b), game.rate, game.model
+                )
+            if t in wanted:
+                rows.append(w[:])
+        yield wanted, [np.mean(r) for r in rows], [np.std(r, ddof=1) for r in rows], w
+
+
+EDGE_WEIGHTS = (0.0, 5e-324, 1e-17, 1.0 - 2.0**-53, 1.0)
+
+
+class TestWholeRunSpec:
+    @settings(max_examples=max(300, settings().max_examples), deadline=None)
+    @given(
+        n=st.integers(2, 6),
+        runs=st.integers(1, 4),
+        timesteps=st.integers(1, 5),
+        every=st.integers(1, 5),
+        model=st.sampled_from((1, 2)),
+        schedule=st.sampled_from(("ordered", "unordered")),
+        reliability=st.sampled_from(("one", "each")),
+        weight_init=st.sampled_from(("drawn", "one", "each")),
+        x1=st.sampled_from(("plain", "squeezed")),
+        x2=st.sampled_from(("plain", "squeezed")),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_run_experiment_equals_the_spec_run_by_run(
+        self, n, runs, timesteps, every, model, schedule, reliability, weight_init, x1, x2, seed
+    ):
+        # Hypothesis draws the shape; a seeded generator draws the values,
+        # which hypothesis draws far more slowly.  A third of the weights
+        # and reliabilities are edge values, and an interval is either
+        # plain or squeezed to 1/2 +- eps, where memberships sit next to
+        # the sign flip.
+        values = np.random.default_rng(seed)
+
+        def unit():
+            return EDGE_WEIGHTS[values.integers(5)] if values.random() < 1 / 3 else values.random()
+
+        def per_agent(kind):
+            return unit() if kind == "one" else tuple(unit() for _ in range(n))
+
+        def interval(kind):
+            if kind == "plain":
+                return tuple(sorted(values.random(2)))
+            eps = 10.0 ** values.uniform(-15.5, -1.0)
+            return (0.5 - eps, 0.5 + eps)
+
+        game = GameConfig(
+            n_agents=n,
+            timesteps=timesteps,
+            rate=values.uniform(1e-4, 0.999),
+            model=model,
+            reliability=per_agent(reliability),
+            weight_init=None if weight_init == "drawn" else per_agent(weight_init),
+            schedule=schedule,
+        )
+        config = ExperimentConfig(
+            game=game,
+            env=Environment((interval(x1), interval(x2))),
+            runs=runs,
+            master_seed=int(values.integers(2**64, dtype=np.uint64)),
+            record_every=min(every, timesteps),
+        )
+        records = run_experiment(config).run_records
+        for record, (times, means, sds, final) in zip(records, spec_runs(config), strict=True):
+            assert record.times.tolist() == times
+            assert np.array_equal(record.mean_weights, means)
+            assert np.array_equal(record.sd_weights, sds)
+            assert np.array_equal(record.final_weights, final)
 
 
 class TestAggregate:

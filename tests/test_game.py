@@ -1,7 +1,6 @@
 """Dialogue mechanics, the sequential reference and the stacked kernel."""
 
-import gc
-import weakref
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -184,14 +183,51 @@ class TestScheduleSize:
             assert info.value.field == "schedule"
 
 
-class TestPairCache:
-    def test_only_the_last_size_is_kept(self):
-        firsts, seconds = game._base_pairs(3, "ordered")
-        refs = [weakref.ref(firsts), weakref.ref(seconds)]
-        del firsts, seconds
-        game._base_pairs(4, "ordered")
-        gc.collect()
-        assert [ref() for ref in refs] == [None, None]
+class TestScheduleDraw:
+    @pytest.mark.parametrize("schedule", ["ordered", "unordered"])
+    def test_every_size_draws_the_documented_pair_order(self, schedule):
+        # Ordered pairs are speaker-major, listeners ascending; unordered
+        # ones row-major i < j, and a coin below 1/2 keeps i as speaker.
+        pairs_of = itertools.permutations if schedule == "ordered" else itertools.combinations
+        for n in range(2, 151):
+            flat = itertools.chain.from_iterable(pairs_of(range(n), 2))
+            pairs = np.fromiter(flat, int).reshape(-1, 2)
+            seeds = (n, 1000 + n)
+            speakers, listeners = game._draw_schedule(
+                n, schedule, [np.random.default_rng(seed) for seed in seeds]
+            )
+            for run, seed in enumerate(seeds):
+                rng = np.random.default_rng(seed)
+                want = pairs[rng.permutation(len(pairs))]
+                if schedule == "unordered":
+                    tails = rng.random(len(pairs)) >= 0.5
+                    want[tails] = want[tails, ::-1]
+                block = slice(run * len(pairs), (run + 1) * len(pairs))
+                assert speakers.dtype == listeners.dtype == np.int32
+                assert np.array_equal(speakers[block], want[:, 0] + run * n), (n, run)
+                assert np.array_equal(listeners[block], want[:, 1] + run * n), (n, run)
+
+    def test_row_boundaries_of_the_largest_population_decode_exactly(self):
+        # At 46,341 agents n(n-1) is just below 2**31, so int32 ids and
+        # products reach their limit; only the first and last pair of each
+        # row are decoded, not a whole timestep.
+        n = 46_341
+        assert n * (n - 1) < 2**31 <= (n + 1) * n
+        rows = np.arange(n)
+        starts = rows * (n - 1)
+        q = np.concatenate([starts, starts + n - 2]).astype(np.int32)
+        speakers, listeners = game._pairs(q, n, "ordered")
+        assert np.array_equal(speakers, np.concatenate([rows, rows]))
+        firsts, lasts = np.where(rows == 0, 1, 0), np.where(rows == n - 1, n - 2, n - 1)
+        assert np.array_equal(listeners, np.concatenate([firsts, lasts]))
+
+        rows = np.arange(n - 1)
+        lengths = n - 1 - rows
+        starts = np.cumsum(lengths) - lengths
+        q = np.concatenate([starts, starts + lengths - 1]).astype(np.int32)
+        i, j = game._pairs(q, n, "unordered")
+        assert np.array_equal(i, np.concatenate([rows, rows]))
+        assert np.array_equal(j, np.concatenate([rows + 1, np.full(n - 1, n - 1)]))
 
 
 class TestChooseAssertion:

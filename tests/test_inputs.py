@@ -28,6 +28,7 @@ from labelgames.analysis import (
     resting_variance,
     steps_to_mean_convergence,
     steps_to_variance_convergence,
+    variance_trajectory,
 )
 from labelgames.cli import main
 from labelgames.config import parse_config
@@ -164,6 +165,8 @@ VALUE_CASES = [
      ["compare", "--w-values", "0.5,0.5"]),
     ("validate-h-of-one", lambda c: validate_predictions(c, [1.0], n_samples=100),
      ["validate", "--h-values", "1.0", "--samples", "100"]),
+    ("validate-h-too-small-to-converge", lambda c: validate_predictions(c, [1e-20], n_samples=100),
+     ["validate", "--h-values", "1e-20", "--samples", "100"]),
     ("validate-alike-values", lambda c: validate_predictions(c, [0.05, 0.0500000001], n_samples=100),
      ["validate", "--h-values", "0.05,0.0500000001", "--samples", "100"]),
 ]
@@ -230,6 +233,11 @@ PROBES = [
     ("float-samples-share",
      lambda: positive_update_probability_mc(Environment(), 2.5, np.random.default_rng(0)), "n_samples"),
     ("nan-tolerance", lambda: steps_to_mean_convergence(0.5, 0.25, 1e-3, math.nan), "tol"),
+    ("string-start-variance", lambda: variance_trajectory("x", 0.1, 0.1, 3), "start_variance"),
+    ("list-sweep-parameter", lambda: sweep(ExperimentConfig(), ["w"], [0.5]), "parameter"),
+    # Pair and lane ids are int32; neither config runs anything.
+    ("agents-past-int32-pairs", lambda: GameConfig(n_agents=46342), "n_agents"),
+    ("runs-past-int32-lanes", lambda: ExperimentConfig(GameConfig(n_agents=2), runs=2**30), "runs"),
 ]
 
 
@@ -348,6 +356,8 @@ _TARGETS = [
     (("rate", "target_variance"), _call(resting_variance, rate=0.1, target_variance=0.2), plain),
     (("start_mean", "target_mean", "rate"),
      _call(mean_trajectory, start_mean=0.5, target_mean=0.25, rate=0.1, steps=3), plain),
+    (("start_variance", "target_variance", "rate"),
+     _call(variance_trajectory, start_variance=0.1, target_variance=0.2, rate=0.1, steps=3), plain),
     (("start_mean", "target_mean", "rate", "tol"),
      _call(steps_to_mean_convergence, start_mean=0.5, target_mean=0.25, rate=0.1, tol=0.01), plain),
     (("start_variance", "target_variance", "rate", "tol"),
