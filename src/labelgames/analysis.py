@@ -10,8 +10,9 @@ update target, the resting mean and variance of the population, and
 closed-form trajectories with convergence-step counts.
 
 Time here is counted in updates of a single agent's weight.  A simulation
-timestep gives every agent one update per dialogue it listens to, so the
-caller converts at the mean number of those, dialogues_per_timestep(n,
+timestep gives every agent one update per dialogue it listens to, so one
+conversion, ``experiment._updates_per_timestep``, turns updates into
+timesteps at the mean number of those, dialogues_per_timestep(n,
 schedule) / n: n - 1 under the ordered schedule, (n - 1) / 2 under the
 unordered one.  Every value argument is checked by ``game``'s rules, and
 a refused one raises ``ConfigError``, naming it, before any draw.
@@ -215,8 +216,8 @@ class RunningMoments:
     """Streaming count, mean, and sum of squared deviations.
 
     ``update`` folds in one batch of samples at a time by merging its
-    moments, so Monte Carlo sampling can stream through fixed-size chunks
-    without holding every sample.
+    moments into the running ones, so Monte Carlo sampling can stream
+    through fixed-size chunks without holding every sample.
     """
 
     count: int = 0
@@ -225,30 +226,19 @@ class RunningMoments:
 
     def update(self, values: np.ndarray) -> None:
         values = np.asarray(values, dtype=np.float64).ravel()
-        if values.size == 0:
+        count = values.size
+        if count == 0:
             return
-        batch_mean = float(values.mean())
-        batch = RunningMoments(
-            count=values.size,
-            mean=batch_mean,
-            sum_sq_dev=float(np.square(values - batch_mean).sum()),
-        )
-        self.merge(batch)
-
-    def merge(self, other: "RunningMoments") -> None:
-        if other.count == 0:
-            return
+        mean = float(values.mean())
+        sum_sq_dev = float(np.square(values - mean).sum())
         if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self.sum_sq_dev = other.sum_sq_dev
+            # The first batch is taken as it is: mean * count / count need not be mean.
+            self.count, self.mean, self.sum_sq_dev = count, mean, sum_sq_dev
             return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self.mean += delta * other.count / total
-        self.sum_sq_dev += (
-            other.sum_sq_dev + delta * delta * self.count * other.count / total
-        )
+        total = self.count + count
+        delta = mean - self.mean
+        self.mean += delta * count / total
+        self.sum_sq_dev += sum_sq_dev + delta * delta * self.count * count / total
         self.count = total
 
     @property

@@ -6,9 +6,10 @@ the library, before any compute.  It checks just its own flags,
 ``ConfigError`` (a missing or malformed config file, with the offending
 line where a file gave the value, any refused value, or a population
 whose timestep cannot fit in memory), 3 for I/O failures.  Summary output
-goes to standard output as ``key=value`` tokens; optional plot data is
-written as two-column whitespace-delimited ``.dat`` files that any
-plotting tool can read.
+goes to standard output as ``key=value`` tokens.  Each command's handler
+returns its exit code and its curves; under ``--emit-plot-data``, ``main``
+writes each curve as a two-column, space-separated ``<command>_<curve>.dat``
+file that any plotting tool can read, through the library's one writer.
 """
 
 from __future__ import annotations
@@ -21,20 +22,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import EstimationError, NonConvergenceError, build_prediction
+from .analysis import EstimationError, NonConvergenceError
 from .config import load_config
 from .experiment import (
-    _PREDICTION_STREAM_BASE,
     ExperimentConfig,
     _format,
+    _prediction,
+    _updates_per_timestep,
+    _write_rows,
     compare_models,
-    mix_seed,
     record_times,
     run_experiment,
     sweep,
     validate_predictions,
 )
-from .game import ConfigError, _integer, dialogues_per_timestep
+from .game import ConfigError, _integer
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -165,19 +167,6 @@ def _load(args) -> ExperimentConfig:
     return config
 
 
-def _plot_dir(args) -> Path:
-    return Path(args.out) if args.out is not None else Path(".")
-
-
-def _emit_series(directory: Path, experiment: str, curve: str, xs, ys) -> None:
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    directory.mkdir(parents=True, exist_ok=True)
-    lines = [f"{_format(x)} {_format(y)}" for x, y in zip(xs, ys)]
-    path = directory / f"{experiment}_{curve}.dat"
-    path.write_text("\n".join(lines) + "\n")
-
-
 def _start_moments(config: ExperimentConfig) -> tuple[float, float]:
     """Mean and cross-agent variance of the initial weights.
 
@@ -193,52 +182,29 @@ def _start_moments(config: ExperimentConfig) -> tuple[float, float]:
     return float(init), 0.0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple[int, dict]:
     config = _load(args)
-    result = run_experiment(config)
-    aggregate = result.aggregate
+    aggregate = run_experiment(config).aggregate
     print(f"final_mean_lambda={_format(aggregate.mean_of_means[-1])}")
     print(f"final_sd_lambda={_format(aggregate.mean_sd[-1])}")
-    if args.emit_plot_data:
-        directory = _plot_dir(args)
-        _emit_series(
-            directory, "simulate", "mean", aggregate.times,
-            aggregate.mean_of_means,
-        )
-        _emit_series(
-            directory, "simulate", "sd", aggregate.times, aggregate.mean_sd
-        )
-    return 0
+    times = aggregate.times
+    return 0, {"mean": (times, aggregate.mean_of_means), "sd": (times, aggregate.mean_sd)}
 
 
-def _cmd_predict(args) -> int:
+def _cmd_predict(args) -> tuple[int, dict]:
     config = _load(args)
     _integer(args.samples, "--samples", 1)
     if not args.tol > 0.0:
         raise ConfigError("--tol must be positive")
-    game = config.game
     try:
-        prediction = build_prediction(
-            config.env,
-            game.rate,
-            reliability=game.reliability,
-            model=game.model,
-            n_samples=args.samples,
-            rng=np.random.default_rng(
-                mix_seed(config.master_seed, _PREDICTION_STREAM_BASE)
-            ),
-            labels=game.labels,
-        )
+        prediction = _prediction(config, config.game.rate, args.samples)
     except (EstimationError, NonConvergenceError) as err:
         print(f"prediction failed: {err}", file=sys.stderr)
-        return 1
+        return 1, {}
     start_mean, start_var = _start_moments(config)
     step_mean = prediction.steps_to_mean(start_mean, args.tol)
     step_var = prediction.steps_to_variance(start_var, args.tol)
-    # Mean updates per agent and timestep: n-1 ordered, (n-1)/2 unordered.
-    per_timestep = (
-        dialogues_per_timestep(game.n_agents, game.schedule) / game.n_agents
-    )
+    per_timestep = _updates_per_timestep(config.game)
 
     print(f"p_plus={_format(prediction.positive_share)}")
     print(f"target_mean={_format(prediction.target_mean)}")
@@ -252,22 +218,17 @@ def _cmd_predict(args) -> int:
     print(
         f"variance_convergence_timesteps={math.ceil(step_var / per_timestep)}"
     )
-    if args.emit_plot_data:
-        times = record_times(game.timesteps, config.record_every)
-        steps = times.astype(np.float64) * per_timestep
-        directory = _plot_dir(args)
-        _emit_series(
-            directory, "predict", "mean", times,
-            prediction.mean_at(start_mean, steps),
-        )
-        _emit_series(
-            directory, "predict", "variance", times,
-            prediction.variance_at(start_var, steps),
-        )
-    return 0
+    if not args.emit_plot_data:  # the curves cost time and memory at many timesteps
+        return 0, {}
+    times = record_times(config.game.timesteps, config.record_every)
+    steps = times.astype(np.float64) * per_timestep
+    return 0, {
+        "mean": (times, prediction.mean_at(start_mean, steps)),
+        "variance": (times, prediction.variance_at(start_var, steps)),
+    }
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[int, dict]:
     config = _load(args)
     points = sweep(config, args.param, args.values)
     for point in points:
@@ -276,19 +237,14 @@ def _cmd_sweep(args) -> int:
             f"final_mean_lambda={_format(point.final_mean)} "
             f"final_sd_lambda={_format(point.final_sd)}"
         )
-    if args.emit_plot_data:
-        directory = _plot_dir(args)
-        values = [p.value for p in points]
-        _emit_series(
-            directory, "sweep", "mean", values, [p.final_mean for p in points]
-        )
-        _emit_series(
-            directory, "sweep", "sd", values, [p.final_sd for p in points]
-        )
-    return 0
+    values = [p.value for p in points]
+    return 0, {
+        "mean": (values, [p.final_mean for p in points]),
+        "sd": (values, [p.final_sd for p in points]),
+    }
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> tuple[int, dict]:
     config = _load(args)
     rows = compare_models(config, args.w_values)
     for row in rows:
@@ -299,51 +255,45 @@ def _cmd_compare(args) -> int:
             f"model2_mean={_format(row.model2_mean)} "
             f"model2_sd={_format(row.model2_sd)}"
         )
-    if args.emit_plot_data:
-        directory = _plot_dir(args)
-        ws = [row.reliability for row in rows]
-        for model in (1, 2):
-            _emit_series(
-                directory, "compare", f"model{model}_mean", ws,
-                [getattr(row, f"model{model}_mean") for row in rows],
-            )
-            _emit_series(
-                directory, "compare", f"model{model}_sd", ws,
-                [getattr(row, f"model{model}_sd") for row in rows],
-            )
-    return 0
+    ws = [row.reliability for row in rows]
+    return 0, {
+        f"model{model}_{stat}": (ws, [getattr(row, f"model{model}_{stat}") for row in rows])
+        for model in (1, 2)
+        for stat in ("mean", "sd")
+    }
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple[int, dict]:
     config = _load(args)
     _integer(args.samples, "--samples", 1)
     rows = validate_predictions(config, args.h_values, n_samples=args.samples)
+    curves = {}
     for row in rows:
         print(
             f"h={row.rate:g} "
             f"sup_mean_deviation={_format(row.sup_mean_deviation)} "
             f"sup_variance_deviation={_format(row.sup_variance_deviation)}"
         )
-    if args.emit_plot_data:
-        directory = _plot_dir(args)
-        for row in rows:
-            tag = f"h{row.rate:g}"
-            _emit_series(
-                directory, "validate", f"{tag}_sim_mean", row.times,
-                row.empirical_mean,
-            )
-            _emit_series(
-                directory, "validate", f"{tag}_pred_mean", row.times,
-                row.predicted_mean,
-            )
-    return 0
+        curves[f"h{row.rate:g}_sim_mean"] = (row.times, row.empirical_mean)
+        curves[f"h{row.rate:g}_pred_mean"] = (row.times, row.predicted_mean)
+    return 0, curves
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code, curves = args.handler(args)
+        if args.emit_plot_data and curves:
+            directory = Path(args.out if args.out is not None else ".")
+            directory.mkdir(parents=True, exist_ok=True)
+            for curve, (xs, ys) in curves.items():
+                _write_rows(
+                    directory / f"{args.command}_{curve}.dat",
+                    np.asarray((xs, ys), dtype=np.float64).T.tolist(),
+                    sep=" ",
+                )
+        return code
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

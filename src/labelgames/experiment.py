@@ -83,6 +83,13 @@ class ExperimentConfig:
     outputs: str | Path | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.game, GameConfig):
+            raise ConfigError(f"game must be a GameConfig, got {self.game!r}", "game")
+        # The engine reads only these two attributes, so a stand-in sampler will do.
+        if not (hasattr(self.env, "intervals") and hasattr(self.env, "sample_runs")):
+            raise ConfigError(f"env must be an Environment, got {self.env!r}", "env")
+        if not (self.outputs is None or isinstance(self.outputs, (str, os.PathLike))):
+            raise ConfigError(f"outputs must be a path or None, got {self.outputs!r}", "outputs")
         for name, least in (("runs", 1), ("master_seed", 0), ("record_every", 1)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, least))
         _integer(self.runs, "runs", 1, (_INT32_IDS - 1) // self.game.n_agents)  # int32 lane ids
@@ -241,32 +248,18 @@ def _format(value: float) -> str:
     return f"{float(value):.9g}"
 
 
-def write_run_csv(path: Path, record: RunRecord) -> None:
-    lines = [RUN_CSV_HEADER]
-    for t, mean, sd in zip(
-        record.times, record.mean_weights, record.sd_weights
-    ):
-        lines.append(f"{int(t)},{_format(mean)},{_format(sd)}")
-    path.write_text("\n".join(lines) + "\n")
+def _write_rows(path: Path, rows, header: str | None = None, sep: str = ",") -> None:
+    """Write each row as one line of cells joined by ``sep``, after ``header``.
 
-
-def write_aggregate_csv(path: Path, aggregate: AggregateRecord) -> None:
-    lines = [AGGREGATE_CSV_HEADER]
-    for t, mean, sem, sd in zip(
-        aggregate.times,
-        aggregate.mean_of_means,
-        aggregate.sem_of_means,
-        aggregate.mean_sd,
-    ):
-        lines.append(f"{int(t)},{_format(mean)},{_format(sem)},{_format(sd)}")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def write_final_csv(path: Path, records: list[RunRecord]) -> None:
-    lines = [FINAL_CSV_HEADER]
-    for record in sorted(records, key=lambda rec: rec.run_id):
-        for agent_id, weight in enumerate(record.final_weights):
-            lines.append(f"{record.run_id},{agent_id},{_format(weight)}")
+    This is the one file format: the CSVs and every ``.dat`` plot series.
+    A float cell is written at nine significant digits, as ``_format``
+    prints it, an integer as it is, and the file ends with a newline.
+    Cells from ``ndarray.tolist()`` format faster than numpy scalars.
+    """
+    lines = [] if header is None else [header]
+    lines.extend(
+        sep.join([f"{v:.9g}" if isinstance(v, float) else str(v) for v in row]) for row in rows
+    )
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -289,9 +282,17 @@ def persist_experiment(
     out_dir: Path, records: list[RunRecord], aggregate: AggregateRecord
 ) -> None:
     for record in records:
-        write_run_csv(out_dir / f"run_{record.run_id:03d}.csv", record)
-    write_aggregate_csv(out_dir / "aggregate.csv", aggregate)
-    write_final_csv(out_dir / "final_lambdas.csv", records)
+        columns = (record.times, record.mean_weights, record.sd_weights)
+        rows = zip(*(c.tolist() for c in columns))
+        _write_rows(out_dir / f"run_{record.run_id:03d}.csv", rows, RUN_CSV_HEADER)
+    columns = (aggregate.times, aggregate.mean_of_means, aggregate.sem_of_means, aggregate.mean_sd)
+    _write_rows(out_dir / "aggregate.csv", zip(*(c.tolist() for c in columns)), AGGREGATE_CSV_HEADER)
+    finals = (
+        (record.run_id, agent_id, weight)
+        for record in sorted(records, key=lambda rec: rec.run_id)
+        for agent_id, weight in enumerate(record.final_weights.tolist())
+    )
+    _write_rows(out_dir / "final_lambdas.csv", finals, FINAL_CSV_HEADER)
 
 
 class FootprintError(ConfigError):
@@ -459,6 +460,29 @@ def compare_models(
 _PREDICTION_STREAM_BASE = 1 << 32
 
 
+def _prediction(config: ExperimentConfig, rate: float, n_samples: int, stream: int = 0):
+    """The closed-form prediction for ``config``'s game and environment at ``rate``.
+
+    Its target moments are estimated from ``n_samples`` draws of the
+    auxiliary stream ``_PREDICTION_STREAM_BASE + stream`` of the master
+    seed, which no run ever uses.
+    """
+    game = config.game
+    rng = np.random.default_rng(mix_seed(config.master_seed, _PREDICTION_STREAM_BASE + stream))
+    return build_prediction(
+        config.env, rate, reliability=game.reliability, model=game.model,
+        n_samples=n_samples, rng=rng, labels=game.labels,
+    )
+
+
+def _updates_per_timestep(game: GameConfig) -> float:
+    """Mean updates per agent and timestep: n-1 ordered, (n-1)/2 unordered.
+
+    Predictions count one agent's updates; this converts them to timesteps.
+    """
+    return dialogues_per_timestep(game.n_agents, game.schedule) / game.n_agents
+
+
 @dataclass(frozen=True)
 class ValidationRow:
     """Simulated versus predicted curves for one update rate."""
@@ -481,12 +505,13 @@ def validate_predictions(
 ) -> list[ValidationRow]:
     """Compare simulated weight curves with their closed-form predictions.
 
-    For each rate the experiment is re-run, the target moments are
-    estimated by Monte Carlo on an auxiliary stream of the master seed,
-    and the closed-form mean and variance curves are started from the
-    empirical time-zero moments.  Predictions count per-agent updates, so
-    timestep t maps to t * (n_agents - 1) update steps.  Each row reports
-    the largest absolute deviation over the recorded timesteps.
+    For each rate the experiment is re-run, ``_prediction`` estimates the
+    target moments on the rate's auxiliary stream of the master seed, and
+    the closed-form mean and variance curves are started from the
+    empirical time-zero moments.  Predictions count per-agent updates, and
+    ``_updates_per_timestep`` converts them: timestep t is t * (n_agents -
+    1) update steps under the ordered schedule.  Each row reports the
+    largest absolute deviation over the recorded timesteps.
 
     Only the mismatch rule (model 2) updates unconditionally the way the
     closed forms assume, and only the ordered schedule gives every agent
@@ -515,27 +540,10 @@ def validate_predictions(
     for index, (rate, sub) in enumerate(zip(rates, subs)):
         result = run_experiment(sub)
         aggregate = result.aggregate
-
-        prediction = build_prediction(
-            config.env,
-            rate,
-            reliability=config.game.reliability,
-            model=2,
-            n_samples=n_samples,
-            rng=np.random.default_rng(
-                mix_seed(config.master_seed, _PREDICTION_STREAM_BASE + index)
-            ),
-            labels=config.game.labels,
-        )
-
+        prediction = _prediction(config, rate, n_samples, index)
         empirical_mean = aggregate.mean_of_means
-        empirical_var = np.mean(
-            np.vstack(
-                [rec.sd_weights**2 for rec in result.run_records]
-            ),
-            axis=0,
-        )
-        steps = aggregate.times.astype(np.float64) * (config.game.n_agents - 1)
+        empirical_var = np.mean(np.vstack([rec.sd_weights**2 for rec in result.run_records]), axis=0)
+        steps = aggregate.times.astype(np.float64) * _updates_per_timestep(config.game)
         predicted_mean = prediction.mean_at(float(empirical_mean[0]), steps)
         predicted_var = prediction.variance_at(float(empirical_var[0]), steps)
         rows.append(

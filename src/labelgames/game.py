@@ -528,7 +528,8 @@ def _stacked_timestep(
     Agent i of run r occupies lane r*n + i, speakers and listeners carry
     lane ids, and run r's dialogues fill the r-th block of the arrays.
     Each run ends bit-identical to replaying its block through
-    ``_apply_sequential``.
+    ``_apply_sequential``.  ``bench/tracing.py`` reads this function's name
+    and its ``runs`` and ``speakers`` parameters: they are a benchmark interface.
 
     Layout.  ``m1`` and ``m2`` are each dialogue's memberships in dialogue
     order, where the sign margin and the fallback read them.

@@ -238,6 +238,11 @@ PROBES = [
     # Pair and lane ids are int32; neither config runs anything.
     ("agents-past-int32-pairs", lambda: GameConfig(n_agents=46342), "n_agents"),
     ("runs-past-int32-lanes", lambda: ExperimentConfig(GameConfig(n_agents=2), runs=2**30), "runs"),
+    # Objects are checked by kind, before any of their attributes is read.
+    ("none-game", lambda: ExperimentConfig(game=None), "game"),
+    ("string-game", lambda: ExperimentConfig(game="x"), "game"),
+    ("none-env", lambda: ExperimentConfig(env=None), "env"),
+    ("int-outputs", lambda: ExperimentConfig(outputs=5), "outputs"),
 ]
 
 
