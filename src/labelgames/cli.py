@@ -5,7 +5,8 @@ the library, before any compute.  It checks just its own flags,
 ``--samples`` and ``--tol``.  Exit codes: 0 on success, 2 for a
 ``ConfigError`` (a missing or malformed config file, with the offending
 line where a file gave the value, any refused value, or a population
-whose timestep cannot fit in memory), 3 for I/O failures.  Summary output
+whose timestep cannot fit in memory), 3 for I/O failures and for a
+compiled loop that cannot be built, loaded or trusted.  Summary output
 goes to standard output as ``key=value`` tokens.  Each command's handler
 returns its exit code and its curves; under ``--emit-plot-data``, ``main``
 writes each curve as a two-column, space-separated ``<command>_<curve>.dat``
@@ -36,7 +37,7 @@ from .experiment import (
     sweep,
     validate_predictions,
 )
-from .game import ConfigError, _integer
+from .game import ConfigError, EngineError, _integer
 
 
 def _parse_float_list(raw: str) -> list[float]:
@@ -299,6 +300,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)
+        return 3
+    except EngineError as err:
+        print(f"engine error: {err}", file=sys.stderr)
         return 3
 
 

@@ -4,19 +4,22 @@ A single experiment repeats the same game configuration across independent
 runs, each seeded by mixing a master seed with the run id, records the
 population mean and cross-agent standard deviation of the weights over
 time, and aggregates across runs.  All runs advance together on the
-lane-stacked kernel ``game._stacked_timestep``, one timestep at a time.
+lane-stacked kernel ``game._stacked_timestep``, one timestep at a time;
+its compiled dialogue loop plays every run's dialogues in order.
 Each timestep's schedules and observations are drawn for all runs in one
 pass (``game._draw_schedule``, ``Environment.sample_runs``), every run
 from its own generator and in the same order as a run drawn alone.  The
 observations are turned into memberships before the kernel runs, and
 one timestep's arrays are freed before the next timestep draws.
 ``run_single`` drives one run through the same loop but replays it
-dialogue by dialogue, and gives bit-identical records.  Identical
+dialogue by dialogue in Python, and gives bit-identical records.  Identical
 configuration and master seed give byte-identical output files.
 ``ExperimentConfig`` checks its values, and that each label's space
 contains its dimension's interval, on construction.  A configuration
 whose timestep cannot fit in physical memory is refused before anything
-runs, with ``FootprintError``, a ``ConfigError``.
+runs, with ``FootprintError``, a ``ConfigError``; an engine whose loop
+cannot be built or fails its check raises ``game.EngineError``, also
+before any output directory is made.
 
 Sweeps, model comparisons, and prediction validation are thin layers that
 re-run the experiment with one field changed and tabulate the results.
@@ -40,6 +43,7 @@ from .game import (
     _draw_schedule,
     _initial_state,
     _integer,
+    _loop,
     _memberships,
     _real,
     _stacked_timestep,
@@ -112,9 +116,8 @@ class ExperimentConfig:
 
 def record_times(timesteps: int, record_every: int) -> np.ndarray:
     """Recorded timesteps: zero, every multiple of the interval, the end."""
-    times = {0, timesteps}
-    times.update(range(record_every, timesteps + 1, record_every))
-    return np.asarray(sorted(times), dtype=np.int64)
+    times = np.arange(0, timesteps + 1, record_every, dtype=np.int64)
+    return times if times[-1] == timesteps else np.append(times, timesteps)
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ def _drive(config: ExperimentConfig, run_ids, advance) -> list[RunRecord]:
     rels = np.concatenate([r for _, r in states])
 
     times = record_times(game.timesteps, config.record_every)
-    wanted = set(int(t) for t in times)
+    # stats[i] holds the statistics at times[i], so len(stats) indexes the next time due.
     stats = [_population_stats(weights.reshape(runs, n))]
     for t in range(1, game.timesteps + 1):
         speakers, listeners = _draw_schedule(n, game.schedule, rngs)
@@ -180,7 +183,7 @@ def _drive(config: ExperimentConfig, run_ids, advance) -> list[RunRecord]:
         weights = advance(weights, rels, m1, m2, speakers, listeners)
         # The next timestep draws its arrays only after these are freed.
         del speakers, listeners, m1, m2
-        if t in wanted:
+        if t == times[len(stats)]:
             stats.append(_population_stats(weights.reshape(runs, n)))
     means, sds = (np.column_stack(rows) for rows in zip(*stats))
     final = weights.reshape(runs, n)
@@ -220,9 +223,7 @@ def _run_stacked(config: ExperimentConfig) -> list[RunRecord]:
     return _drive(
         config,
         range(config.runs),
-        lambda *state: _stacked_timestep(
-            *state, game.rate, game.model, game.schedule, config.runs, game.n_agents
-        ),
+        lambda *state: _stacked_timestep(*state, game.rate, game.model, config.runs),
     )
 
 
@@ -333,9 +334,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     Run r draws every random number from a generator seeded with
     mix_seed(master_seed, r), so its records do not depend on how many
     other runs share the stacked engine.  A configuration whose timestep
-    cannot fit in memory is refused before the output directory is made.
+    cannot fit in memory, or an engine whose loop cannot be built, is
+    refused before the output directory is made.
     """
     _check_footprint(config)
+    _loop()
     out_dir = (
         prepare_output_dir(config.outputs)
         if config.outputs is not None

@@ -23,32 +23,36 @@ A timestep visits every speaker/listener pair once in a freshly shuffled
 order, sampling a fresh observation per dialogue, and applies updates
 sequentially.  An agent's state is two floats, its weight and its
 reliability, and a population's is two float arrays.  The dialogue
-arithmetic is written once, on plain floats, in ``_dialogue`` and its
-helpers; ``choose_assertion``, ``implied_weight`` and ``run_dialogue``
-wrap them for single agents and take floats.  ``_apply_sequential`` is the
+arithmetic is written once in Python, on plain floats, in ``_dialogue``
+and its helpers, and mirrored in C by the kernel; ``choose_assertion``,
+``implied_weight`` and ``run_dialogue`` wrap them for single agents and
+take floats.  ``_apply_sequential`` is the
 reference: it plays the dialogues one at a time through ``_dialogue`` on a
 float array of weights, given each dialogue's memberships.
 ``_draw_schedule`` shuffles and decodes one timestep's pairs for any number
 of runs in one pass, each from its own generator.  ``_stacked_timestep`` is
-the one array kernel: given the dialogues' memberships, it advances
-those runs at once, stacked lane by lane, on a (round, lane) grid of
-dialogues sorted by listener, which it builds one block of rounds at a
-time, and is bit-identical to the reference.  One per-lane guard keeps
-it exact.  Speakers assert the majority-sign compound, which rounding
-cannot change while a weight keeps a margin from 0 and 1; a lane without
-that margin on entry, such as one at weight 0 or 1, is pinned, and its
-assertions are computed exactly from its entry weight.  Only the lanes
-that could fall to the margin within the timestep, the pinned ones among
-them, are checked after each round, and a run is replayed through the
-reference only when a pinned weight moves or another lane loses its
-margin.
+the one kernel: given the dialogues' memberships, it advances those runs
+at once, stacked lane by lane, through a dialogue loop written in C in
+``_dialogue``'s operation order, so it is bit-identical to the reference
+by construction.  The loop is compiled by a C compiler on first use,
+cached under a hash of its source and compile command, and checked
+against ``_dialogue`` on a fixed batch before each process first uses it.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import enum
+import functools
+import hashlib
+import itertools
 import numbers
+import os
+import stat
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -305,13 +309,12 @@ def batch_implied_weights(
 
     Signs are chosen per dimension by majority membership (ties count as
     positive).  That is the assertion ``choose_assertion(w, labels, x)``
-    makes when min(w, 1 - w) * |2m - 1| exceeds 2**-50 for both
-    memberships m other than exactly 1/2 (see ``_stacked_timestep``); nearer
-    the ends of [0, 1] rounding can pick another compound, for example
-    weight 1e-17 asserts BOTH at memberships (0.3, 0.8), where the majority
-    signs give ONLY_SECOND.  Returns ``(targets, usable, mu_first, mu_second)``
-    where ``usable`` flags observations whose implied weight is defined; the
-    target is clamped to [0, 1] and zero-filled where unusable.
+    makes away from the ends of [0, 1]; near them rounding can tie the
+    majority compound with one that ``ASSERTION_ORDER`` puts first, for
+    example weight 1e-17 asserts BOTH at memberships (0.3, 0.8), where the
+    majority signs give ONLY_SECOND.  Returns ``(targets, usable, mu_first,
+    mu_second)`` where ``usable`` flags observations whose implied weight is
+    defined; the target is clamped to [0, 1] and zero-filled where unusable.
     """
     return _signed_targets(*_memberships(labels, xs), reliability)
 
@@ -328,24 +331,16 @@ def _memberships(labels: tuple[Label, Label], xs: np.ndarray) -> tuple[np.ndarra
     )
 
 
-def _signed_targets(m1: np.ndarray, m2: np.ndarray, reliability, signs=None):
-    """Targets, usable flags and signed memberships, elementwise.
+def _signed_targets(m1: np.ndarray, m2: np.ndarray, reliability):
+    """Targets, usable flags and signed memberships, elementwise, under the majority signs.
 
     ``m1`` and ``m2`` are overwritten with the signed memberships
-    ``mu_first`` and ``mu_second``, which are returned; any array shape
-    works, so the kernel calls it on its (round, lane) grid.  ``signs``,
-    when given, holds two boolean arrays of the same shape that say where
-    each label is asserted positive; m stays where positive and becomes
-    fl(1 - m) elsewhere.  By default the signs are the majority ones:
-    fl(1 - m) is exact for m >= 1/2 and at least 1/2 otherwise, so the
-    larger of m and fl(1 - m) is m where m >= 1/2 and fl(1 - m) elsewhere.
+    ``mu_first`` and ``mu_second``, which are returned.  fl(1 - m) is exact
+    for m >= 1/2 and at least 1/2 otherwise, so the larger of m and
+    fl(1 - m) is m where m >= 1/2 and fl(1 - m) elsewhere.
     """
-    if signs is None:
-        np.maximum(m1, 1.0 - m1, out=m1)
-        np.maximum(m2, 1.0 - m2, out=m2)
-    else:
-        for m, positive in zip((m1, m2), signs):
-            np.subtract(1.0, m, out=m, where=~positive)
+    np.maximum(m1, 1.0 - m1, out=m1)
+    np.maximum(m2, 1.0 - m2, out=m2)
     denom = m1 - m2
     usable = denom != 0.0
     targets = np.subtract(reliability, m2)
@@ -368,7 +363,14 @@ def _pairs(q, n: int, schedule: str):
         second = q - first * (n - 1)
         return first, second + (second >= first)
     c = (n * (n - 1) // 2 - 1) - q
-    r = ((np.sqrt(8.0 * c + 1.0) - 1.0) * 0.5).astype(np.int32)  # truncation is floor here
+    root = c.astype(np.float64)  # the one float buffer, worked in place
+    root *= 8.0
+    root += 1.0
+    np.sqrt(root, out=root)
+    root -= 1.0
+    root *= 0.5
+    r = root.astype(np.int32)  # truncation is floor here
+    del root
     return (n - 2) - r, (n - 1) - (c - (r * (r + 1) >> 1))
 
 
@@ -424,47 +426,23 @@ def _apply_sequential(weights, rels, m1, m2, speakers, listeners, rate, model):
     return np.asarray(w)
 
 
-def _assertions(share, m1, m2):
-    """Elementwise ``_assertion``: the signs of the first maximal compound.
+# Elements that one step of a chunked loop converts at once.
+_CHUNK = 1 << 16
 
-    Each compound is computed in ``_assertion``'s operation order,
-    fl(fl(share * p1) + fl(fl(1 - share) * p2)), and compared with the best
-    so far in ``ASSERTION_ORDER``; only a strictly larger one replaces it,
-    so ties go first, as in the scalar call.  Returns the two boolean sign
-    arrays.
-    """
-    rest = 1.0 - share
-    # Indexed by sign: [False] is the negated label's term, [True] the label's.
-    terms = ((share * (1.0 - m1), share * m1), (rest * (1.0 - m2), rest * m2))
-    best = np.full(share.shape, -np.inf)
-    first = np.empty(share.shape, dtype=bool)
-    second = np.empty(share.shape, dtype=bool)
-    for asserted in ASSERTION_ORDER:
-        s1, s2 = asserted.signs
-        compound = terms[0][s1] + terms[1][s2]
-        won = compound > best
-        first[won] = s1
-        second[won] = s2
-        np.maximum(best, compound, out=best)
-    return first, second
+# Pair and lane ids are int32: below 2**31 of each, so at most 46,341 agents.
+_INT32_IDS = 2**31
+
+# Bytes one stacked timestep holds per dialogue at its peak: the drawn
+# schedule, the observations and the memberships.  Measured peaks
+# (ru_maxrss of two-timestep runs, above the RSS after imports): 55 bytes
+# for 1000 agents, from uniform weights or with every weight at 1, and 69
+# for 2000 unordered runs of 20 agents, whose draw also holds the role
+# coins.  The constant is the largest of these plus about a quarter.
+_STACK_BYTES_PER_DIALOGUE = 88
 
 
-def _pinned_signs(m1, m2, by_speaker, weights, pinned):
-    """Assertion signs on the grid: exact where the speaker is pinned, majority elsewhere.
-
-    ``m1``, ``m2`` and ``by_speaker`` are a grid's memberships and speaker
-    lane ids, ``pinned`` flags the pinned lanes.  A pinned speaker's
-    assertion is computed from its entry weight by ``_assertions``,
-    ``_CHUNK`` cells at a time, so the temporaries stay bounded.
-    """
-    signs = (m1 >= 0.5, m2 >= 0.5)
-    f1, f2, spk, s1, s2 = (a.reshape(-1) for a in (m1, m2, by_speaker, *signs))
-    for lo in range(0, spk.size, _CHUNK):
-        cells = lo + np.flatnonzero(pinned[spk[lo:lo + _CHUNK]])
-        s1[cells], s2[cells] = _assertions(weights[spk[cells]], f1[cells], f2[cells])
-    return signs
-
-
+# Kept, though the engine no longer calls it: the benchmark's tracer hooks it
+# by name until the benchmark drops that hook.
 def _group_by_listener(listeners, runs, n, schedule):
     """Dialogue ids on a (round, lane) grid, and the grid's padding.
 
@@ -487,168 +465,172 @@ def _group_by_listener(listeners, runs, n, schedule):
     return take, np.arange(rounds)[:, np.newaxis] >= counts
 
 
-# Least margin min(w, 1 - w) * |2m - 1| at which rounding cannot make a
-# speaker's assertion differ from the majority-sign compound.
-_MARGIN = 2.0**-50
+# The dialogue loop, written in ``_dialogue``'s operation order: the four
+# compounds in ``ASSERTION_ORDER``, where only a strictly greater one
+# replaces the best, so ties go first; ``min(1.0, max(0.0, t))`` as two
+# comparisons; and the update w + rate * (t - w).
+_LOOP_SOURCE = r"""
+#include <stdint.h>
 
-# Elements that one step of a chunked loop converts or computes at once.
-_CHUNK = 1 << 16
+void play_dialogues(double *w, const double *rel, const double *m1, const double *m2,
+                    const int32_t *speaker, const int32_t *listener, int64_t count,
+                    double rate, int model)
+{
+    for (int64_t d = 0; d < count; d++) {
+        double share = w[speaker[d]], a = m1[d], b = m2[d];
+        double first = a, second = b, best = share * a + (1.0 - share) * b, c;
+        c = share * a + (1.0 - share) * (1.0 - b);
+        if (c > best) { best = c; first = a; second = 1.0 - b; }
+        c = share * (1.0 - a) + (1.0 - share) * b;
+        if (c > best) { best = c; first = 1.0 - a; second = b; }
+        c = share * (1.0 - a) + (1.0 - share) * (1.0 - b);
+        if (c > best) { first = 1.0 - a; second = 1.0 - b; }
+        double r = rel[speaker[d]], wl = w[listener[d]];
+        double mu = wl * first + (1.0 - wl) * second, denom = first - second;
+        if ((model == 1 ? mu <= r : mu != r) && denom != 0.0) {
+            double t = (r - second) / denom;
+            t = t > 0 ? t : 0;
+            t = t < 1 ? t : 1;
+            w[listener[d]] = wl + rate * (t - wl);
+        }
+    }
+}
+"""
 
-# Pair and lane ids are int32: below 2**31 of each, so at most 46,341 agents.
-_INT32_IDS = 2**31
+# The one command that builds the loop; the source arrives on standard
+# input.  No contraction into fused multiply-adds, which would round once
+# where ``_dialogue`` rounds twice.
+_COMPILE = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-x", "c", "-")
 
-# Bytes one stacked timestep holds per dialogue at its peak: the drawn
-# schedule, the memberships, the take-index and one block of the (round,
-# lane) grid with its temporaries.  Measured peaks (ru_maxrss of
-# two-timestep runs, above the RSS after imports): 58 bytes for 1000
-# agents with no pinned lane, 59 with every lane pinned at weight 1 and 67
-# when the run falls back; for 2000 unordered runs of 20 agents, whose
-# padded take-index has about twice as many slots as dialogues, 100 with
-# no pinned lane and 94 with every lane pinned.  The constant is the
-# largest of these plus about a quarter.
-_STACK_BYTES_PER_DIALOGUE = 125
+# Built loops are cached here, or in a private per-user directory when this
+# is not a writable directory.
+_CACHE = Path(__file__).resolve().parent / "__pycache__"
 
 
-def _sign_margin(m: np.ndarray, runs: int) -> np.ndarray:
-    """Per run, the least |2m - 1| over its memberships other than exactly 1/2.
+class EngineError(RuntimeError):
+    """The compiled dialogue loop could not be built, loaded or trusted."""
 
-    Doubling is exact, so 2 * |m - 1/2| is |2m - 1| to the bit.
+
+def _cache_dir() -> Path:
+    """The package cache when it is a writable directory, else this user's private one.
+
+    The private one sits under the temporary directory, and is refused
+    unless it is a directory of mode 0700 owned by this user.
     """
-    d = m - 0.5
-    np.abs(d, out=d)
-    d[d == 0.0] = 0.5
-    return 2.0 * d.reshape(runs, -1).min(axis=1)
+    with contextlib.suppress(OSError):
+        _CACHE.mkdir(exist_ok=True)
+    if _CACHE.is_dir() and os.access(_CACHE, os.W_OK | os.X_OK):
+        return _CACHE
+    path = Path(tempfile.gettempdir()) / f"labelgames-{os.getuid()}"
+    with contextlib.suppress(FileExistsError):
+        path.mkdir(mode=0o700)
+    info = path.lstat()
+    if not stat.S_ISDIR(info.st_mode) or info.st_uid != os.getuid() or info.st_mode & 0o077:
+        raise EngineError(f"{path} is not a directory private to this user")
+    return path
 
 
-def _stacked_timestep(
-    weights, rels, m1, m2, speakers, listeners, rate, model, schedule, runs, n
-):
+def _build(path: Path) -> None:
+    """Compile the loop into ``path`` through a temporary file, replaced into place whole."""
+    import subprocess  # only a build needs it
+
+    fd, temporary = tempfile.mkstemp(prefix=f"{path.name}.", dir=path.parent)
+    os.close(fd)
+    try:
+        try:
+            done = subprocess.run(
+                (*_COMPILE, "-o", temporary), input=_LOOP_SOURCE, capture_output=True, text=True
+            )
+        except OSError as err:
+            raise EngineError(f"the engine needs a C compiler; `{' '.join(_COMPILE)}` could not start: {err}") from err
+        if done.returncode != 0:
+            raise EngineError(f"`{' '.join(_COMPILE)}` failed to build the dialogue loop:\n{done.stderr}")
+        os.replace(temporary, path)
+    finally:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temporary)
+
+
+def _play(play, weights, rels, m1, m2, speakers, listeners, rate, model):
+    """The weights after ``play`` runs the dialogues in order; the inputs are left as they are.
+
+    Every array is checked for length, and the lane ids for range, before
+    their pointers are passed.
+    """
+    w = np.array(weights, dtype=np.float64)
+    rel = np.ascontiguousarray(rels, dtype=np.float64)
+    columns = [np.ascontiguousarray(a, dtype=np.float64) for a in (m1, m2)]
+    columns += [np.ascontiguousarray(a, dtype=np.int32) for a in (speakers, listeners)]
+    count = columns[2].size
+    if w.ndim != 1 or rel.shape != w.shape or any(c.shape != (count,) for c in columns):
+        raise ValueError("one weight and reliability per lane, and one entry per dialogue, are needed")
+    if count and any(ids.min() < 0 or ids.max() >= w.size for ids in columns[2:]):
+        raise ValueError("lane ids must lie in [0, lanes)")
+    play(w.ctypes.data, rel.ctypes.data, *(c.ctypes.data for c in columns), count, rate, model)
+    return w
+
+
+def _check(play) -> None:
+    """Refuse a loop that differs from ``_dialogue`` by a bit on a fixed batch.
+
+    Each dialogue of the batch is its own run of two agents: every
+    combination of a speaker weight at or next to 0, 1/2 or 1 (where
+    compounds tie), two listener weights, memberships from 0 to 1 through
+    exactly 1/2 and two reliabilities, under both models.  A loop built
+    with contraction or extended precision, or one that breaks ties or
+    clamps otherwise, gives other bits.  The batch is played through
+    ``_dialogue`` itself, not ``_apply_sequential``, whose calls the
+    benchmark's tracer counts as engine fallbacks.
+    """
+    edges = (0.0, 5e-324, 1e-17, 0.5, 1.0 - 2.0**-53, 1.0)
+    memberships = (0.0, 0.3, 0.5, 0.7, 1.0)
+    cases = list(itertools.product(edges, (0.25, 1.0), memberships, memberships, (0.8, 1.0)))
+    w_speaker, w_listener, m1, m2, rel = np.array(cases).T.copy()
+    weights = np.column_stack((w_speaker, w_listener)).reshape(-1)
+    speakers = np.arange(0, weights.size, 2, dtype=np.int32)
+    rate = 0.3
+    for model in (1, 2):
+        want = weights.copy()
+        for d, (ws, wl, a, b, r) in enumerate(cases):
+            target = _dialogue(ws, wl, r, a, b, model)[1]
+            if target is not None:
+                want[2 * d + 1] = wl + rate * (target - wl)
+        got = _play(play, weights, np.repeat(rel, 2), m1, m2, speakers, speakers + 1, rate, model)
+        if got.tobytes() != want.tobytes():
+            raise EngineError(f"the dialogue loop built by `{' '.join(_COMPILE)}` disagrees with the reference")
+
+
+@functools.cache
+def _loop():
+    """The compiled dialogue loop, built on first use and checked once per process.
+
+    The library is cached under a name keyed by the hash of the source and
+    the compile command, so an edit to either builds a new one; raises
+    ``EngineError`` when it cannot be built or loaded, or fails ``_check``.
+    """
+    key = hashlib.sha256("\0".join((_LOOP_SOURCE, *_COMPILE)).encode()).hexdigest()[:24]
+    path = _cache_dir() / f"dialogues-{key}.so"
+    if not path.is_file():
+        _build(path)
+    try:
+        play = ctypes.CDLL(str(path)).play_dialogues
+    except (OSError, AttributeError) as err:
+        raise EngineError(f"cannot load the dialogue loop from {path}: {err}") from err
+    play.argtypes = (ctypes.c_void_p,) * 6 + (ctypes.c_int64, ctypes.c_double, ctypes.c_int)
+    play.restype = None
+    _check(play)
+    return play
+
+
+def _stacked_timestep(weights, rels, m1, m2, speakers, listeners, rate, model, runs):
     """Advance every run one timestep on stacked per-run state.
 
     Agent i of run r occupies lane r*n + i, speakers and listeners carry
-    lane ids, and run r's dialogues fill the r-th block of the arrays.
-    Each run ends bit-identical to replaying its block through
-    ``_apply_sequential``.  ``bench/tracing.py`` reads this function's name
-    and its ``runs`` and ``speakers`` parameters: they are a benchmark interface.
-
-    Layout.  ``m1`` and ``m2`` are each dialogue's memberships in dialogue
-    order, where the sign margin and the fallback read them.
-    ``_group_by_listener`` sorts the listeners once into a (round, lane)
-    grid of dialogue ids, the take-index.  The value grids are built from
-    it one block of ``max(1, _CHUNK // lanes)`` rounds at a time: the
-    block's memberships and, where needed, its speaker ids and
-    reliabilities are gathered, its signs and targets computed and its
-    padding masked, and then its rounds run, so round r reads contiguous
-    rows.  Only the take-index and the padding mask span the whole
-    timestep.  Under the unordered schedule lanes listen unevenly often;
-    their missing slots are padding, inactive like dialogues with no
-    implied weight.  Signed
-    memberships, targets and the margin are elementwise operations or
-    min-reductions, so computing them before or after the gather, and in
-    any blocks, gives the same bits.
-
-    The round loop advances every listener by one of its dialogues per
-    round with the reference's arithmetic.  Listener chains are independent
-    because no assertion depends on a weight the loop computes: the
-    listener's update is the same arithmetic whatever its weight, and only
-    the speaker's weight decides what it asserts.  A speaker is taken to
-    assert the majority-sign compound (positive where m >= 1/2), whatever
-    its weight, unless its lane is pinned.
-
-    The exactness guard works lane by lane.  The reference computes a
-    compound as fl(fl(w*p1) + fl(fl(1-w)*p2)) with p in {m, fl(1-m)}.
-    Rounding is monotone, so the majority compound never comes out below
-    another one, but it can tie one that ``ASSERTION_ORDER`` puts first.
-    Exactly, it leads by at least min(w, 1-w) * |2m-1|.  A computed
-    compound is off by at most 7 * 2**-54: 2**-54 each for fl(1-w), the two
-    fl(1-m) and the two products, and 2**-53 for the sum.  A lane's margin
-    is min(w, 1-w) times its run's least |2m-1| (a membership of exactly
-    1/2 ties exactly and takes the positive sign on both paths, so it is
-    left out), and above 2**-50 = 16 * 2**-54 it rules a tie out, with
-    room for rounding the margin itself.  A lane whose margin is at most
-    2**-50 on entry, as any lane at weight 0 or 1, is pinned: where it
-    speaks, its assertion is computed from its entry weight exactly as the
-    reference does (``_assertions``) and the cell's memberships take that
-    compound's signs; speaker ids are gathered for every block only when
-    some lane is pinned.  One update toward a target in [0, 1] leaves
-    min(w, 1-w) at least (1-rate) * min(w, 1-w) * (1-c) - 2**-54, where
-    rounding keeps c below 4 * 2**-53 / (1-rate).  So a lane whose entry
-    margin, times half of (1-rate)**rounds, exceeds 2**-50 + rounds *
-    2**-53 keeps its margin through every round: the half covers
-    (1-c)**rounds and the rounding of the test itself (the test passes
-    only if (1-rate)**rounds > 2**-49, which keeps rounds * c below 1/4).
-    Every other lane is watched, every pinned lane among them.  A speaker
-    holds its lane's weight on entry or after some round, so after every
-    round the watched lanes are checked: one whose bits differ from its
-    entry bits fails if it is pinned or has lost its margin.  While no
-    lane of a run fails, every assertion in it is the reference's; a run
-    with a failing lane is replayed from its entry state through
-    ``_apply_sequential`` on its block's memberships, and the round loop
-    stops once every run is to be replayed.
+    lane ids, and run r's dialogues fill the r-th block of the arrays.  So
+    the compiled loop, playing the whole stack in dialogue order with
+    ``_dialogue``'s arithmetic, leaves each run bit-identical to replaying
+    its block through ``_apply_sequential``.  ``bench/tracing.py`` reads
+    this function's name and its ``runs`` and ``speakers`` parameters: they
+    are a benchmark interface, and the loop itself needs no ``runs``.
     """
-    total = runs * n
-    per_run = speakers.size // runs
-    scale = np.repeat(np.minimum(_sign_margin(m1, runs), _sign_margin(m2, runs)), n)
-    margin = np.minimum(weights, 1.0 - weights) * scale
-    take, padding = _group_by_listener(listeners, runs, n, schedule)
-    rounds = take.shape[0]
-    pinned = margin <= _MARGIN
-    any_pinned = pinned.any()
-    watched = np.flatnonzero(
-        margin * (0.5 * (1.0 - rate) ** rounds) <= _MARGIN + rounds * 2.0**-53
-    )
-    held = weights[watched].view(np.uint64)
-    fast = np.ones(runs, dtype=bool)
-    updated = weights.copy()
-
-    one_rel = rels.min() == rels.max()
-    moves = np.less_equal if model == 1 else np.not_equal
-    mu = np.empty(total)
-    step = np.empty(total)
-    moving = np.empty(total, dtype=bool)
-    span = max(1, _CHUNK // total)
-    for r in range(rounds):
-        row = r % span
-        if row == 0:
-            ids = take[r:r + span]
-            first, second = m1[ids], m2[ids]
-            by_speaker = speakers[ids] if any_pinned or not one_rel else None
-            if one_rel:
-                # One reliability for every lane needs no gather by speaker.
-                rel = np.broadcast_to(rels[:1], first.shape)
-            else:
-                rel = rels[by_speaker]
-            signs = None
-            if any_pinned:
-                signs = _pinned_signs(first, second, by_speaker, weights, pinned)
-            target, active, first, second = _signed_targets(first, second, rel, signs)
-            if padding is not None:
-                active &= ~padding[r:r + span]
-        # mu = w * first + (1 - w) * second, then w + rate * (target - w)
-        np.multiply(updated, first[row], out=mu)
-        np.subtract(1.0, updated, out=step)
-        step *= second[row]
-        mu += step
-        moves(mu, rel[row], out=moving)
-        moving &= active[row]
-        np.subtract(target[row], updated, out=step)
-        step *= rate
-        step += updated
-        np.copyto(updated, step, where=moving)
-        if watched.size:
-            moved = watched[updated[watched].view(np.uint64) != held]
-            if moved.size:
-                w = updated[moved]
-                lost = pinned[moved] | (np.minimum(w, 1.0 - w) * scale[moved] <= _MARGIN)
-                fast[moved[lost] // n] = False
-                if not fast.any():
-                    break
-
-    for r in np.flatnonzero(~fast):
-        lanes = slice(r * n, (r + 1) * n)
-        block = slice(r * per_run, (r + 1) * per_run)
-        updated[lanes] = _apply_sequential(
-            weights[lanes], rels[lanes], m1[block], m2[block],
-            speakers[block] - r * n, listeners[block] - r * n, rate, model,
-        )
-    return updated
+    return _play(_loop(), weights, rels, m1, m2, speakers, listeners, rate, model)

@@ -123,6 +123,16 @@ class TestRecordTimes:
     def test_endpoints_only(self):
         assert record_times(10, 10).tolist() == [0, 10]
 
+    @pytest.mark.parametrize("timesteps,every", [
+        (1, 1), (7, 3), (10**6, 1),
+        *((t, k) for t in (2, 5, 10, 17, 100) for k in (1, 2, 3, 7, t) if k <= t),
+    ])
+    def test_equals_the_set_built_form(self, timesteps, every):
+        times = {0, timesteps} | set(range(every, timesteps + 1, every))
+        got = record_times(timesteps, every)
+        assert got.dtype == np.int64
+        assert got.tolist() == sorted(times)
+
     def test_length_rule(self):
         for timesteps in (1, 5, 10, 17, 100):
             for every in (1, 2, 3, 7, timesteps):
@@ -159,6 +169,18 @@ class TestStackedEngine:
         for run_id in range(config.runs):
             assert records_equal(stacked[run_id], run_single(config, run_id))
 
+    def test_matches_the_reference_when_pinned_weights_move(self):
+        # Every weight starts at exactly 1, where compounds tie, and moves
+        # in the first timestep.
+        config = small_config(
+            n_agents=40, runs=2, timesteps=2, weight_init=1.0, model=2,
+            reliability=0.8, rate=1e-3,
+        )
+        stacked = _run_stacked(config)
+        assert all((rec.final_weights != 1.0).any() for rec in stacked)
+        for run_id in range(config.runs):
+            assert records_equal(stacked[run_id], run_single(config, run_id))
+
     def test_runs_are_independent_of_the_run_count(self):
         long = run_experiment(small_config(runs=5)).run_records
         short = run_experiment(small_config(runs=2)).run_records
@@ -172,9 +194,7 @@ class TestStackedEngine:
     def test_thousand_agent_timestep_peak_stays_small(self):
         # numpy reports its buffers to tracemalloc, so the traced peak of
         # one 1000-agent timestep counts the schedule and its draw, the
-        # memberships, the take-index and the kernel's blocks of rounds:
-        # about 49 bytes per dialogue, against about 75 when the whole grid
-        # is built at once.
+        # observations and the memberships: about 49 bytes per dialogue.
         config = small_config(
             n_agents=1000, timesteps=1, runs=1, rate=1e-3, model=2,
             reliability=0.8, master_seed=7,

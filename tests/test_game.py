@@ -1,7 +1,6 @@
 """Dialogue mechanics, the sequential reference and the stacked kernel."""
 
 import itertools
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -389,7 +388,7 @@ def kernel_timestep(weights, rels, env, rate, model, rng, schedule="ordered"):
     speakers, listeners = game._draw_schedule(n, schedule, [rng])
     m1, m2 = game._memberships(LABELS, env.sample_batch(rng, speakers.size))
     return game._stacked_timestep(
-        weights, rels, m1, m2, speakers, listeners, rate, model, schedule, 1, n
+        weights, rels, m1, m2, speakers, listeners, rate, model, 1
     ).tolist()
 
 
@@ -489,9 +488,9 @@ WEIGHTS = st.one_of(
     st.floats(-16.0, -0.5).map(lambda e: 1.0 - 10.0**e),
     st.floats(0.0, 1.0),
 )
-# Weights log-uniform within 1e-14 to 1e-9 of 0 or 1: they pass the margin
-# on entry, and at rates near 1 under model 2 they often lose it within
-# the timestep, as in the MARGIN_LOST cases below.
+# Weights log-uniform within 1e-14 to 1e-9 of 0 or 1: at rates near 1
+# under model 2 they often collapse onto 0 or 1 within the timestep, as
+# in the MARGIN_LOST cases below.
 NEAR_EDGE = st.floats(-14.0, -9.0).map(lambda e: 10.0**e)
 COLLAPSING = st.one_of(NEAR_EDGE, NEAR_EDGE.map(lambda d: 1.0 - d))
 # Observation intervals, including ones squeezed to 1/2 +- eps with eps
@@ -510,9 +509,8 @@ INTERVALS = st.one_of(
 HELD_INTERVALS = st.sampled_from(((0.0, 0.5), (0.5, 1.0), (0.0, 1.0), (0.1, 0.4)))
 
 
-# Model-2 runs whose weights pass the margin on entry but collapse toward 0
-# or 1 within the timestep at rates near 1, so that only the per-round
-# check sends them to the reference (found by random search).
+# Model-2 runs whose weights start near 0 or 1 and collapse toward them
+# within the timestep at rates near 1 (found by random search).
 MARGIN_LOST = [
     (43, "ordered", 0.9989033723956832,
      (1.0846147220943166e-09, 0.9999999999666682, 0.9999999999997771),
@@ -530,7 +528,11 @@ MARGIN_LOST = [
 
 
 def counting_fallbacks(monkeypatch):
-    """Record the runs the kernel replays through ``_apply_sequential``."""
+    """Record the runs the kernel replays through ``_apply_sequential``.
+
+    The loop is built first, since its one check per process plays the reference.
+    """
+    game._loop()
     calls = []
     replay = game._apply_sequential
 
@@ -550,10 +552,10 @@ class TestStackedKernel:
         n = data.draw(st.integers(2, 5), label="n")
         per_lane = lambda values: st.lists(values, min_size=runs * n, max_size=runs * n)
         # A held stack gives each run one edge weight and every lane
-        # reliability 0 or 1, so that pinned speakers often keep their
-        # weight and their runs stay on the array path.  A collapsing one
-        # plays model 2 at rates near 1 from weights next to 0 or 1, so
-        # that lanes often lose their margin within the timestep.
+        # reliability 0 or 1, so that speakers at 0 or 1 often keep their
+        # weight, where rounding ties compounds.  A collapsing one plays
+        # model 2 at rates near 1 from weights next to 0 or 1, so that
+        # weights often reach 0 or 1 within the timestep.
         kind = data.draw(st.sampled_from(("free", "held", "collapse")), label="kind")
         collapse = kind == "collapse"
         if kind == "held":
@@ -571,29 +573,21 @@ class TestStackedKernel:
         schedule = data.draw(st.sampled_from(("ordered", "unordered")), label="schedule")
         env = Environment((data.draw(intervals, label="x1"), data.draw(intervals, label="x2")))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        # A chunk of one cell gives blocks of one round, so the padding,
-        # pinned lanes and the early exit span many blocks; seven cells
-        # give one-round blocks on four lanes or more and a single block on
-        # two or three; 65536 keeps the grid whole.
-        chunk = data.draw(st.sampled_from((1, 7, 65536)), label="chunk")
 
         blocks = []
         for _ in range(runs):
             speakers, listeners = game._draw_schedule(n, schedule, [rng])
             blocks.append((speakers, listeners, env.sample_batch(rng, speakers.size)))
-        with mock.patch.object(game, "_CHUNK", chunk):
-            got = game._stacked_timestep(
-                weights,
-                rels,
-                *game._memberships(LABELS, np.concatenate([xs for _, _, xs in blocks])),
-                np.concatenate([s + r * n for r, (s, _, _) in enumerate(blocks)]),
-                np.concatenate([l + r * n for r, (_, l, _) in enumerate(blocks)]),
-                rate,
-                model,
-                schedule,
-                runs,
-                n,
-            )
+        got = game._stacked_timestep(
+            weights,
+            rels,
+            *game._memberships(LABELS, np.concatenate([xs for _, _, xs in blocks])),
+            np.concatenate([s + r * n for r, (s, _, _) in enumerate(blocks)]),
+            np.concatenate([l + r * n for r, (_, l, _) in enumerate(blocks)]),
+            rate,
+            model,
+            runs,
+        )
 
         # The float reference on each run's lanes, and a replay of each run
         # one dialogue at a time through the public API, which takes its
@@ -631,10 +625,10 @@ class TestStackedKernel:
             assert record.sd_weights.tolist() == want.sd_weights.tolist()
             assert record.final_weights.tolist() == want.final_weights.tolist()
 
-    def test_pinned_lane_that_moves_sends_only_its_run_to_the_reference(self, monkeypatch):
+    def test_pinned_lane_that_moves_sends_only_its_run_to_the_reference(self):
         # Run 0 is held at weight 1 as above.  In run 1 a lane at weight 1
         # listens to speakers at 1/2, whose majority-sign assertions can
-        # imply a target of 0, so it moves and run 1 alone is replayed.
+        # imply a target of 0, so it moves while run 0 holds.
         n, rate = 3, 1e-2
         weights = np.array([1.0, 1.0, 1.0, 1.0, 0.5, 0.5])
         rels = np.ones(2 * n)
@@ -643,11 +637,9 @@ class TestStackedKernel:
         speakers, listeners = game._draw_schedule(n, "ordered", [rng, rng])
         per_run = speakers.size // 2
         xs = env.sample_runs([rng, rng], per_run)
-        calls = counting_fallbacks(monkeypatch)
         got = game._stacked_timestep(
-            weights, rels, *game._memberships(LABELS, xs), speakers, listeners, rate, 1, "ordered", 2, n
+            weights, rels, *game._memberships(LABELS, xs), speakers, listeners, rate, 1, 2
         )
-        assert [args[0].tolist() for args in calls] == [[1.0, 0.5, 0.5]]
         m1, m2 = game._memberships(LABELS, xs)
         want = []
         for r in range(2):
@@ -666,18 +658,17 @@ class TestStackedKernel:
         xs = Environment((x1, x2)).sample_batch(rng, speakers.size)
         weights, rels = np.array(weights), np.array(rels)
         got = game._stacked_timestep(
-            weights, rels, *game._memberships(LABELS, xs), speakers, listeners, rate, 2, schedule, 1, len(weights)
+            weights, rels, *game._memberships(LABELS, xs), speakers, listeners, rate, 2, 1
         )
         want = game._apply_sequential(
             weights, rels, *game._memberships(LABELS, xs), speakers, listeners, rate, 2
         )
         assert got.tolist() == want.tolist()
 
-    def test_watched_and_pinned_lanes_share_one_stack(self, monkeypatch):
-        # Run 0 loses its margin within the timestep (the first case above),
+    def test_watched_and_pinned_lanes_share_one_stack(self):
+        # Run 0 collapses toward 0 or 1 within the timestep (the first case above),
         # run 1 is held at weight 1 with every x2 below 1/2, and run 2 keeps
-        # interior weights.  Each lane has its own reliability, and only run
-        # 0 goes to the reference.
+        # interior weights.  Each lane has its own reliability.
         seed, schedule, rate, weights, rels, x1, x2 = MARGIN_LOST[0]
         n = len(weights)
         half = Environment(((0.0, 1.0), (0.0, 0.5)))
@@ -701,22 +692,18 @@ class TestStackedKernel:
             want += replay(
                 weights[run], rels[run], m1, m2, speakers - r * n, listeners - r * n, rate, 2
             ).tolist()
-        calls = counting_fallbacks(monkeypatch)
         got = game._stacked_timestep(
             weights, rels, *(np.concatenate(column) for column in zip(*blocks)),
-            rate, 2, schedule, len(stack), n,
+            rate, 2, len(stack),
         )
-        assert [args[0].tolist() for args in calls] == [list(stack[0][1])]
         assert want[n:2 * n] == [1.0] * n
         assert got.tolist() == want
 
     @pytest.mark.parametrize("schedule", ["ordered", "unordered"])
     @pytest.mark.parametrize("chunk", [30, 45])
     def test_blocks_of_rounds_match_per_run_replays(self, schedule, chunk):
-        # Three runs of five agents fill 15 lanes, so these chunks give
-        # blocks of two and three rounds, and blocks of three leave a
-        # partial last block, which the hypothesis test's chunks never do.
-        # Lane 5 starts pinned at weight 1 and every lane has its own
+        # Three runs of five agents, drawn from one generator seeded with
+        # ``chunk``.  Lane 5 starts at weight 1 and every lane has its own
         # reliability.
         n, runs = 5, 3
         rng = np.random.default_rng(chunk)
@@ -727,10 +714,7 @@ class TestStackedKernel:
         per_run = speakers.size // runs
         xs = Environment(((0.0, 1.0), (0.0, 0.5))).sample_runs([rng] * runs, per_run)
         m1, m2 = game._memberships(LABELS, xs)
-        with mock.patch.object(game, "_CHUNK", chunk):
-            got = game._stacked_timestep(
-                weights, rels, m1, m2, speakers, listeners, 0.3, 2, schedule, runs, n
-            )
+        got = game._stacked_timestep(weights, rels, m1, m2, speakers, listeners, 0.3, 2, runs)
         want = []
         for r in range(runs):
             run, block = slice(r * n, (r + 1) * n), slice(r * per_run, (r + 1) * per_run)
@@ -754,7 +738,7 @@ class TestStackedKernel:
         per_run = speakers.size // runs
         xs = Environment(((0.0, 1.0), (0.0, 0.5))).sample_runs([rng] * runs, per_run)
         got = game._stacked_timestep(
-            weights, rels, *game._memberships(LABELS, xs), speakers, listeners, 0.3, 1, schedule, runs, n
+            weights, rels, *game._memberships(LABELS, xs), speakers, listeners, 0.3, 1, runs
         )
         m1, m2 = game._memberships(LABELS, xs)
         want = []
