@@ -11,9 +11,9 @@ pass (``game._draw_schedule``, ``Environment.sample_runs``), every run
 from its own generator and in the same order as a run drawn alone.  The
 observations are turned into memberships before the kernel runs, and
 one timestep's arrays are freed before the next timestep draws.
-``run_single`` drives one run through the same loop but replays it
-dialogue by dialogue in Python, and gives bit-identical records.  Identical
-configuration and master seed give byte-identical output files.
+The test suite checks every run's records bit for bit against a scalar
+specification of the whole run.  Identical configuration and master
+seed give byte-identical output files.
 ``ExperimentConfig`` checks its values, and that each label's space
 contains its dimension's interval, on construction.  A configuration
 whose timestep cannot fit in physical memory is refused before anything
@@ -39,7 +39,6 @@ from .game import (
     GameConfig,
     _INT32_IDS,
     _STACK_BYTES_PER_DIALOGUE,
-    _apply_sequential,
     _draw_schedule,
     _initial_state,
     _integer,
@@ -89,8 +88,7 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.game, GameConfig):
             raise ConfigError(f"game must be a GameConfig, got {self.game!r}", "game")
-        # The engine reads only these two attributes, so a stand-in sampler will do.
-        if not (hasattr(self.env, "intervals") and hasattr(self.env, "sample_runs")):
+        if not isinstance(self.env, Environment):
             raise ConfigError(f"env must be an Environment, got {self.env!r}", "env")
         if not (self.outputs is None or isinstance(self.outputs, (str, os.PathLike))):
             raise ConfigError(f"outputs must be a path or None, got {self.outputs!r}", "outputs")
@@ -157,19 +155,20 @@ def _population_stats(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return weights.mean(axis=1), weights.std(axis=1, ddof=1)
 
 
-def _drive(config: ExperimentConfig, run_ids, advance) -> list[RunRecord]:
-    """Seed, draw and record the given runs; ``advance`` plays each timestep.
+def _run_stacked(config: ExperimentConfig) -> list[RunRecord]:
+    """All runs advanced together, lane-striped, one timestep at a time.
 
     Run r draws from a generator seeded with mix_seed(master_seed, r):
     its initial state, then per timestep its schedule
     (``_draw_schedule``) and its observations (``Environment.sample_runs``),
-    which become memberships before ``advance(weights, rels, m1, m2,
-    speakers, listeners)`` returns the stacked weights after the timestep.
+    which become memberships before ``_stacked_timestep`` plays the
+    timestep.  Stacking the runs into one state vector amortises the
+    per-timestep plumbing across the experiment without changing a single
+    bit of any run's results.
     """
     game = config.game
-    n = game.n_agents
-    runs = len(run_ids)
-    rngs = [np.random.default_rng(mix_seed(config.master_seed, r)) for r in run_ids]
+    n, runs = game.n_agents, config.runs
+    rngs = [np.random.default_rng(mix_seed(config.master_seed, r)) for r in range(runs)]
     states = [_initial_state(game, rng) for rng in rngs]
     weights = np.concatenate([w for w, _ in states])
     rels = np.concatenate([r for _, r in states])
@@ -180,51 +179,16 @@ def _drive(config: ExperimentConfig, run_ids, advance) -> list[RunRecord]:
     for t in range(1, game.timesteps + 1):
         speakers, listeners = _draw_schedule(n, game.schedule, rngs)
         m1, m2 = _memberships(game.labels, config.env.sample_runs(rngs, speakers.size // runs))
-        weights = advance(weights, rels, m1, m2, speakers, listeners)
+        weights = _stacked_timestep(
+            weights, rels, m1, m2, speakers, listeners, game.rate, game.model, runs
+        )
         # The next timestep draws its arrays only after these are freed.
         del speakers, listeners, m1, m2
         if t == times[len(stats)]:
             stats.append(_population_stats(weights.reshape(runs, n)))
     means, sds = (np.column_stack(rows) for rows in zip(*stats))
     final = weights.reshape(runs, n)
-    return [
-        RunRecord(run_id, times, means[r], sds[r], final[r].copy())
-        for r, run_id in enumerate(run_ids)
-    ]
-
-
-def run_single(config: ExperimentConfig, run_id: int) -> RunRecord:
-    """Execute one run dialogue by dialogue through ``_apply_sequential``.
-
-    This is the reference the stacked engine is measured against; both
-    must produce bit-identical records for the same configuration.  It
-    shares the engine's driver: the same seeding, schedule and
-    observation draws, memberships and recording, with the one run
-    advanced by the reference instead of the kernel.
-    """
-    game = config.game
-    (record,) = _drive(
-        config,
-        [run_id],
-        lambda *state: _apply_sequential(*state, game.rate, game.model),
-    )
-    return record
-
-
-def _run_stacked(config: ExperimentConfig) -> list[RunRecord]:
-    """All runs advanced together, lane-striped, one timestep at a time.
-
-    The motivation is plumbing cost: with few agents a timestep is a
-    handful of tiny array operations, and stacking the replicate runs
-    into one state vector amortises that overhead across the experiment
-    without changing a single bit of any run's results.
-    """
-    game = config.game
-    return _drive(
-        config,
-        range(config.runs),
-        lambda *state: _stacked_timestep(*state, game.rate, game.model, config.runs),
-    )
+    return [RunRecord(r, times, means[r], sds[r], final[r].copy()) for r in range(runs)]
 
 
 def aggregate_runs(records: list[RunRecord]) -> AggregateRecord:

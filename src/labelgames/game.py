@@ -410,24 +410,17 @@ def _apply_sequential(weights, rels, m1, m2, speakers, listeners, rate, model):
 
     ``weights`` and ``rels`` hold one entry per agent, ``m1`` and ``m2``
     each dialogue's memberships in the two labels; every dialogue runs
-    ``_dialogue`` on plain floats.  The dialogues are converted to Python
-    objects ``_CHUNK`` at a time, since a whole block of them takes about
-    110 bytes per dialogue.  Returns the weights after the last dialogue.
+    ``_dialogue`` on plain floats.  Returns the weights after the last
+    dialogue.
     """
     w = weights.tolist()
     rel = rels.tolist()
-    for lo in range(0, speakers.size, _CHUNK):
-        part = slice(lo, lo + _CHUNK)
-        block = (speakers[part], listeners[part], m1[part], m2[part])
-        for s, l, a, b in zip(*(column.tolist() for column in block)):
-            _, target = _dialogue(w[s], w[l], rel[s], a, b, model)
-            if target is not None:
-                w[l] = w[l] + rate * (target - w[l])
+    for s, l, a, b in zip(speakers.tolist(), listeners.tolist(), m1.tolist(), m2.tolist()):
+        _, target = _dialogue(w[s], w[l], rel[s], a, b, model)
+        if target is not None:
+            w[l] = w[l] + rate * (target - w[l])
     return np.asarray(w)
 
-
-# Elements that one step of a chunked loop converts at once.
-_CHUNK = 1 << 16
 
 # Pair and lane ids are int32: below 2**31 of each, so at most 46,341 agents.
 _INT32_IDS = 2**31
@@ -570,8 +563,8 @@ def _play(play, weights, rels, m1, m2, speakers, listeners, rate, model):
     return w
 
 
-def _check(play) -> None:
-    """Refuse a loop that differs from ``_dialogue`` by a bit on a fixed batch.
+def _check(play, path: Path) -> None:
+    """Refuse the loop in ``path`` if it differs from ``_dialogue`` by a bit on a fixed batch.
 
     Each dialogue of the batch is its own run of two agents: every
     combination of a speaker weight at or next to 0, 1/2 or 1 (where
@@ -597,7 +590,7 @@ def _check(play) -> None:
                 want[2 * d + 1] = wl + rate * (target - wl)
         got = _play(play, weights, np.repeat(rel, 2), m1, m2, speakers, speakers + 1, rate, model)
         if got.tobytes() != want.tobytes():
-            raise EngineError(f"the dialogue loop built by `{' '.join(_COMPILE)}` disagrees with the reference")
+            raise EngineError(f"the dialogue loop in {path} disagrees with the reference; remove it to rebuild")
 
 
 @functools.cache
@@ -618,7 +611,7 @@ def _loop():
         raise EngineError(f"cannot load the dialogue loop from {path}: {err}") from err
     play.argtypes = (ctypes.c_void_p,) * 6 + (ctypes.c_int64, ctypes.c_double, ctypes.c_int)
     play.restype = None
-    _check(play)
+    _check(play, path)
     return play
 
 

@@ -1,7 +1,6 @@
 """Seeding, run replication, persistence, and the stacked engine."""
 
 import gc
-import itertools
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -28,12 +27,12 @@ from labelgames.experiment import (
     prepare_output_dir,
     record_times,
     run_experiment,
-    run_single,
     sweep,
     validate_predictions,
 )
 from labelgames.experiment import _run_stacked
-from labelgames.game import _STACK_BYTES_PER_DIALOGUE, GameConfig, run_dialogue
+from labelgames.game import _STACK_BYTES_PER_DIALOGUE, GameConfig
+from spec import assert_matches_spec
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -151,11 +150,9 @@ class TestStackedEngine:
     ])
     def test_matches_the_reference_loop(self, overrides):
         config = small_config(**overrides)
-        stacked = _run_stacked(config)
-        for run_id in range(config.runs):
-            assert records_equal(stacked[run_id], run_single(config, run_id))
+        assert_matches_spec(_run_stacked(config), config)
 
-    def test_matches_the_reference_through_boundary_declines(self):
+    def test_matches_the_reference_as_weights_reach_one(self):
         # a high rate in an all-upward box drives weights onto 1.0 exactly
         config = small_config(
             rate=0.6,
@@ -166,8 +163,7 @@ class TestStackedEngine:
         stacked = _run_stacked(config)
         finals = np.concatenate([rec.final_weights for rec in stacked])
         assert np.any(finals == 1.0)
-        for run_id in range(config.runs):
-            assert records_equal(stacked[run_id], run_single(config, run_id))
+        assert_matches_spec(stacked, config)
 
     def test_matches_the_reference_when_pinned_weights_move(self):
         # Every weight starts at exactly 1, where compounds tie, and moves
@@ -178,8 +174,7 @@ class TestStackedEngine:
         )
         stacked = _run_stacked(config)
         assert all((rec.final_weights != 1.0).any() for rec in stacked)
-        for run_id in range(config.runs):
-            assert records_equal(stacked[run_id], run_single(config, run_id))
+        assert_matches_spec(stacked, config)
 
     def test_runs_are_independent_of_the_run_count(self):
         long = run_experiment(small_config(runs=5)).run_records
@@ -222,45 +217,6 @@ class TestStackedEngine:
         finally:
             tracemalloc.stop()
         assert kept < 64 * 1024
-
-
-def spec_runs(config):
-    """Each run's times, means, sds and final weights, from the documented contract alone.
-
-    Shares nothing with the engine but ``mix_seed``.  Run r draws from
-    ``default_rng(mix_seed(master_seed, r))``: its initial weights, then per
-    timestep a permutation of the pairs (ordered: speaker-major, listeners
-    ascending; unordered: row-major i < j, then one coin per dialogue, below
-    1/2 keeping i as speaker), then dimension one's and dimension two's
-    observations.  Each dialogue is played by the scalar ``run_dialogue``.
-    """
-    game = config.game
-    n, count = game.n_agents, game.n_agents * (game.n_agents - 1)
-    per_agent = lambda value: list(value) if isinstance(value, tuple) else [value] * n
-    if game.schedule == "ordered":
-        pairs = list(itertools.permutations(range(n), 2))
-    else:
-        pairs, count = list(itertools.combinations(range(n), 2)), count // 2
-    every = config.record_every
-    wanted = sorted({0, game.timesteps, *range(every, game.timesteps + 1, every)})
-    for run in range(config.runs):
-        rng = np.random.default_rng(mix_seed(config.master_seed, run))
-        w = rng.random(n).tolist() if game.weight_init is None else per_agent(game.weight_init)
-        rel = per_agent(game.reliability)
-        rows = [w[:]]
-        for t in range(1, game.timesteps + 1):
-            drawn = [pairs[k] for k in rng.permutation(count)]
-            if game.schedule == "unordered":
-                coins = rng.random(count)
-                drawn = [(i, j) if coin < 0.5 else (j, i) for (i, j), coin in zip(drawn, coins)]
-            x1, x2 = (rng.random(count) * (hi - lo) + lo for lo, hi in config.env.intervals)
-            for (s, l), a, b in zip(drawn, x1, x2):
-                w[l], _, _ = run_dialogue(
-                    w[s], w[l], rel[s], game.labels, (a, b), game.rate, game.model
-                )
-            if t in wanted:
-                rows.append(w[:])
-        yield wanted, [np.mean(r) for r in rows], [np.std(r, ddof=1) for r in rows], w
 
 
 EDGE_WEIGHTS = (0.0, 5e-324, 1e-17, 1.0 - 2.0**-53, 1.0)
@@ -319,12 +275,7 @@ class TestWholeRunSpec:
             master_seed=int(values.integers(2**64, dtype=np.uint64)),
             record_every=min(every, timesteps),
         )
-        records = run_experiment(config).run_records
-        for record, (times, means, sds, final) in zip(records, spec_runs(config), strict=True):
-            assert record.times.tolist() == times
-            assert np.array_equal(record.mean_weights, means)
-            assert np.array_equal(record.sd_weights, sds)
-            assert np.array_equal(record.final_weights, final)
+        assert_matches_spec(run_experiment(config).run_records, config)
 
 
 class TestAggregate:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from labelgames import game
 from labelgames.analysis import Environment, update_directions
-from labelgames.experiment import ExperimentConfig, run_experiment, run_single
+from labelgames.experiment import ExperimentConfig, run_experiment
 from labelgames.game import (
     ASSERTION_ORDER,
     AssertionIndex,
@@ -28,21 +28,9 @@ from labelgames.labels import (
     UniformThreshold,
     canonical_label_pair,
 )
+from spec import assert_matches_spec
 
 LABELS = canonical_label_pair()
-
-
-class CountingEnv:
-    """Unit-square sampler that records how many observations were requested."""
-
-    intervals = ((0.0, 1.0), (0.0, 1.0))
-
-    def __init__(self):
-        self.requests = []
-
-    def sample_runs(self, rngs, count):
-        self.requests.append(count)
-        return np.vstack([rng.random((count, 2)) for rng in rngs])
 
 
 def reference_dialogue(w_speaker, w_listener, reliability, x, rate, model):
@@ -403,23 +391,6 @@ def reference_timestep(weights, rels, env, rate, model, seed, schedule):
 class TestRunTimestep:
     """One run's timestep: the engine's draw, the kernel and the reference."""
 
-    def test_ordered_schedule_samples_one_observation_per_pair(self):
-        env = CountingEnv()
-        config = ExperimentConfig(game=GameConfig(n_agents=10, timesteps=1), env=env, runs=1)
-        record = run_single(config, 0)
-        assert env.requests == [90]
-        assert record.final_weights.shape == (10,)
-        assert ((0.0 <= record.final_weights) & (record.final_weights <= 1.0)).all()
-
-    def test_two_agent_and_unordered_counts(self):
-        env = CountingEnv()
-        run_single(ExperimentConfig(game=GameConfig(n_agents=2, timesteps=1), env=env, runs=1), 0)
-        assert env.requests == [2]
-        env = CountingEnv()
-        game_config = GameConfig(n_agents=10, timesteps=1, schedule="unordered")
-        run_single(ExperimentConfig(game=game_config, env=env, runs=1), 0)
-        assert env.requests == [45]
-
     def test_needs_two_agents(self):
         with pytest.raises(ValueError, match="n_agents must be at least 2"):
             ExperimentConfig(game=GameConfig(n_agents=1))
@@ -449,7 +420,7 @@ class TestRunTimestep:
         want = reference_timestep(weights, rels, env, 0.05, model, seed + 1, schedule)
         assert got == want
 
-    def test_boundary_weights_fall_back_to_the_reference(self):
+    def test_weights_at_zero_and_one_match_the_reference(self):
         env = Environment(((0.0, 1.0), (0.0, 0.5)))
         weights, rels = np.array([0.0, 1.0, 0.5, 0.25]), np.ones(4)
         got = kernel_timestep(weights, rels, env, 1e-2, 1, np.random.default_rng(42))
@@ -457,7 +428,8 @@ class TestRunTimestep:
         assert got == want
 
     def test_extreme_rate_near_the_upper_edge_stays_exact(self):
-        # weights one ulp under 1 with a large rate exercise the decline path
+        # weights one ulp under 1 and a large rate put updates next to 1,
+        # where the kernel must round as the reference does
         env = Environment(((0.0, 1.0), (0.0, 0.5)))
         edge = 1.0 - 2.0 ** -53
         weights, rels = np.array([edge, 0.5, edge, 1e-12, 0.9]), np.ones(5)
@@ -490,7 +462,7 @@ WEIGHTS = st.one_of(
 )
 # Weights log-uniform within 1e-14 to 1e-9 of 0 or 1: at rates near 1
 # under model 2 they often collapse onto 0 or 1 within the timestep, as
-# in the MARGIN_LOST cases below.
+# in the COLLAPSE_CASES below.
 NEAR_EDGE = st.floats(-14.0, -9.0).map(lambda e: 10.0**e)
 COLLAPSING = st.one_of(NEAR_EDGE, NEAR_EDGE.map(lambda d: 1.0 - d))
 # Observation intervals, including ones squeezed to 1/2 +- eps with eps
@@ -511,7 +483,7 @@ HELD_INTERVALS = st.sampled_from(((0.0, 0.5), (0.5, 1.0), (0.0, 1.0), (0.1, 0.4)
 
 # Model-2 runs whose weights start near 0 or 1 and collapse toward them
 # within the timestep at rates near 1 (found by random search).
-MARGIN_LOST = [
+COLLAPSE_CASES = [
     (43, "ordered", 0.9989033723956832,
      (1.0846147220943166e-09, 0.9999999999666682, 0.9999999999997771),
      (0.4510313870011089, 0.9553145792212376, 0.8919016691830427),
@@ -527,10 +499,10 @@ MARGIN_LOST = [
 ]
 
 
-def counting_fallbacks(monkeypatch):
-    """Record the runs the kernel replays through ``_apply_sequential``.
+def counting_sequential_calls(monkeypatch):
+    """Record every call of ``_apply_sequential``, the Python reference.
 
-    The loop is built first, since its one check per process plays the reference.
+    The loop is built first, so that its check is not counted.
     """
     game._loop()
     calls = []
@@ -609,23 +581,20 @@ class TestStackedKernel:
     def test_held_boundary_weights_stay_on_the_array_path(self, monkeypatch):
         # Every weight is 1 and every x2 lies below 1/2: a speaker at weight
         # 1 asserts the second label positive, every target clamps to 1 and
-        # no weight moves, so no run needs the reference.
+        # no weight moves.  The compiled loop plays it all; the Python
+        # reference is never called.
         config = ExperimentConfig(
             game=GameConfig(n_agents=5, timesteps=4, rate=1e-3, model=1, reliability=1.0, weight_init=1.0),
             env=Environment(((0.0, 1.0), (0.0, 0.5))),
             runs=3,
             master_seed=5,
         )
-        calls = counting_fallbacks(monkeypatch)
+        calls = counting_sequential_calls(monkeypatch)
         records = run_experiment(config).run_records
         assert calls == []
-        for record in records:
-            want = run_single(config, record.run_id)
-            assert record.mean_weights.tolist() == want.mean_weights.tolist()
-            assert record.sd_weights.tolist() == want.sd_weights.tolist()
-            assert record.final_weights.tolist() == want.final_weights.tolist()
+        assert_matches_spec(records, config)
 
-    def test_pinned_lane_that_moves_sends_only_its_run_to_the_reference(self):
+    def test_a_lane_at_one_moves_while_the_other_run_holds(self):
         # Run 0 is held at weight 1 as above.  In run 1 a lane at weight 1
         # listens to speakers at 1/2, whose majority-sign assertions can
         # imply a target of 0, so it moves while run 0 holds.
@@ -651,8 +620,8 @@ class TestStackedKernel:
         assert want[:n] == [1.0] * n and want[n] != 1.0
         assert got.tolist() == want
 
-    @pytest.mark.parametrize("seed,schedule,rate,weights,rels,x1,x2", MARGIN_LOST)
-    def test_margin_lost_within_the_timestep_falls_back(self, seed, schedule, rate, weights, rels, x1, x2):
+    @pytest.mark.parametrize("seed,schedule,rate,weights,rels,x1,x2", COLLAPSE_CASES)
+    def test_collapsing_weights_match_the_reference(self, seed, schedule, rate, weights, rels, x1, x2):
         rng = np.random.default_rng(seed)
         speakers, listeners = game._draw_schedule(len(weights), schedule, [rng])
         xs = Environment((x1, x2)).sample_batch(rng, speakers.size)
@@ -665,11 +634,11 @@ class TestStackedKernel:
         )
         assert got.tolist() == want.tolist()
 
-    def test_watched_and_pinned_lanes_share_one_stack(self):
+    def test_collapsing_held_and_interior_runs_share_one_stack(self):
         # Run 0 collapses toward 0 or 1 within the timestep (the first case above),
         # run 1 is held at weight 1 with every x2 below 1/2, and run 2 keeps
         # interior weights.  Each lane has its own reliability.
-        seed, schedule, rate, weights, rels, x1, x2 = MARGIN_LOST[0]
+        seed, schedule, rate, weights, rels, x1, x2 = COLLAPSE_CASES[0]
         n = len(weights)
         half = Environment(((0.0, 1.0), (0.0, 0.5)))
         stack = [
@@ -700,13 +669,13 @@ class TestStackedKernel:
         assert got.tolist() == want
 
     @pytest.mark.parametrize("schedule", ["ordered", "unordered"])
-    @pytest.mark.parametrize("chunk", [30, 45])
-    def test_blocks_of_rounds_match_per_run_replays(self, schedule, chunk):
-        # Three runs of five agents, drawn from one generator seeded with
-        # ``chunk``.  Lane 5 starts at weight 1 and every lane has its own
-        # reliability.
+    @pytest.mark.parametrize("seed", [30, 45])
+    def test_blocks_of_rounds_match_per_run_replays(self, schedule, seed):
+        # Three runs of five agents, each run's block of dialogues drawn in
+        # turn from one generator.  Lane 5 starts at weight 1 and every
+        # lane has its own reliability.
         n, runs = 5, 3
-        rng = np.random.default_rng(chunk)
+        rng = np.random.default_rng(seed)
         weights = rng.random(runs * n)
         weights[n] = 1.0
         rels = rng.random(runs * n)
@@ -726,7 +695,7 @@ class TestStackedKernel:
 
     @pytest.mark.parametrize("schedule,n,runs", [("ordered", 2, 32769), ("unordered", 3, 21846)])
     def test_matches_per_run_replays_past_the_uint16_lane_ids(self, schedule, n, runs):
-        # 65538 lanes, so the listener keys no longer fit in 16 bits.  An
+        # 65538 lanes, past what 16-bit lane ids could address.  An
         # unordered run needs three agents for a lane to listen twice.  A
         # few runs start at the boundary weights.
         rng = np.random.default_rng(65538)

@@ -242,6 +242,9 @@ PROBES = [
     ("none-game", lambda: ExperimentConfig(game=None), "game"),
     ("string-game", lambda: ExperimentConfig(game="x"), "game"),
     ("none-env", lambda: ExperimentConfig(env=None), "env"),
+    ("env-look-alike",
+     lambda: ExperimentConfig(env=type("Sampler", (), {"intervals": ((0, 1), (0, 1)), "sample_runs": None})()),
+     "env"),
     ("int-outputs", lambda: ExperimentConfig(outputs=5), "outputs"),
 ]
 
