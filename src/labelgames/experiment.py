@@ -3,23 +3,23 @@
 A single experiment repeats the same game configuration across independent
 runs, each seeded by mixing a master seed with the run id, records the
 population mean and cross-agent standard deviation of the weights over
-time, and aggregates across runs.  All runs advance together on the
-lane-stacked kernel ``game._stacked_timestep``, one timestep at a time;
-its compiled dialogue loop plays every run's dialogues in order.
-Each timestep's schedules and observations are drawn for all runs in one
-pass (``game._draw_schedule``, ``Environment.sample_runs``), every run
-from its own generator and in the same order as a run drawn alone.  The
-observations are turned into memberships before the kernel runs, and
-one timestep's arrays are freed before the next timestep draws.
+time, and aggregates across runs.  The runs play one after another, each
+in one C call (``game._RunPlayer``, around ``play_run``) per block of
+recorded timesteps: the kernel draws every timestep's schedule and
+observations from the run's own generator through numpy's ctypes
+interface, in the order a Python run would draw them, plays the
+dialogues and copies the weights out at each recorded timestep.  Each
+block of snapshots is reduced to its statistics before the next block
+or run, so memory holds one run's timestep and one block.
 The test suite checks every run's records bit for bit against a scalar
 specification of the whole run.  Identical configuration and master
 seed give byte-identical output files.
 ``ExperimentConfig`` checks its values, and that each label's space
 contains its dimension's interval, on construction.  A configuration
-whose timestep cannot fit in physical memory is refused before anything
-runs, with ``FootprintError``, a ``ConfigError``; an engine whose loop
-cannot be built or fails its check raises ``game.EngineError``, also
-before any output directory is made.
+whose run cannot fit in physical memory is refused before anything
+runs, with ``FootprintError``, a ``ConfigError``; an engine that cannot
+be built or fails its check raises ``game.EngineError``, also before any
+output directory is made.
 
 Sweeps, model comparisons, and prediction validation are thin layers that
 re-run the experiment with one field changed and tabulate the results.
@@ -39,15 +39,14 @@ from .game import (
     GameConfig,
     _INT32_IDS,
     _STACK_BYTES_PER_DIALOGUE,
-    _draw_schedule,
+    _RunPlayer,
     _initial_state,
     _integer,
     _loop,
-    _memberships,
     _real,
-    _stacked_timestep,
     dialogues_per_timestep,
 )
+from .game import _stacked_timestep  # noqa: F401  the benchmark's tracer hooks it here by name
 
 _MASK64 = (1 << 64) - 1
 
@@ -151,44 +150,47 @@ class ExperimentResult:
 
 
 def _population_stats(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row mean and cross-agent standard deviation of a (runs, n) array."""
+    """Per-row mean and cross-agent standard deviation of a (rows, agents) array of weights."""
     return weights.mean(axis=1), weights.std(axis=1, ddof=1)
 
 
-def _run_stacked(config: ExperimentConfig) -> list[RunRecord]:
-    """All runs advanced together, lane-striped, one timestep at a time.
+# A kernel call fills at most this many rows of weight snapshots, and at
+# most this many bytes of them.
+_BLOCK_ROWS = 2**16
+_BLOCK_BYTES = 2**23
 
-    Run r draws from a generator seeded with mix_seed(master_seed, r):
-    its initial state, then per timestep its schedule
-    (``_draw_schedule``) and its observations (``Environment.sample_runs``),
-    which become memberships before ``_stacked_timestep`` plays the
-    timestep.  Stacking the runs into one state vector amortises the
-    per-timestep plumbing across the experiment without changing a single
-    bit of any run's results.
+
+def _block_rows(config: ExperimentConfig) -> int:
+    """Rows of weight snapshots one kernel call fills: every recorded time, within the bounds."""
+    recorded = -(-config.game.timesteps // config.record_every) + 1
+    return max(1, min(recorded, _BLOCK_ROWS, _BLOCK_BYTES // (8 * config.game.n_agents)))
+
+
+def _run_stacked(config: ExperimentConfig) -> list[RunRecord]:
+    """Every run played one after another, each in one C call per block of recorded times.
+
+    Run r draws from a generator seeded with mix_seed(master_seed, r): its
+    initial state, then, inside ``play_run``, every timestep's schedule and
+    observations.  The kernel snapshots the weights at each recorded time,
+    and each block of snapshots is reduced by ``_population_stats`` before
+    the next block, so no run holds more than one block.
     """
     game = config.game
-    n, runs = game.n_agents, config.runs
-    rngs = [np.random.default_rng(mix_seed(config.master_seed, r)) for r in range(runs)]
-    states = [_initial_state(game, rng) for rng in rngs]
-    weights = np.concatenate([w for w, _ in states])
-    rels = np.concatenate([r for _, r in states])
-
     times = record_times(game.timesteps, config.record_every)
-    # stats[i] holds the statistics at times[i], so len(stats) indexes the next time due.
-    stats = [_population_stats(weights.reshape(runs, n))]
-    for t in range(1, game.timesteps + 1):
-        speakers, listeners = _draw_schedule(n, game.schedule, rngs)
-        m1, m2 = _memberships(game.labels, config.env.sample_runs(rngs, speakers.size // runs))
-        weights = _stacked_timestep(
-            weights, rels, m1, m2, speakers, listeners, game.rate, game.model, runs
-        )
-        # The next timestep draws its arrays only after these are freed.
-        del speakers, listeners, m1, m2
-        if t == times[len(stats)]:
-            stats.append(_population_stats(weights.reshape(runs, n)))
-    means, sds = (np.column_stack(rows) for rows in zip(*stats))
-    final = weights.reshape(runs, n)
-    return [RunRecord(r, times, means[r], sds[r], final[r].copy()) for r in range(runs)]
+    rows = _block_rows(config)
+    player = _RunPlayer(_loop().play_run, game, config.env.intervals, rows)
+    records = []
+    for r in range(config.runs):
+        rng = np.random.default_rng(mix_seed(config.master_seed, r))
+        weights, rels = _initial_state(game, rng)
+        played, stats = 0, []
+        for start in range(0, times.size, rows):
+            block = times[start : start + rows]
+            stats.append(_population_stats(player(rng, weights, rels, played, block)))
+            played = int(block[-1])
+        means, sds = (np.concatenate(column) for column in zip(*stats))
+        records.append(RunRecord(r, times, means, sds, weights))
+    return records
 
 
 def aggregate_runs(records: list[RunRecord]) -> AggregateRecord:
@@ -273,21 +275,22 @@ def _physical_memory() -> int | None:
 
 
 def _check_footprint(config: ExperimentConfig) -> None:
-    """Refuse a configuration whose timestep would not fit in physical memory.
+    """Refuse a configuration whose run would not fit in physical memory.
 
-    The stacked engine holds every run's dialogues of one timestep at
-    once, at about ``_STACK_BYTES_PER_DIALOGUE`` bytes each.  Raises
-    FootprintError when that exceeds the machine's physical memory.
+    Runs play one after another, each holding one timestep's draws at
+    about ``_STACK_BYTES_PER_DIALOGUE`` bytes per dialogue and one block
+    of weight snapshots.  Raises FootprintError when that exceeds the
+    machine's physical memory.
     """
     game = config.game
-    dialogues = config.runs * dialogues_per_timestep(game.n_agents, game.schedule)
-    need = dialogues * _STACK_BYTES_PER_DIALOGUE
+    dialogues = dialogues_per_timestep(game.n_agents, game.schedule)
+    need = dialogues * _STACK_BYTES_PER_DIALOGUE + _block_rows(config) * game.n_agents * 8
     have = _physical_memory()
     if have is not None and need > have:
         raise FootprintError(
-            f"{config.runs} runs of {game.n_agents} agents play {dialogues} "
-            f"dialogues per timestep, about {need / 2**30:.1f} GiB at "
-            f"{_STACK_BYTES_PER_DIALOGUE} bytes each; physical memory is "
+            f"one run of {game.n_agents} agents plays {dialogues} dialogues per "
+            f"timestep, about {need / 2**30:.1f} GiB at {_STACK_BYTES_PER_DIALOGUE} "
+            f"bytes each with its weight snapshots; physical memory is "
             f"{have / 2**30:.1f} GiB"
         )
 
@@ -297,9 +300,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Run r draws every random number from a generator seeded with
     mix_seed(master_seed, r), so its records do not depend on how many
-    other runs share the stacked engine.  A configuration whose timestep
-    cannot fit in memory, or an engine whose loop cannot be built, is
-    refused before the output directory is made.
+    other runs the experiment has.  A configuration whose run cannot fit
+    in memory, or an engine that cannot be built, is refused before the
+    output directory is made.
     """
     _check_footprint(config)
     _loop()

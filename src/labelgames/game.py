@@ -24,19 +24,31 @@ order, sampling a fresh observation per dialogue, and applies updates
 sequentially.  An agent's state is two floats, its weight and its
 reliability, and a population's is two float arrays.  The dialogue
 arithmetic is written once in Python, on plain floats, in ``_dialogue``
-and its helpers, and mirrored in C by the kernel; ``choose_assertion``,
+and its helpers, and mirrored in C; ``choose_assertion``,
 ``implied_weight`` and ``run_dialogue`` wrap them for single agents and
-take floats.  ``_apply_sequential`` is the
-reference: it plays the dialogues one at a time through ``_dialogue`` on a
-float array of weights, given each dialogue's memberships.
-``_draw_schedule`` shuffles and decodes one timestep's pairs for any number
-of runs in one pass, each from its own generator.  ``_stacked_timestep`` is
-the one kernel: given the dialogues' memberships, it advances those runs
-at once, stacked lane by lane, through a dialogue loop written in C in
-``_dialogue``'s operation order, so it is bit-identical to the reference
-by construction.  The loop is compiled by a C compiler on first use,
-cached under a hash of its source and compile command, and checked
-against ``_dialogue`` on a fixed batch before each process first uses it.
+take floats.
+
+The engine is one C function, ``play_run``: it plays one run's timesteps
+in one call, drawing the shuffle, the role coins and the uniforms from
+the run's own numpy generator through its ctypes interface
+(``next_uint32`` and ``next_double``, in ``Generator.shuffle``'s and
+``Generator.random``'s order), decoding the pairs, computing the
+observations and memberships and playing each dialogue in
+``_dialogue``'s operation order.  ``_RunPlayer`` binds it to one game and
+holds the buffers each run reuses.  The memberships are those of 1-d
+labels with a ``Euclidean`` or one-weight ``WeightedCityBlock`` metric
+and a ``UniformThreshold``; ``GameConfig`` refuses every other label.
+The C source is compiled on first use, cached under a hash of its source
+and compile command, and checked before each process first uses it:
+dialogues against ``_dialogue`` on a fixed batch, and tiny whole runs,
+draws included, against a Python replay from ``Generator.permutation``
+and ``Generator.random``.
+
+The per-timestep Python path stays for the tests only: ``_draw_schedule``
+shuffles and decodes one timestep's pairs for any number of runs,
+``_stacked_timestep`` plays them, stacked lane by lane, through the C
+loop ``play_dialogues``, and ``_apply_sequential`` is the reference that
+plays them one at a time through ``_dialogue``.
 """
 
 from __future__ import annotations
@@ -57,7 +69,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .labels import Label, canonical_label_pair
+from .labels import (
+    ConceptualSpace,
+    Euclidean,
+    Label,
+    UniformThreshold,
+    WeightedCityBlock,
+    canonical_label,
+    canonical_label_pair,
+)
 
 __all__ = [
     "ConfigError",
@@ -184,9 +204,34 @@ class GameConfig:
         ):
             object.__setattr__(self, name, value)
         if not (isinstance(self.labels, tuple) and len(self.labels) == 2) or any(
-            not isinstance(l, Label) or l.space.dims != 1 for l in self.labels
+            _label_terms(label) is None for label in self.labels
         ):
-            raise ConfigError("the game is played over exactly two 1-d labels", "labels")
+            raise ConfigError(
+                "the game is played over exactly two 1-d labels, each with a Euclidean or "
+                "one-weight WeightedCityBlock metric and a UniformThreshold",
+                "labels",
+            )
+
+
+def _label_terms(label) -> tuple[float, float, float] | None:
+    """(prototype, metric scale, threshold width) of a label the engine computes, else None.
+
+    Its membership at x is then ``clip(1 - scale * |x - prototype| / width,
+    0, 1)``, as ``Label.membership_batch`` computes it; a ``Euclidean``
+    metric has scale 1, by which multiplying is exact.
+    """
+    if not isinstance(label, Label) or label.space.dims != 1:
+        return None
+    metric, threshold = label.metric, label.threshold
+    if type(metric) is Euclidean:
+        scale = 1.0
+    elif type(metric) is WeightedCityBlock and len(metric.weights) == 1:
+        scale = float(metric.weights[0])
+    else:
+        return None
+    if type(threshold) is not UniformThreshold:
+        return None
+    return float(label.prototype[0]), scale, float(threshold.width)
 
 
 def _initial_state(config: GameConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -425,13 +470,13 @@ def _apply_sequential(weights, rels, m1, m2, speakers, listeners, rate, model):
 # Pair and lane ids are int32: below 2**31 of each, so at most 46,341 agents.
 _INT32_IDS = 2**31
 
-# Bytes one stacked timestep holds per dialogue at its peak: the drawn
-# schedule, the observations and the memberships.  Measured peaks
-# (ru_maxrss of two-timestep runs, above the RSS after imports): 55 bytes
-# for 1000 agents, from uniform weights or with every weight at 1, and 69
-# for 2000 unordered runs of 20 agents, whose draw also holds the role
-# coins.  The constant is the largest of these plus about a quarter.
-_STACK_BYTES_PER_DIALOGUE = 88
+# Bytes one run's timestep holds per dialogue at its peak: the picks,
+# the uniforms and, unordered, the role coins.  Measured peaks (ru_maxrss
+# of two-timestep runs, above the RSS after imports): 20 bytes for 1000
+# agents, from uniform weights or with every weight at 1, and 28 for 1000
+# or 1400 agents under the unordered schedule.  The constant is the
+# largest of these plus about a quarter.
+_STACK_BYTES_PER_DIALOGUE = 35
 
 
 # Kept, though the engine no longer calls it: the benchmark's tracer hooks it
@@ -458,34 +503,122 @@ def _group_by_listener(listeners, runs, n, schedule):
     return take, np.arange(rounds)[:, np.newaxis] >= counts
 
 
-# The dialogue loop, written in ``_dialogue``'s operation order: the four
-# compounds in ``ASSERTION_ORDER``, where only a strictly greater one
-# replaces the best, so ties go first; ``min(1.0, max(0.0, t))`` as two
-# comparisons; and the update w + rate * (t - w).
+# The C source.  ``dialogue`` is written in ``_dialogue``'s operation
+# order: the four compounds in ``ASSERTION_ORDER``, where only a strictly
+# greater one replaces the best, so ties go first; ``min(1.0, max(0.0, t))``
+# as two comparisons; and the update w + rate * (t - w).  ``play_dialogues``
+# plays given dialogues through it.  ``play_run`` plays one run's timesteps
+# from ``played`` through ``times[rows - 1]``, copying the weights into row k
+# of ``snapshots`` at timestep ``times[k]``.  Each timestep it draws, through
+# the generator's own functions: a Fisher-Yates shuffle of the pair ids by
+# numpy's ``random_interval`` (masked rejection on ``next_uint32``; every id
+# is below 2**31), as ``Generator.shuffle`` does; the unordered schedule's
+# role coins; dimension one's uniforms, then dimension two's, by
+# ``next_double``, as ``Generator.random`` does.  Then each dialogue decodes
+# its pair as ``_pairs`` does, maps its uniforms onto the intervals as
+# ``Environment.sample_runs`` does and computes its memberships as
+# ``Label.membership_batch`` does for the labels ``_label_terms`` accepts.
+# ``dims`` holds, per dimension, lo, hi - lo, and the label's prototype,
+# scale and width.
 _LOOP_SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
+#include <string.h>
+
+static void dialogue(double *w, const double *rel, int32_t speaker, int32_t listener,
+                     double a, double b, double rate, int model)
+{
+    double share = w[speaker];
+    double first = a, second = b, best = share * a + (1.0 - share) * b, c;
+    c = share * a + (1.0 - share) * (1.0 - b);
+    if (c > best) { best = c; first = a; second = 1.0 - b; }
+    c = share * (1.0 - a) + (1.0 - share) * b;
+    if (c > best) { best = c; first = 1.0 - a; second = b; }
+    c = share * (1.0 - a) + (1.0 - share) * (1.0 - b);
+    if (c > best) { first = 1.0 - a; second = 1.0 - b; }
+    double r = rel[speaker], wl = w[listener];
+    double mu = wl * first + (1.0 - wl) * second, denom = first - second;
+    if ((model == 1 ? mu <= r : mu != r) && denom != 0.0) {
+        double t = (r - second) / denom;
+        t = t > 0 ? t : 0;
+        t = t < 1 ? t : 1;
+        w[listener] = wl + rate * (t - wl);
+    }
+}
 
 void play_dialogues(double *w, const double *rel, const double *m1, const double *m2,
                     const int32_t *speaker, const int32_t *listener, int64_t count,
                     double rate, int model)
 {
-    for (int64_t d = 0; d < count; d++) {
-        double share = w[speaker[d]], a = m1[d], b = m2[d];
-        double first = a, second = b, best = share * a + (1.0 - share) * b, c;
-        c = share * a + (1.0 - share) * (1.0 - b);
-        if (c > best) { best = c; first = a; second = 1.0 - b; }
-        c = share * (1.0 - a) + (1.0 - share) * b;
-        if (c > best) { best = c; first = 1.0 - a; second = b; }
-        c = share * (1.0 - a) + (1.0 - share) * (1.0 - b);
-        if (c > best) { first = 1.0 - a; second = 1.0 - b; }
-        double r = rel[speaker[d]], wl = w[listener[d]];
-        double mu = wl * first + (1.0 - wl) * second, denom = first - second;
-        if ((model == 1 ? mu <= r : mu != r) && denom != 0.0) {
-            double t = (r - second) / denom;
-            t = t > 0 ? t : 0;
-            t = t < 1 ? t : 1;
-            w[listener[d]] = wl + rate * (t - wl);
+    for (int64_t d = 0; d < count; d++)
+        dialogue(w, rel, speaker[d], listener[d], m1[d], m2[d], rate, model);
+}
+
+typedef uint32_t (*next_uint32_fn)(void *);
+typedef double (*next_double_fn)(void *);
+
+static int32_t interval(void *state, next_uint32_fn next_uint32, uint32_t max)
+{
+    uint32_t mask = max, value;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    while ((value = next_uint32(state) & mask) > max)
+        ;
+    return (int32_t) value;
+}
+
+static double membership(double x, const double *label)
+{
+    double s = label[1] * fabs(x - label[0]) / label[2];
+    s = 1.0 - s;
+    s = s > 0 ? s : 0;
+    return s < 1 ? s : 1;
+}
+
+void play_run(void *state, next_uint32_fn next_uint32, next_double_fn next_double,
+              double *w, const double *rel, int32_t n, int unordered, const double *dims,
+              double rate, int model, int32_t *picks, double *coins, double *u1, double *u2,
+              int64_t played, const int64_t *times, int64_t rows, double *snapshots)
+{
+    int32_t count = unordered ? n * (n - 1) / 2 : n * (n - 1);
+    for (int64_t k = 0; k < rows; k++) {
+        for (; played < times[k]; played++) {
+            for (int32_t d = 0; d < count; d++)
+                picks[d] = d;
+            for (int32_t i = count - 1; i > 0; i--) {
+                int32_t j = interval(state, next_uint32, (uint32_t) i), q = picks[j];
+                picks[j] = picks[i];
+                picks[i] = q;
+            }
+            for (int32_t d = 0; unordered && d < count; d++)
+                coins[d] = next_double(state);
+            for (int32_t d = 0; d < count; d++)
+                u1[d] = next_double(state);
+            for (int32_t d = 0; d < count; d++)
+                u2[d] = next_double(state);
+            for (int32_t d = 0; d < count; d++) {
+                int32_t q = picks[d], s, l;
+                if (unordered) {
+                    int32_t c = count - 1 - q;
+                    int32_t r = (int32_t) ((sqrt(8.0 * c + 1.0) - 1.0) * 0.5);
+                    int32_t i = n - 2 - r, j = n - 1 - (c - (r * (r + 1) >> 1));
+                    int heads = coins[d] < 0.5;
+                    s = heads ? i : j;
+                    l = heads ? j : i;
+                } else {
+                    s = q / (n - 1);
+                    l = q - s * (n - 1);
+                    l += l >= s;
+                }
+                double x1 = u1[d] * dims[1] + dims[0], x2 = u2[d] * dims[6] + dims[5];
+                dialogue(w, rel, s, l, membership(x1, dims + 2), membership(x2, dims + 7),
+                         rate, model);
+            }
         }
+        memcpy(snapshots + k * n, w, n * sizeof(double));
     }
 }
 """
@@ -563,17 +696,18 @@ def _play(play, weights, rels, m1, m2, speakers, listeners, rate, model):
     return w
 
 
-def _check(play, path: Path) -> None:
-    """Refuse the loop in ``path`` if it differs from ``_dialogue`` by a bit on a fixed batch.
+def _check(lib, path: Path) -> None:
+    """Refuse the library in ``path`` if it differs from the Python reference by a bit.
 
-    Each dialogue of the batch is its own run of two agents: every
-    combination of a speaker weight at or next to 0, 1/2 or 1 (where
-    compounds tie), two listener weights, memberships from 0 to 1 through
-    exactly 1/2 and two reliabilities, under both models.  A loop built
-    with contraction or extended precision, or one that breaks ties or
-    clamps otherwise, gives other bits.  The batch is played through
-    ``_dialogue`` itself, not ``_apply_sequential``, whose calls the
-    benchmark's tracer counts as engine fallbacks.
+    Its ``play_dialogues`` plays a fixed batch.  Each dialogue of the
+    batch is its own run of two agents: every combination of a speaker
+    weight at or next to 0, 1/2 or 1 (where compounds tie), two listener
+    weights, memberships from 0 to 1 through exactly 1/2 and two
+    reliabilities, under both models.  A loop built with contraction or
+    extended precision, or one that breaks ties or clamps otherwise, gives
+    other bits.  The batch is played through ``_dialogue`` itself, not
+    ``_apply_sequential``, whose calls the benchmark's tracer counts as
+    engine fallbacks.  Its ``play_run`` then plays ``_check_runs``.
     """
     edges = (0.0, 5e-324, 1e-17, 0.5, 1.0 - 2.0**-53, 1.0)
     memberships = (0.0, 0.3, 0.5, 0.7, 1.0)
@@ -582,20 +716,136 @@ def _check(play, path: Path) -> None:
     weights = np.column_stack((w_speaker, w_listener)).reshape(-1)
     speakers = np.arange(0, weights.size, 2, dtype=np.int32)
     rate = 0.3
+    agree = True
     for model in (1, 2):
         want = weights.copy()
         for d, (ws, wl, a, b, r) in enumerate(cases):
             target = _dialogue(ws, wl, r, a, b, model)[1]
             if target is not None:
                 want[2 * d + 1] = wl + rate * (target - wl)
-        got = _play(play, weights, np.repeat(rel, 2), m1, m2, speakers, speakers + 1, rate, model)
-        if got.tobytes() != want.tobytes():
-            raise EngineError(f"the dialogue loop in {path} disagrees with the reference; remove it to rebuild")
+        got = _play(
+            lib.play_dialogues, weights, np.repeat(rel, 2), m1, m2, speakers, speakers + 1, rate, model
+        )
+        agree = agree and got.tobytes() == want.tobytes()
+    if not (agree and _check_runs(lib.play_run)):
+        raise EngineError(f"the dialogue loop in {path} disagrees with the reference; remove it to rebuild")
+
+
+# The labels of ``_check_runs``: dimension one's has a prototype off the
+# interval's edge, a metric scale and a threshold width other than 1.
+_CHECK_LABELS = (
+    Label((0.7,), WeightedCityBlock((1.5,)), UniformThreshold(width=0.8), ConceptualSpace(1)),
+    canonical_label(),
+)
+
+
+def _check_runs(run) -> bool:
+    """Whether ``run`` plays tiny whole runs exactly as a Python replay does.
+
+    One run of 4 agents, 3 timesteps recorded at 0, 2 and 3, per model and
+    schedule, each from its own seed.  The replay draws each timestep with
+    ``Generator.permutation`` and ``Generator.random``, decodes pairs from
+    ``itertools`` tables, computes memberships with ``membership_batch``
+    and plays ``_dialogue``.  The snapshots, the last timestep's drawn
+    picks, coins and uniforms, and the generator's next draw must all agree.
+    """
+    times = np.array([0, 2, 3])
+    intervals = ((0.1, 0.9), (0.05, 0.6))
+    cases = itertools.product(("ordered", "unordered"), (1, 2))
+    for seed, (schedule, model) in enumerate(cases):
+        config = GameConfig(
+            n_agents=4, timesteps=3, rate=0.3, model=model, labels=_CHECK_LABELS,
+            reliability=(1.0, 0.8, 0.5, 0.9), schedule=schedule,
+        )
+        player = _RunPlayer(run, config, intervals, times.size)
+        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+        weights, rels = _initial_state(config, rng)
+        snapshots = player(rng, weights, rels, 0, times)
+        rows, draws = _replay_run(config, intervals, replay, times)
+        got = (player.picks, player.coins, *player.uniforms)
+        if snapshots.tobytes() != np.array(rows).tobytes() or rng.random() != replay.random():
+            return False
+        if any(a.tolist() != b.tolist() for a, b in zip(got, draws)):
+            return False
+    return True
+
+
+def _replay_run(config: GameConfig, intervals, rng, times):
+    """``_check_runs``' reference: the recorded weights and the last timestep's draws."""
+    n, model, rate = config.n_agents, config.model, config.rate
+    unordered = config.schedule == "unordered"
+    pairs = list((itertools.combinations if unordered else itertools.permutations)(range(n), 2))
+    w, rel = rng.random(n).tolist(), list(config.reliability)
+    rows, draws = [], None
+    for t in range(times[-1] + 1):
+        if t:
+            picks = rng.permutation(len(pairs))
+            coins = rng.random(len(pairs) if unordered else 0)
+            uniforms = [rng.random(len(pairs)) for _ in intervals]
+            m1, m2 = (
+                label.membership_batch(u * (hi - lo) + lo).tolist()
+                for label, u, (lo, hi) in zip(config.labels, uniforms, intervals)
+            )
+            for d, k in enumerate(picks.tolist()):
+                s, l = pairs[k] if not unordered or coins[d] < 0.5 else pairs[k][::-1]
+                target = _dialogue(w[s], w[l], rel[s], m1[d], m2[d], model)[1]
+                if target is not None:
+                    w[l] = w[l] + rate * (target - w[l])
+            draws = (picks, coins, *uniforms)
+        if t in times:
+            rows.append(list(w))
+    return rows, draws
+
+
+class _RunPlayer:
+    """``play_run`` bound to one game and environment, with the buffers each run reuses.
+
+    A run's timestep holds its picks (4 bytes per dialogue), the unordered
+    schedule's coins (8) and both dimensions' uniforms (16), and up to
+    ``rows`` snapshots of the weights.
+    """
+
+    def __init__(self, run, config: GameConfig, intervals, rows: int):
+        n, unordered = config.n_agents, config.schedule == "unordered"
+        count = dialogues_per_timestep(n, config.schedule)
+        self.picks = np.empty(count, dtype=np.int32)
+        self.coins = np.empty(count if unordered else 0)
+        self.uniforms = np.empty((2, count))
+        self.snapshots = np.empty((rows, n))
+        self.dims = np.array(
+            [(lo, hi - lo, *_label_terms(label)) for label, (lo, hi) in zip(config.labels, intervals)]
+        )
+        self.run = run
+        self.fixed = (n, int(unordered), self.dims.ctypes.data, config.rate, config.model)
+        self.buffers = tuple(a.ctypes.data for a in (self.picks, self.coins, *self.uniforms))
+
+    def __call__(self, rng, weights, rels, played: int, times):
+        """Play ``rng``'s run from timestep ``played`` through ``times[-1]``, in place on ``weights``.
+
+        Returns the weights at each of ``times``, one row each, as a view of
+        the snapshot buffer that the next call overwrites.  The generator's
+        lock is held while C draws from it.
+        """
+        n = self.fixed[0]
+        times = np.ascontiguousarray(times, dtype=np.int64)
+        if not (weights.dtype == rels.dtype == np.float64 and weights.shape == rels.shape == (n,)
+                and weights.flags.c_contiguous and weights.flags.writeable and rels.flags.c_contiguous):
+            raise ValueError(f"one float64 weight and reliability per agent, {n} each, are needed")
+        if times.ndim != 1 or times.size > len(self.snapshots):
+            raise ValueError(f"at most {len(self.snapshots)} recorded times per call")
+        face = rng.bit_generator.ctypes
+        functions = (ctypes.cast(f, ctypes.c_void_p).value for f in (face.next_uint32, face.next_double))
+        with rng.bit_generator.lock:
+            self.run(
+                face.state_address, *functions, weights.ctypes.data, rels.ctypes.data, *self.fixed,
+                *self.buffers, played, times.ctypes.data, times.size, self.snapshots.ctypes.data,
+            )
+        return self.snapshots[: times.size]
 
 
 @functools.cache
 def _loop():
-    """The compiled dialogue loop, built on first use and checked once per process.
+    """The compiled engine library, built on first use and checked once per process.
 
     The library is cached under a name keyed by the hash of the source and
     the compile command, so an edit to either builds a new one; raises
@@ -606,24 +856,31 @@ def _loop():
     if not path.is_file():
         _build(path)
     try:
-        play = ctypes.CDLL(str(path)).play_dialogues
+        lib = ctypes.CDLL(str(path))
+        play, run = lib.play_dialogues, lib.play_run
     except (OSError, AttributeError) as err:
         raise EngineError(f"cannot load the dialogue loop from {path}: {err}") from err
     play.argtypes = (ctypes.c_void_p,) * 6 + (ctypes.c_int64, ctypes.c_double, ctypes.c_int)
-    play.restype = None
-    _check(play, path)
-    return play
+    run.argtypes = (
+        (ctypes.c_void_p,) * 5 + (ctypes.c_int32, ctypes.c_int, ctypes.c_void_p, ctypes.c_double, ctypes.c_int)
+        + (ctypes.c_void_p,) * 4 + (ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+    )
+    play.restype = run.restype = None
+    _check(lib, path)
+    return lib
 
 
 def _stacked_timestep(weights, rels, m1, m2, speakers, listeners, rate, model, runs):
-    """Advance every run one timestep on stacked per-run state.
+    """Advance every run one timestep on stacked per-run state; only tests call it.
 
     Agent i of run r occupies lane r*n + i, speakers and listeners carry
     lane ids, and run r's dialogues fill the r-th block of the arrays.  So
-    the compiled loop, playing the whole stack in dialogue order with
-    ``_dialogue``'s arithmetic, leaves each run bit-identical to replaying
-    its block through ``_apply_sequential``.  ``bench/tracing.py`` reads
-    this function's name and its ``runs`` and ``speakers`` parameters: they
-    are a benchmark interface, and the loop itself needs no ``runs``.
+    the compiled ``play_dialogues``, playing the whole stack in dialogue
+    order with ``_dialogue``'s arithmetic, leaves each run bit-identical
+    to replaying its block through ``_apply_sequential``.  The engine
+    plays whole runs through ``_RunPlayer`` instead; this per-timestep path
+    stays until the tests no longer compare through it.
+    ``bench/tracing.py`` still resolves this function's name and its
+    ``runs`` and ``speakers`` parameters.
     """
-    return _play(_loop(), weights, rels, m1, m2, speakers, listeners, rate, model)
+    return _play(_loop().play_dialogues, weights, rels, m1, m2, speakers, listeners, rate, model)

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from labelgames import analysis
+from labelgames import analysis, experiment
 from labelgames.cli import build_parser, main
 
 BASE = """\
@@ -131,7 +131,11 @@ class TestErrorPaths:
         assert run_cli("simulate", "--config", bad) == 2
         assert "line 2" in capsys.readouterr().err
 
-    def test_oversized_population_is_refused_before_any_compute(self, tmp_path, capsys):
+    def test_oversized_population_is_refused_before_any_compute(self, tmp_path, capsys, monkeypatch):
+        # Runs play one at a time, so one run of 40,000 agents (about 52 GiB
+        # of draws per timestep) is what must not fit; the host's memory is
+        # fixed at 8 GiB so that the refusal does not depend on it.
+        monkeypatch.setattr(experiment, "_physical_memory", lambda: 8 * 2**30)
         huge = tmp_path / "huge.cfg"
         huge.write_text(BASE.replace("agents = 4", "agents = 40000").replace("runs = 2", "runs = 1000"))
         out = tmp_path / "out"

@@ -32,6 +32,14 @@ from labelgames.experiment import (
 )
 from labelgames.experiment import _run_stacked
 from labelgames.game import _STACK_BYTES_PER_DIALOGUE, GameConfig
+from labelgames.labels import (
+    ConceptualSpace,
+    Euclidean,
+    Label,
+    UniformThreshold,
+    WeightedCityBlock,
+    canonical_label,
+)
 from spec import assert_matches_spec
 
 
@@ -99,8 +107,9 @@ class TestExperimentConfig:
             ExperimentConfig(game=GameConfig(timesteps=0))
 
     def test_stack_larger_than_memory_refused_before_the_output_dir(self, tmp_path, monkeypatch):
-        # 3 runs of 6 agents play 90 dialogues per timestep.
-        need = 90 * _STACK_BYTES_PER_DIALOGUE
+        # Runs play one at a time: one run of 6 agents plays 30 dialogues
+        # per timestep and records 9 snapshots of 6 weights.
+        need = 30 * _STACK_BYTES_PER_DIALOGUE + 9 * 6 * 8
         config = small_config(outputs=tmp_path / "out")
         monkeypatch.setattr(experiment, "_physical_memory", lambda: need - 1)
         with pytest.raises(FootprintError, match="physical memory"):
@@ -188,8 +197,8 @@ class TestStackedEngine:
 
     def test_thousand_agent_timestep_peak_stays_small(self):
         # numpy reports its buffers to tracemalloc, so the traced peak of
-        # one 1000-agent timestep counts the schedule and its draw, the
-        # observations and the memberships: about 49 bytes per dialogue.
+        # one 1000-agent timestep counts the kernel's buffers: 4 bytes of
+        # picks and 16 of uniforms per dialogue, about 20 in all.
         config = small_config(
             n_agents=1000, timesteps=1, runs=1, rate=1e-3, model=2,
             reliability=0.8, master_seed=7,
@@ -200,7 +209,21 @@ class TestStackedEngine:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / 999_000 < 56
+        assert peak / 999_000 < 25
+
+    def test_blocks_of_recorded_times_match_the_spec(self, monkeypatch):
+        # Two snapshot rows per kernel call: the run continues across calls.
+        monkeypatch.setattr(experiment, "_BLOCK_ROWS", 2)
+        for schedule in ("ordered", "unordered"):
+            config = small_config(timesteps=9, record_every=2, runs=2, schedule=schedule, model=2)
+            assert experiment._block_rows(config) == 2
+            assert_matches_spec(_run_stacked(config), config)
+
+    def test_snapshot_blocks_stay_within_eight_megabytes(self):
+        largest = ExperimentConfig(game=GameConfig(n_agents=46_341, timesteps=10**5), runs=1)
+        assert experiment._block_rows(largest) == 2**23 // (8 * 46_341) == 22
+        assert experiment._block_rows(small_config(timesteps=10**6)) == 2**16
+        assert experiment._block_rows(small_config(timesteps=10, record_every=3)) == 5
 
     def test_a_finished_run_keeps_nothing_alive(self):
         # No pair table or other array outlives the call: what is still
@@ -220,6 +243,10 @@ class TestStackedEngine:
 
 
 EDGE_WEIGHTS = (0.0, 5e-324, 1e-17, 1.0 - 2.0**-53, 1.0)
+# The labels the engine computes: canonical ones, on the unit interval or
+# a wider one; a threshold width other than 1; a prototype off the edge;
+# a city-block metric with a weight other than 1.
+LABEL_KINDS = ("canonical", "width", "prototype", "city")
 
 
 class TestWholeRunSpec:
@@ -235,10 +262,13 @@ class TestWholeRunSpec:
         weight_init=st.sampled_from(("drawn", "one", "each")),
         x1=st.sampled_from(("plain", "squeezed")),
         x2=st.sampled_from(("plain", "squeezed")),
+        label1=st.sampled_from(LABEL_KINDS),
+        label2=st.sampled_from(LABEL_KINDS),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_run_experiment_equals_the_spec_run_by_run(
-        self, n, runs, timesteps, every, model, schedule, reliability, weight_init, x1, x2, seed
+        self, n, runs, timesteps, every, model, schedule, reliability, weight_init, x1, x2,
+        label1, label2, seed,
     ):
         # Hypothesis draws the shape; a seeded generator draws the values,
         # which hypothesis draws far more slowly.  A third of the weights
@@ -259,6 +289,17 @@ class TestWholeRunSpec:
             eps = 10.0 ** values.uniform(-15.5, -1.0)
             return (0.5 - eps, 0.5 + eps)
 
+        def label(kind):
+            if kind == "canonical":
+                return canonical_label(1.0 if values.random() < 0.5 else 1.0 + values.random())
+            if kind == "width":
+                return Label((1.0,), Euclidean(), UniformThreshold(values.uniform(0.2, 3.0)), ConceptualSpace(1))
+            if kind == "prototype":
+                return Label((values.random(),), Euclidean(), UniformThreshold(), ConceptualSpace(1))
+            metric = WeightedCityBlock((values.uniform(0.2, 3.0),))
+            threshold = UniformThreshold(values.uniform(0.2, 3.0))
+            return Label((values.random(),), metric, threshold, ConceptualSpace(1))
+
         game = GameConfig(
             n_agents=n,
             timesteps=timesteps,
@@ -267,6 +308,7 @@ class TestWholeRunSpec:
             reliability=per_agent(reliability),
             weight_init=None if weight_init == "drawn" else per_agent(weight_init),
             schedule=schedule,
+            labels=(label(label1), label(label2)),
         )
         config = ExperimentConfig(
             game=game,

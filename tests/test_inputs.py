@@ -49,7 +49,16 @@ from labelgames.game import (
     implied_weight,
     run_dialogue,
 )
-from labelgames.labels import canonical_label, canonical_label_pair
+from labelgames.labels import (
+    ConceptualSpace,
+    Euclidean,
+    Label,
+    ThresholdDistribution,
+    UniformThreshold,
+    WeightedCityBlock,
+    canonical_label,
+    canonical_label_pair,
+)
 
 GAME = {"n_agents": 4, "timesteps": 10, "rate": 0.05}
 EXPERIMENT = {"runs": 2, "master_seed": 0, "record_every": 1}
@@ -128,6 +137,32 @@ def test_library_refuses_a_label_narrower_than_the_environment(tmp_path):
     with pytest.raises(ConfigError, match="does not contain") as info:
         run_experiment(build(out, labels=(canonical_label(0.5),) * 2))
     assert info.value.field == "labels"
+    assert not out.exists()
+
+
+class SteeperThreshold(UniformThreshold):
+    """A uniform threshold under another name, whose survival the engine does not know."""
+
+
+UNIT = ConceptualSpace(1)
+# 1-d labels whose memberships the engine does not compute.
+FOREIGN_LABELS = {
+    "custom-threshold": Label(
+        (1.0,), Euclidean(), ThresholdDistribution(lambda t: np.clip(1.0 - t * t, 0.0, 1.0)), UNIT
+    ),
+    "threshold-subclass": Label((1.0,), Euclidean(), SteeperThreshold(), UNIT),
+    "two-weight-city-block": Label((1.0,), WeightedCityBlock((1.0, 2.0)), UniformThreshold(), UNIT),
+}
+
+
+@pytest.mark.parametrize("label", FOREIGN_LABELS.values(), ids=FOREIGN_LABELS.keys())
+def test_library_refuses_a_label_the_engine_cannot_compute(label, tmp_path):
+    with pytest.raises(ConfigError, match="UniformThreshold") as info:
+        GameConfig(labels=(canonical_label(), label))
+    assert info.value.field == "labels"
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError):
+        run_experiment(build(out, labels=(label, label)))
     assert not out.exists()
 
 

@@ -51,13 +51,30 @@ def test_builds_once_and_ignores_libraries_under_other_keys(cache):
     assert (cache / name).stat().st_mtime_ns == built
 
 
+def swapped(source: str, a: str, b: str) -> str:
+    """``source`` with every ``a`` and ``b`` exchanged."""
+    return source.replace(a, "\0").replace(b, a).replace("\0", b)
+
+
 @pytest.mark.parametrize("edit", [
     ("c > best", "c >= best"),  # ties go last
     ("t = t > 0 ? t : 0;\n", ""),  # no clamp at 0
     ("t = t < 1 ? t : 1;\n", ""),  # no clamp at 1
-], ids=["ties-last", "no-lower-clamp", "no-upper-clamp"])
+    ("& mask) > max", "& mask) >= max"),  # another shuffle than Generator.shuffle's
+    ("u1[d] = next_double(state)", "u2[d] = next_double(state)", "swap"),  # dimension two drawn first
+    ("coins[d] < 0.5", "coins[d] >= 0.5"),  # a low coin makes the second agent speak
+    ("l += l >= s;", "l += l > s;"),  # ordered decode off by one
+    ("j = n - 1 - (c", "j = n - 2 - (c"),  # unordered decode off by one
+    ("played < times[k]", "played <= times[k]"),  # each snapshot one timestep late
+], ids=[
+    "ties-last", "no-lower-clamp", "no-upper-clamp", "shuffle", "uniforms-swapped",
+    "coin-roles-flipped", "ordered-decode", "unordered-decode", "recording-shifted",
+])
 def test_the_check_refuses_a_loop_built_from_altered_source(cache, monkeypatch, edit):
-    source = game._LOOP_SOURCE.replace(*edit)
+    if edit[-1] == "swap":
+        source = swapped(game._LOOP_SOURCE, *edit[:2])
+    else:
+        source = game._LOOP_SOURCE.replace(*edit)
     assert source != game._LOOP_SOURCE
     monkeypatch.setattr(game, "_LOOP_SOURCE", source)
     with pytest.raises(game.EngineError, match="disagrees with the reference") as info:
