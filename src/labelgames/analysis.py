@@ -16,6 +16,15 @@ timesteps at the mean number of those, dialogues_per_timestep(n,
 schedule) / n: n - 1 under the ordered schedule, (n - 1) / 2 under the
 unordered one.  Every value argument is checked by ``game``'s rules, and
 a refused one raises ``ConfigError``, naming it, before any draw.
+
+The Monte Carlo estimators, ``positive_update_probability_mc`` and
+``estimate_target_moments`` (and so ``build_prediction``), draw their
+uniforms with numpy, as ``Environment.sample_batch`` does, and run their
+per-observation work in the engine's compiled library, ``game._loop()``,
+which needs a C compiler; the means, variances and counts are numpy's.
+``update_directions`` and ``game.batch_implied_weights`` stay as their
+numpy reference.  The exact share, the trajectories and the convergence
+counts need no compiler.
 """
 
 from __future__ import annotations
@@ -26,7 +35,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .game import ConfigError, _integer, _model, _real, batch_implied_weights
+from .game import (
+    ConfigError,
+    _dims,
+    _integer,
+    _label_pair,
+    _loop,
+    _mc_select,
+    _mc_targets,
+    _mc_upward,
+    _model,
+    _real,
+)
 from .labels import Label, canonical_label_pair
 
 
@@ -41,10 +61,11 @@ class NonConvergenceError(RuntimeError):
 def update_directions(xs: np.ndarray) -> np.ndarray:
     """Push directions, +1, -1, or 0 per row of observations.
 
-    Within a quadrant the direction is the sign of the difference between
-    the two signed memberships: when the first dimension fits the
-    assertion better than the second, the implied target saturates at 1
-    and the update pulls upward.
+    The numpy reference of the compiled ``mc_upward``.  Within a quadrant
+    the direction is the sign of the difference between the two signed
+    memberships: when the first dimension fits the assertion better than
+    the second, the implied target saturates at 1 and the update pulls
+    upward.
     """
     xs = np.asarray(xs, dtype=np.float64)
     x1, x2 = xs[:, 0], xs[:, 1]
@@ -188,6 +209,27 @@ _MC_CHUNK = 1 << 20
 _MOMENTS_CHUNK = 1 << 19
 
 
+def _environment(env) -> Environment:
+    """``env``, which the estimators sample by its intervals, when it is an ``Environment``."""
+    if not isinstance(env, Environment):
+        raise ConfigError(f"env must be an Environment, got {env!r}", "env")
+    return env
+
+
+def _chunks(rng: np.random.Generator, n_samples: int, chunk: int):
+    """Uniforms for ``n_samples`` observations, ``chunk`` at a time, as ``sample_batch`` draws them.
+
+    Yields each chunk's dimension-one and dimension-two uniforms, drawn in
+    that order into two buffers that the next chunk overwrites.
+    """
+    buffers = np.empty((2, min(chunk, n_samples)))
+    for done in range(0, n_samples, chunk):
+        a, b = buffers[:, : min(chunk, n_samples - done)]
+        rng.random(out=a)
+        rng.random(out=b)
+        yield a, b
+
+
 def positive_update_probability_mc(
     env: Environment,
     n_samples: int,
@@ -196,16 +238,14 @@ def positive_update_probability_mc(
     """Monte Carlo estimate of the upward-pull probability.
 
     Returns the estimate together with its binomial standard error, so a
-    caller can check the analytic value against estimate +- 3 se.
+    caller can check the analytic value against estimate +- 3 se.  The
+    observations are those ``sample_batch`` draws, and the compiled
+    ``mc_upward`` counts those ``update_directions`` gives +1.
     """
-    n_samples = _integer(n_samples, "n_samples", 1)
-    hits = 0
-    done = 0
-    while done < n_samples:
-        take = min(_MC_CHUNK, n_samples - done)
-        xs = env.sample_batch(rng, take)
-        hits += int(np.count_nonzero(update_directions(xs) > 0))
-        done += take
+    env, n_samples = _environment(env), _integer(n_samples, "n_samples", 1)
+    # mc_upward reads only the intervals from dims; the labels play no part.
+    lib, dims = _loop(), _dims(canonical_label_pair(), env.intervals)
+    hits = sum(_mc_upward(lib, dims, a, b) for a, b in _chunks(rng, n_samples, _MC_CHUNK))
     estimate = hits / n_samples
     se = math.sqrt(estimate * (1.0 - estimate) / n_samples)
     return estimate, se
@@ -282,57 +322,57 @@ def estimate_target_moments(
     EstimationError when no sample has a defined target, and
     NonConvergenceError when an iterate has no updating samples, which is
     what happens when reliability is so low that no assertion ever fits
-    well enough.
+    well enough.  ``labels`` defaults to the canonical pair; other labels
+    must be two that the compiled loop computes, each over a space holding
+    its dimension's interval, or a ``ConfigError`` naming them is raised
+    before any draw.
     """
-    reliability, model = _real(reliability, "reliability"), _model(model)
+    env, reliability, model = _environment(env), _real(reliability, "reliability"), _model(model)
     n_samples = _integer(n_samples, "n_samples", 1)
+    labels = _label_pair(canonical_label_pair() if labels is None else labels, env.intervals)
     if rng is None:
         rng = np.random.default_rng(0)
-    if labels is None:
-        labels = canonical_label_pair()
+    lib, dims = _loop(), _dims(labels, env.intervals)
 
     moments = RunningMoments()
     if model == 2:
-        done = 0
-        while done < n_samples:
-            take = min(_MOMENTS_CHUNK, n_samples - done)
-            xs = env.sample_batch(rng, take)
-            targets, usable, _, _ = batch_implied_weights(
-                labels, xs, reliability
-            )
-            moments.update(targets[usable])
-            done += take
+        targets = np.empty(min(_MOMENTS_CHUNK, n_samples))
+        for a, b in _chunks(rng, n_samples, _MOMENTS_CHUNK):
+            moments.update(targets[: _mc_targets(lib, dims, reliability, a, b, targets)])
         if moments.count == 0:
             raise EstimationError(
                 "every sampled observation fit both labels equally well"
             )
     else:
-        targets, usable, mu_first, mu_second = batch_implied_weights(
-            labels, env.sample_batch(rng, n_samples), reliability
-        )
-        if not usable.any():
+        (a, b), = _chunks(rng, n_samples, n_samples)
+        targets = np.empty(n_samples)
+        kept = _mc_targets(lib, dims, reliability, a, b, targets)
+        if kept == 0:
             raise EstimationError(
                 "every sampled observation fit both labels equally well"
             )
+        mu_first, mu_second, targets = a[:kept], b[:kept], targets[:kept]
+        updating = np.empty(kept)
+
+        def select(resting: float) -> np.ndarray:
+            """The targets at which a listener of weight ``resting`` updates."""
+            count = _mc_select(lib, resting, reliability, mu_first, mu_second, targets, updating)
+            return updating[:count]
+
         resting = 0.5
         for _ in range(100):
-            updating = usable & (
-                resting * mu_first + (1.0 - resting) * mu_second <= reliability
-            )
-            if not updating.any():
+            selected = select(resting)
+            if selected.size == 0:
                 raise NonConvergenceError(
                     "no observation would trigger an update at weight "
                     f"{resting:.6g} with reliability {reliability:.6g}"
                 )
-            revised = float(targets[updating].mean())
+            revised = float(selected.mean())
             converged = abs(revised - resting) < 1e-4
             resting = revised
             if converged:
                 break
-        updating = usable & (
-            resting * mu_first + (1.0 - resting) * mu_second <= reliability
-        )
-        moments.update(targets[updating])
+        moments.update(select(resting))
     return TargetMoments(
         mean=moments.mean, variance=moments.variance, count=moments.count
     )

@@ -42,6 +42,7 @@ from .game import (
     _RunPlayer,
     _initial_state,
     _integer,
+    _label_pair,
     _loop,
     _real,
     dialogues_per_timestep,
@@ -101,14 +102,7 @@ class ExperimentConfig:
                 f"timesteps ({self.game.timesteps})",
                 "record_every",
             )
-        for label, (lo, hi) in zip(self.game.labels, self.env.intervals):
-            (low, high), = label.space.bounds
-            if lo < low or hi > high:
-                raise ConfigError(
-                    f"label space [{low}, {high}] does not contain the "
-                    f"environment's interval [{lo}, {hi}]",
-                    "labels",
-                )
+        _label_pair(self.game.labels, self.env.intervals)
 
 
 def record_times(timesteps: int, record_every: int) -> np.ndarray:

@@ -44,6 +44,13 @@ dialogues against ``_dialogue`` on a fixed batch, and tiny whole runs,
 draws included, against a Python replay from ``Generator.permutation``
 and ``Generator.random``.
 
+The same library holds the Monte Carlo loops of ``analysis``'s
+estimators, ``mc_targets``, ``mc_select`` and ``mc_upward``, called
+through ``_mc_targets``, ``_mc_select`` and ``_mc_upward``;
+``batch_implied_weights`` is their numpy reference, against which
+``_check_estimators`` checks them on a fixed grid, and ``_label_pair`` is
+the one check of the labels they and the game are given.
+
 The per-timestep Python path stays for the tests only: ``_draw_schedule``
 shuffles and decodes one timestep's pairs for any number of runs,
 ``_stacked_timestep`` plays them, stacked lane by lane, through the C
@@ -203,14 +210,33 @@ class GameConfig:
             ("weight_init", None if init is None else _per_agent(init, "weight_init", n)),
         ):
             object.__setattr__(self, name, value)
-        if not (isinstance(self.labels, tuple) and len(self.labels) == 2) or any(
-            _label_terms(label) is None for label in self.labels
-        ):
+        _label_pair(self.labels)
+
+
+def _label_pair(labels, intervals=None) -> tuple[Label, Label]:
+    """``labels`` as two labels ``_label_terms`` accepts, each space containing its interval.
+
+    The containment is checked only when ``intervals``, one (lo, hi) per
+    label, are given.  Refuses anything else with a ``ConfigError`` naming
+    ``labels``.
+    """
+    if not (isinstance(labels, tuple) and len(labels) == 2) or any(
+        _label_terms(label) is None for label in labels
+    ):
+        raise ConfigError(
+            "the game is played over exactly two 1-d labels, each with a Euclidean or "
+            "one-weight WeightedCityBlock metric and a UniformThreshold",
+            "labels",
+        )
+    for label, (lo, hi) in zip(labels, intervals or ()):
+        (low, high), = label.space.bounds
+        if lo < low or hi > high:
             raise ConfigError(
-                "the game is played over exactly two 1-d labels, each with a Euclidean or "
-                "one-weight WeightedCityBlock metric and a UniformThreshold",
+                f"label space [{low}, {high}] does not contain the "
+                f"environment's interval [{lo}, {hi}]",
                 "labels",
             )
+    return labels
 
 
 def _label_terms(label) -> tuple[float, float, float] | None:
@@ -232,6 +258,11 @@ def _label_terms(label) -> tuple[float, float, float] | None:
     if type(threshold) is not UniformThreshold:
         return None
     return float(label.prototype[0]), scale, float(threshold.width)
+
+
+def _dims(labels, intervals) -> np.ndarray:
+    """The compiled loop's ``dims``: per dimension lo, hi - lo and ``_label_terms``' three."""
+    return np.array([(lo, hi - lo, *_label_terms(label)) for label, (lo, hi) in zip(labels, intervals)])
 
 
 def _initial_state(config: GameConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -350,7 +381,7 @@ def batch_implied_weights(
     xs: np.ndarray,
     reliability: float | np.ndarray,
 ):
-    """Vectorised implied weights for many observations at once.
+    """Vectorised implied weights for many observations at once; the numpy reference of ``mc_targets``.
 
     Signs are chosen per dimension by majority membership (ties count as
     positive).  That is the assertion ``choose_assertion(w, labels, x)``
@@ -520,6 +551,21 @@ def _group_by_listener(listeners, runs, n, schedule):
 # ``Label.membership_batch`` does for the labels ``_label_terms`` accepts.
 # ``dims`` holds, per dimension, lo, hi - lo, and the label's prototype,
 # scale and width.
+#
+# The Monte Carlo estimators of ``analysis`` run the three ``mc_`` loops on
+# uniforms that numpy drew.  ``mc_targets`` maps them, two observations at
+# a time, and computes their memberships as ``play_run`` does, then does
+# what ``_signed_targets`` does elementwise: the majority signs by
+# ``max(m, 1 - m)``, the target where the denominator is not zero, clipped
+# as ``np.clip`` clips, so that a target of -0.0 stays -0.0.  It moves the
+# usable observations' signed memberships and targets to the front, in
+# order, and returns their count.  ``mc_select`` copies the targets of those
+# at which a listener of weight ``lam`` updates under model 1, and
+# ``mc_upward`` counts the observations ``analysis.update_directions`` gives
+# +1: bit k of ``up`` holds quadrant k's test, where k sets bit 0 for
+# dimension one at least 1/2 and bit 1 for dimension two.  Every choice in
+# these loops is made on bits, by masks, so that no branch in them depends
+# on the data.
 _LOOP_SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
@@ -621,6 +667,72 @@ void play_run(void *state, next_uint32_fn next_uint32, next_double_fn next_doubl
         memcpy(snapshots + k * n, w, n * sizeof(double));
     }
 }
+
+typedef double pair __attribute__((vector_size(16)));
+typedef int64_t mask __attribute__((vector_size(16)));
+
+static pair pick(mask c, pair x, pair y)
+{
+    return (pair) ((c & (mask) x) | (~c & (mask) y));
+}
+
+static pair majority(pair u, const double *dim)
+{
+    pair s = u * dim[1] + dim[0] - dim[2], zero = {0, 0}, one = {1, 1};
+    s = 1.0 - dim[3] * (pair) ((mask) s & INT64_MAX) / dim[4];
+    s = pick(s > 0, s, zero);
+    s = pick(s < 1, s, one);
+    pair n = 1.0 - s;
+    return pick(s > n, s, n);
+}
+
+int64_t mc_targets(int64_t count, const double *dims, double rel, double *a, double *b, double *t)
+{
+    int64_t kept = 0;
+    pair zero = {0, 0}, one = {1, 1};
+    for (int64_t i = 0; i < count; i += 2) {
+        int64_t j = i + (i + 1 < count);
+        pair m1 = majority((pair) {a[i], a[j]}, dims), m2 = majority((pair) {b[i], b[j]}, dims + 5);
+        pair denom = m1 - m2, target = (rel - m2) / denom;
+        mask usable = denom != 0;
+        target = pick(target < 0, zero, target);
+        target = pick(target > 1, one, target);
+        a[kept] = m1[0];
+        b[kept] = m2[0];
+        t[kept] = target[0];
+        kept -= usable[0];
+        if (j > i) {
+            a[kept] = m1[1];
+            b[kept] = m2[1];
+            t[kept] = target[1];
+            kept -= usable[1];
+        }
+    }
+    return kept;
+}
+
+int64_t mc_select(int64_t count, double lam, double rel, const double *a, const double *b,
+                  const double *t, double *out)
+{
+    int64_t kept = 0;
+    for (int64_t i = 0; i < count; i++) {
+        out[kept] = t[i];
+        kept += lam * a[i] + (1.0 - lam) * b[i] <= rel;
+    }
+    return kept;
+}
+
+int64_t mc_upward(int64_t count, const double *dims, const double *a, const double *b)
+{
+    int64_t hits = 0;
+    for (int64_t i = 0; i < count; i++) {
+        double x1 = a[i] * dims[1] + dims[0], x2 = b[i] * dims[6] + dims[5];
+        unsigned up = (x2 - x1 > 0) | (x1 + x2 - 1.0 > 0) << 1 | (1.0 - x1 - x2 > 0) << 2
+                      | (x1 - x2 > 0) << 3;
+        hits += up >> ((x1 >= 0.5) | (x2 >= 0.5) << 1) & 1;
+    }
+    return hits;
+}
 """
 
 # The one command that builds the loop; the source arrives on standard
@@ -696,6 +808,42 @@ def _play(play, weights, rels, m1, m2, speakers, listeners, rate, model):
     return w
 
 
+def _doubles(*arrays) -> None:
+    """Refuse, before their pointers are passed, arrays that are not writable C-contiguous float64."""
+    if not all(a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable for a in arrays):
+        raise ValueError("writable C-contiguous float64 arrays are needed")
+
+
+def _mc_targets(lib, dims, reliability: float, a, b, t) -> int:
+    """``lib``'s ``mc_targets`` on the uniforms ``a`` and ``b``: the usable count.
+
+    The usable observations' signed memberships overwrite the front of
+    ``a`` and ``b``, and their targets that of ``t``, in draw order.
+    """
+    _doubles(dims, a, b, t)
+    if not (a.shape == b.shape == (a.size,) and t.size >= a.size and dims.shape == (2, 5)):
+        raise ValueError("two uniforms per observation, a target slot each and 2 x 5 dims are needed")
+    return lib.mc_targets(a.size, dims.ctypes.data, reliability, a.ctypes.data, b.ctypes.data, t.ctypes.data)
+
+
+def _mc_select(lib, resting: float, reliability: float, a, b, t, out) -> int:
+    """``lib``'s ``mc_select``: copies into ``out`` the targets ``t`` at which a weight of ``resting`` updates."""
+    _doubles(a, b, t, out)
+    if not (a.shape == b.shape == t.shape == (a.size,) and out.size >= a.size):
+        raise ValueError("two memberships and a target per observation, and a slot each, are needed")
+    return lib.mc_select(
+        a.size, resting, reliability, a.ctypes.data, b.ctypes.data, t.ctypes.data, out.ctypes.data
+    )
+
+
+def _mc_upward(lib, dims, a, b) -> int:
+    """``lib``'s ``mc_upward``: how many observations drawn as the uniforms ``a`` and ``b`` pull upward."""
+    _doubles(dims, a, b)
+    if not (a.shape == b.shape == (a.size,) and dims.shape == (2, 5)):
+        raise ValueError("two uniforms per observation and 2 x 5 dims are needed")
+    return lib.mc_upward(a.size, dims.ctypes.data, a.ctypes.data, b.ctypes.data)
+
+
 def _check(lib, path: Path) -> None:
     """Refuse the library in ``path`` if it differs from the Python reference by a bit.
 
@@ -707,7 +855,8 @@ def _check(lib, path: Path) -> None:
     extended precision, or one that breaks ties or clamps otherwise, gives
     other bits.  The batch is played through ``_dialogue`` itself, not
     ``_apply_sequential``, whose calls the benchmark's tracer counts as
-    engine fallbacks.  Its ``play_run`` then plays ``_check_runs``.
+    engine fallbacks.  Its ``play_run`` then plays ``_check_runs``, and its
+    Monte Carlo loops ``_check_estimators``.
     """
     edges = (0.0, 5e-324, 1e-17, 0.5, 1.0 - 2.0**-53, 1.0)
     memberships = (0.0, 0.3, 0.5, 0.7, 1.0)
@@ -727,7 +876,7 @@ def _check(lib, path: Path) -> None:
             lib.play_dialogues, weights, np.repeat(rel, 2), m1, m2, speakers, speakers + 1, rate, model
         )
         agree = agree and got.tobytes() == want.tobytes()
-    if not (agree and _check_runs(lib.play_run)):
+    if not (agree and _check_runs(lib.play_run) and _check_estimators(lib)):
         raise EngineError(f"the dialogue loop in {path} disagrees with the reference; remove it to rebuild")
 
 
@@ -766,6 +915,47 @@ def _check_runs(run) -> bool:
         if snapshots.tobytes() != np.array(rows).tobytes() or rng.random() != replay.random():
             return False
         if any(a.tolist() != b.tolist() for a, b in zip(got, draws)):
+            return False
+    return True
+
+
+def _check_estimators(lib) -> bool:
+    """Whether ``lib``'s Monte Carlo loops give the numpy reference's bytes on a fixed grid.
+
+    Every pair of eight uniforms, through 0, 1/2 and next to 1, in two
+    boxes: the unit square under ``_CHECK_LABELS`` at reliability 0.7,
+    where each uniform is its observation, and a box off the square's
+    edges under the canonical labels at reliability 1.  The grid holds
+    memberships that tie, targets of -0.0 and clips at both ends, and
+    observations on the quadrant lines and the diagonals.  The targets and
+    signed memberships must equal ``batch_implied_weights``' usable ones,
+    the selection those of a listener at weight 0 in the square, some of
+    whose compounds fit exactly as well as the reliability, and at weight
+    0.3 in the other box, and the upward count that of
+    ``analysis.update_directions``.
+    """
+    from .analysis import update_directions  # analysis imports this module
+
+    grid = np.array([0.0, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 1.0 - 2.0**-53])
+    uniforms = np.array(np.meshgrid(grid, grid)).reshape(2, -1)
+    boxes = (
+        (_CHECK_LABELS, ((0.0, 1.0), (0.0, 1.0)), 0.7, 0.0),
+        (canonical_label_pair(), ((0.1, 0.9), (0.05, 0.6)), 1.0, 0.3),
+    )
+    for labels, intervals, rel, resting in boxes:
+        dims = _dims(labels, intervals)
+        xs = (uniforms * dims[:, 1:2] + dims[:, :1]).T
+        targets, usable, m1, m2 = batch_implied_weights(labels, xs, rel)
+        updating = usable & (resting * m1 + (1.0 - resting) * m2 <= rel)
+        a, b = uniforms.copy()
+        t, out = np.empty((2, a.size))
+        if _mc_upward(lib, dims, a, b) != np.count_nonzero(update_directions(xs) > 0):
+            return False
+        kept = _mc_targets(lib, dims, rel, a, b, t)
+        count = _mc_select(lib, resting, rel, a[:kept], b[:kept], t[:kept], out)
+        got = (t[:kept], a[:kept], b[:kept], out[:count])
+        want = (targets[usable], m1[usable], m2[usable], targets[updating])
+        if any(g.tobytes() != w.tobytes() for g, w in zip(got, want)):
             return False
     return True
 
@@ -812,9 +1002,7 @@ class _RunPlayer:
         self.coins = np.empty(count if unordered else 0)
         self.uniforms = np.empty((2, count))
         self.snapshots = np.empty((rows, n))
-        self.dims = np.array(
-            [(lo, hi - lo, *_label_terms(label)) for label, (lo, hi) in zip(config.labels, intervals)]
-        )
+        self.dims = _dims(config.labels, intervals)
         self.run = run
         self.fixed = (n, int(unordered), self.dims.ctypes.data, config.rate, config.model)
         self.buffers = tuple(a.ctypes.data for a in (self.picks, self.coins, *self.uniforms))
@@ -857,7 +1045,9 @@ def _loop():
         _build(path)
     try:
         lib = ctypes.CDLL(str(path))
-        play, run = lib.play_dialogues, lib.play_run
+        play, run, targets, select, upward = (
+            getattr(lib, name) for name in ("play_dialogues", "play_run", "mc_targets", "mc_select", "mc_upward")
+        )
     except (OSError, AttributeError) as err:
         raise EngineError(f"cannot load the dialogue loop from {path}: {err}") from err
     play.argtypes = (ctypes.c_void_p,) * 6 + (ctypes.c_int64, ctypes.c_double, ctypes.c_int)
@@ -866,6 +1056,11 @@ def _loop():
         + (ctypes.c_void_p,) * 4 + (ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
     )
     play.restype = run.restype = None
+    vector, count, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    targets.argtypes = (count, vector, real) + (vector,) * 3
+    select.argtypes = (count, real, real) + (vector,) * 4
+    upward.argtypes = (count,) + (vector,) * 3
+    targets.restype = select.restype = upward.restype = count
     _check(lib, path)
     return lib
 

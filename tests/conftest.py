@@ -17,10 +17,12 @@ from labelgames.analysis import Environment
 # ``pytest --hypothesis-profile=deep`` runs the kernel's differential test
 # (test_game.py, ``test_matches_a_sequential_replay_of_every_run``), the
 # whole-run spec (test_experiment.py,
-# ``test_run_experiment_equals_the_spec_run_by_run``) and the input-contract
+# ``test_run_experiment_equals_the_spec_run_by_run``), the input-contract
 # property (test_inputs.py,
-# ``test_each_value_is_stored_plain_or_refused_naming_its_field``) at 3,000
-# examples; by default each runs 300.
+# ``test_each_value_is_stored_plain_or_refused_naming_its_field``) and the
+# Monte Carlo loops' differential test (test_estimators.py,
+# ``test_loops_match_the_reference``) at 3,000 examples; by default each
+# runs 300.
 settings.register_profile("deep", max_examples=3000)
 
 _ACCEPTANCE_LINES: list[str] = []

@@ -31,7 +31,16 @@ from labelgames.game import (
     choose_assertion,
     implied_weight,
 )
-from labelgames.labels import canonical_label_pair
+from labelgames.labels import (
+    ConceptualSpace,
+    Euclidean,
+    Label,
+    ThresholdDistribution,
+    UniformThreshold,
+    WeightedCityBlock,
+    canonical_label,
+    canonical_label_pair,
+)
 
 LABELS = canonical_label_pair()
 
@@ -186,15 +195,9 @@ class TestRunningMoments:
         assert acc.count == 1
 
 
-class ConstantEnv:
-    """Environment stand-in that yields the same observation every time."""
-
-    def __init__(self, point):
-        self.point = point
-
-    def sample_batch(self, rng, count):
-        rng.random(count)
-        return np.tile(np.asarray(self.point, dtype=np.float64), (count, 1))
+# A label whose membership is 0 on [0, 0.9]: its negation fits every
+# observation there fully.
+FAR = Label((1.0,), WeightedCityBlock((10.0,)), UniformThreshold(), ConceptualSpace(1))
 
 
 class TestTargetMoments:
@@ -209,8 +212,12 @@ class TestTargetMoments:
         assert moments.mean == pytest.approx(positive_update_probability(env_a), abs=0.005)
 
     def test_degenerate_positive_point(self):
-        env = ConstantEnv((0.9, 0.6))
-        moments = estimate_target_moments(env, reliability=1.0, model=2, n_samples=10_000)
+        # Every observation fits not-FAR fully and the second label by x2 < 1,
+        # so every target is (1 - x2) / (1 - x2) = 1.
+        env = Environment(((0.0, 0.5), (0.6, 1.0)))
+        moments = estimate_target_moments(
+            env, reliability=1.0, model=2, n_samples=10_000, labels=(FAR, LABELS[1])
+        )
         assert moments.mean == 1.0
         assert moments.variance == 0.0
 
@@ -221,9 +228,13 @@ class TestTargetMoments:
         assert moments.variance == 0.0
 
     def test_no_usable_samples_raises(self):
-        env = ConstantEnv((0.6, 0.6))
-        with pytest.raises(EstimationError):
-            estimate_target_moments(env, reliability=1.0, model=2, n_samples=1000)
+        # Both negations fit every observation fully, so no weight is implied.
+        env = Environment(((0.0, 0.5), (0.0, 0.5)))
+        for model in (1, 2):
+            with pytest.raises(EstimationError):
+                estimate_target_moments(
+                    env, reliability=1.0, model=model, n_samples=1000, labels=(FAR, FAR)
+                )
 
     def test_validation(self, env_a):
         with pytest.raises(ValueError):
@@ -243,8 +254,9 @@ class TestTargetMoments:
 
     # Each Monte Carlo entry point, its checked arguments and their valid values.
     MC_ENTRY_POINTS = [
-        (estimate_target_moments, {"reliability": 1.0, "model": 2, "n_samples": 1000}),
-        (build_prediction, {"rate": 1e-3, "reliability": 1.0, "model": 2, "n_samples": 1000}),
+        (estimate_target_moments, {"reliability": 1.0, "model": 2, "n_samples": 1000, "labels": None}),
+        (build_prediction,
+         {"rate": 1e-3, "reliability": 1.0, "model": 2, "n_samples": 1000, "labels": None}),
         (positive_update_probability_mc, {"n_samples": 1000}),
     ]
 
@@ -254,6 +266,10 @@ class TestTargetMoments:
         ("model", 2.0), ("model", 3), ("model", True), ("model", "2"),
         ("n_samples", 10.5), ("n_samples", 0), ("n_samples", True), ("n_samples", None),
         ("rate", "0.1"), ("rate", 0.0), ("rate", 1.0), ("rate", math.nan), ("rate", True),
+        # A label space narrower than the box, labels that are not labels, one label, a label
+        # whose membership the compiled loop cannot compute.
+        ("labels", (canonical_label(0.5),) * 2), ("labels", (1, 2)), ("labels", (canonical_label(),)),
+        ("labels", (FAR, Label((1.0,), Euclidean(), ThresholdDistribution(lambda t: 1.0 - t), ConceptualSpace(1)))),
     ])
     def test_refused_argument_leaves_the_generator_untouched(self, env_b, field, value):
         for estimate, valid in self.MC_ENTRY_POINTS:

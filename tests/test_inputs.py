@@ -281,6 +281,26 @@ PROBES = [
      lambda: ExperimentConfig(env=type("Sampler", (), {"intervals": ((0, 1), (0, 1)), "sample_runs": None})()),
      "env"),
     ("int-outputs", lambda: ExperimentConfig(outputs=5), "outputs"),
+    # The Monte Carlo estimators check their labels and environment before any draw.
+    ("narrow-label-space-moments",
+     lambda: estimate_target_moments(Environment(), labels=(canonical_label(0.5),) * 2), "labels"),
+    ("narrow-label-space-prediction",
+     lambda: build_prediction(Environment(), 0.01, labels=(canonical_label(), canonical_label(0.5))), "labels"),
+    ("int-labels-moments", lambda: estimate_target_moments(Environment(), labels=(1, 2)), "labels"),
+    ("one-label-moments", lambda: estimate_target_moments(Environment(), labels=(canonical_label(),)), "labels"),
+    ("three-labels-prediction",
+     lambda: build_prediction(Environment(), 0.01, labels=canonical_label_pair() * 2), "labels"),
+    ("list-labels-moments", lambda: estimate_target_moments(Environment(), labels=list(canonical_label_pair())),
+     "labels"),
+    ("unknown-threshold-moments",
+     lambda: estimate_target_moments(Environment(), labels=(canonical_label(), FOREIGN_LABELS["custom-threshold"])),
+     "labels"),
+    ("two-weight-metric-prediction",
+     lambda: build_prediction(Environment(), 0.01, labels=(FOREIGN_LABELS["two-weight-city-block"],) * 2),
+     "labels"),
+    ("env-look-alike-moments",
+     lambda: estimate_target_moments(type("Box", (), {"intervals": ((0, 1), (0, 1))})()), "env"),
+    ("none-env-share", lambda: positive_update_probability_mc(None, 10, np.random.default_rng(0)), "env"),
 ]
 
 

@@ -66,9 +66,16 @@ def swapped(source: str, a: str, b: str) -> str:
     ("l += l >= s;", "l += l > s;"),  # ordered decode off by one
     ("j = n - 1 - (c", "j = n - 2 - (c"),  # unordered decode off by one
     ("played < times[k]", "played <= times[k]"),  # each snapshot one timestep late
+    ("pick(target < 0, zero, target)", "pick(target > 0, target, zero)"),  # a target of -0.0 becomes 0.0
+    ("pick(target > 1, one, target);", "target;"),  # no clip of targets at 1
+    ("{a[i], a[j]}", "{b[i], b[j]}", "swap"),  # each dimension's uniforms under the other's label
+    ("(x1 - x2 > 0) << 3", "(x1 - x2 >= 0) << 3"),  # the diagonal counted as upward
+    ("(1.0 - lam) * b[i] <= rel", "(1.0 - lam) * b[i] < rel"),  # a listener that fits exactly stays
 ], ids=[
     "ties-last", "no-lower-clamp", "no-upper-clamp", "shuffle", "uniforms-swapped",
     "coin-roles-flipped", "ordered-decode", "unordered-decode", "recording-shifted",
+    "targets-lose-negative-zero", "targets-unclipped-at-one", "targets-dimensions-swapped",
+    "upward-counts-the-diagonal", "select-strict",
 ])
 def test_the_check_refuses_a_loop_built_from_altered_source(cache, monkeypatch, edit):
     if edit[-1] == "swap":
@@ -112,6 +119,22 @@ def test_without_a_compiler_simulate_fails_before_making_its_output(cache, tmp_p
     assert main(["simulate", "--config", str(config), "--out", str(out)]) != 0
     assert COMMAND in capsys.readouterr().err
     assert not out.exists()
+    assert libraries(cache) == []
+
+
+def test_without_a_compiler_predict_fails_before_writing_its_curves(cache, tmp_path, monkeypatch, capsys):
+    # The Monte Carlo estimators run in the compiled library too.
+    config = tmp_path / "run.cfg"
+    config.write_text("agents = 4\ntimesteps = 2\nmodel = 2\nenv.x1 = uniform(0, 1)\nenv.x2 = uniform(0, 0.5)\n")
+    (tmp_path / "bin").mkdir()
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    out = tmp_path / "out"
+    argv = ["predict", "--config", str(config), "--samples", "1000", "--out", str(out), "--emit-plot-data"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("engine error: ") and COMMAND in captured.err
+    assert captured.out == ""
+    assert not out.exists() and not list(tmp_path.rglob("*.dat"))
     assert libraries(cache) == []
 
 
