@@ -5,12 +5,12 @@ runs, each seeded by mixing a master seed with the run id, records the
 population mean and cross-agent standard deviation of the weights over
 time, and aggregates across runs.  The runs play one after another, each
 in one C call (``game._RunPlayer``, around ``play_run``) per block of
-recorded timesteps: the kernel draws every timestep's schedule and
-observations from the run's own generator through numpy's ctypes
-interface, in the order a Python run would draw them, plays the
-dialogues and copies the weights out at each recorded timestep.  Each
-block of snapshots is reduced to its statistics before the next block
-or run, so memory holds one run's timestep and one block.
+recorded timesteps: the kernel steps the run's own ``PCG64`` generator
+in C, drawing every timestep's schedule and observations as a Python run
+would draw them, plays the dialogues and copies the weights out at each
+recorded timestep.  Each block of snapshots is reduced to its
+statistics before the next block or run, so memory holds one run's
+shuffled pairs, 4 bytes per dialogue, and one block.
 The test suite checks every run's records bit for bit against a scalar
 specification of the whole run.  Identical configuration and master
 seed give byte-identical output files.

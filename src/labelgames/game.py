@@ -29,20 +29,24 @@ and its helpers, and mirrored in C; ``choose_assertion``,
 take floats.
 
 The engine is one C function, ``play_run``: it plays one run's timesteps
-in one call, drawing the shuffle, the role coins and the uniforms from
-the run's own numpy generator through its ctypes interface
-(``next_uint32`` and ``next_double``, in ``Generator.shuffle``'s and
-``Generator.random``'s order), decoding the pairs, computing the
-observations and memberships and playing each dialogue in
+in one call, stepping the run's own numpy ``PCG64`` in C from the state
+``_RunPlayer`` reads and writes back.  It draws the shuffle as
+``Generator.shuffle`` does, then each dialogue's role coin and uniforms
+as the dialogue plays, from three cursors placed where
+``Generator.random`` would have drawn them; it decodes the pairs,
+computes the observations and memberships and plays each dialogue in
 ``_dialogue``'s operation order.  ``_RunPlayer`` binds it to one game and
-holds the buffers each run reuses.  The memberships are those of 1-d
-labels with a ``Euclidean`` or one-weight ``WeightedCityBlock`` metric
-and a ``UniformThreshold``; ``GameConfig`` refuses every other label.
+holds the buffers each run reuses, the picks and the snapshots.  The
+memberships are those of 1-d labels with a ``Euclidean`` or one-weight
+``WeightedCityBlock`` metric and a ``UniformThreshold``; ``GameConfig``
+refuses every other label.
 The C source is compiled on first use, cached under a hash of its source
 and compile command, and checked before each process first uses it:
 dialogues against ``_dialogue`` on a fixed batch, and tiny whole runs,
-draws included, against a Python replay from ``Generator.permutation``
-and ``Generator.random``.
+draws and the generator's state included, against a Python replay from
+``Generator.permutation`` and ``Generator.random``.  Building it needs a
+C compiler with ``unsigned __int128``; where the build fails,
+``EngineError`` says so.
 
 The same library holds the Monte Carlo loops of ``analysis``'s
 estimators, ``mc_targets``, ``mc_select`` and ``mc_upward``, called
@@ -501,13 +505,13 @@ def _apply_sequential(weights, rels, m1, m2, speakers, listeners, rate, model):
 # Pair and lane ids are int32: below 2**31 of each, so at most 46,341 agents.
 _INT32_IDS = 2**31
 
-# Bytes one run's timestep holds per dialogue at its peak: the picks,
-# the uniforms and, unordered, the role coins.  Measured peaks (ru_maxrss
-# of two-timestep runs, above the RSS after imports): 20 bytes for 1000
-# agents, from uniform weights or with every weight at 1, and 28 for 1000
-# or 1400 agents under the unordered schedule.  The constant is the
-# largest of these plus about a quarter.
-_STACK_BYTES_PER_DIALOGUE = 35
+# Bytes one run's timestep holds per dialogue at its peak: the picks; the
+# coins and uniforms are drawn as each dialogue plays.  Measured peaks
+# (ru_maxrss of two-timestep runs, above the RSS after imports): 3.94 bytes
+# for 1000 agents, from uniform weights or with every weight at 1, under
+# either schedule, and 4.02 for 1400 agents under the unordered one.  The
+# constant is the largest of these plus about a quarter.
+_STACK_BYTES_PER_DIALOGUE = 5
 
 
 # Kept, though the engine no longer calls it: the benchmark's tracer hooks it
@@ -538,19 +542,30 @@ def _group_by_listener(listeners, runs, n, schedule):
 # order: the four compounds in ``ASSERTION_ORDER``, where only a strictly
 # greater one replaces the best, so ties go first; ``min(1.0, max(0.0, t))``
 # as two comparisons; and the update w + rate * (t - w).  ``play_dialogues``
-# plays given dialogues through it.  ``play_run`` plays one run's timesteps
-# from ``played`` through ``times[rows - 1]``, copying the weights into row k
-# of ``snapshots`` at timestep ``times[k]``.  Each timestep it draws, through
-# the generator's own functions: a Fisher-Yates shuffle of the pair ids by
-# numpy's ``random_interval`` (masked rejection on ``next_uint32``; every id
-# is below 2**31), as ``Generator.shuffle`` does; the unordered schedule's
-# role coins; dimension one's uniforms, then dimension two's, by
-# ``next_double``, as ``Generator.random`` does.  Then each dialogue decodes
-# its pair as ``_pairs`` does, maps its uniforms onto the intervals as
-# ``Environment.sample_runs`` does and computes its memberships as
-# ``Label.membership_batch`` does for the labels ``_label_terms`` accepts.
-# ``dims`` holds, per dimension, lo, hi - lo, and the label's prototype,
-# scale and width.
+# plays given dialogues through it.
+#
+# ``play_run`` steps numpy's PCG64 itself: the 128-bit LCG step and the
+# XSL-RR output, ``next_uint32`` with numpy's spare half-word
+# (``has_uint32``, ``uinteger``) and ``next_double`` as (next64 >> 11) *
+# 2**-53.  ``generator`` holds the state's and the increment's high and low
+# halves, ``has_uint32`` and ``uinteger``; the state and the half-word are
+# written back on return.  It plays one run's timesteps from ``played``
+# through ``times[rows - 1]``, copying the weights into row k of
+# ``snapshots`` at timestep ``times[k]``.  Each timestep shuffles the pair
+# ids by Fisher-Yates with numpy's ``random_interval`` (masked rejection on
+# ``next_uint32``; every id is below 2**31), as ``Generator.shuffle`` does.
+# numpy would then draw the unordered schedule's role coins, dimension
+# one's uniforms and dimension two's, ``count`` each, by ``next_double``.
+# An LCG jumps ahead n steps in O(log n) (``jump``), so three cursors start
+# where those draws would: ``coin`` at the state after the shuffle, ``one``
+# ``count`` draws on under the unordered schedule, and ``two`` ``count``
+# draws past ``one``; the timestep ends at ``two``'s state, and the
+# half-word stays as the shuffle left it.  Each dialogue draws its coin and
+# uniforms from the cursors as it plays, decodes its pair as ``_pairs``
+# does, maps its uniforms onto the intervals as ``Environment.sample_runs``
+# does and computes its memberships as ``Label.membership_batch`` does for
+# the labels ``_label_terms`` accepts.  ``dims`` holds, per dimension, lo,
+# hi - lo, and the label's prototype, scale and width.
 #
 # The Monte Carlo estimators of ``analysis`` run the three ``mc_`` loops on
 # uniforms that numpy drew.  ``mc_targets`` maps them, two observations at
@@ -600,10 +615,56 @@ void play_dialogues(double *w, const double *rel, const double *m1, const double
         dialogue(w, rel, speaker[d], listener[d], m1[d], m2[d], rate, model);
 }
 
-typedef uint32_t (*next_uint32_fn)(void *);
-typedef double (*next_double_fn)(void *);
+typedef unsigned __int128 u128;
 
-static int32_t interval(void *state, next_uint32_fn next_uint32, uint32_t max)
+#define MULTIPLIER ((u128) 0x2360ed051fc65da4ULL << 64 | 0x4385df649fccf645ULL)
+
+typedef struct {
+    u128 state, inc;
+    uint64_t has_uint32, uinteger;
+} pcg64;
+
+static uint64_t next64(u128 *state, u128 inc)
+{
+    *state = *state * MULTIPLIER + inc;
+    uint64_t x = (uint64_t) (*state >> 64) ^ (uint64_t) *state;
+    unsigned rot = (unsigned) (*state >> 122);
+    return x >> rot | x << (-rot & 63);
+}
+
+static double next_double(u128 *state, u128 inc)
+{
+    return (double) (next64(state, inc) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+static uint32_t next_uint32(pcg64 *g)
+{
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return (uint32_t) g->uinteger;
+    }
+    uint64_t next = next64(&g->state, g->inc);
+    g->has_uint32 = 1;
+    g->uinteger = next >> 32;
+    return (uint32_t) next;
+}
+
+static void jump(u128 delta, u128 inc, u128 *mult, u128 *plus)
+{
+    u128 m = MULTIPLIER, p = inc;
+    *mult = 1;
+    *plus = 0;
+    for (; delta; delta >>= 1) {
+        if (delta & 1) {
+            *mult *= m;
+            *plus = *plus * m + p;
+        }
+        p *= m + 1;
+        m *= m;
+    }
+}
+
+static int32_t interval(pcg64 *g, uint32_t max)
 {
     uint32_t mask = max, value;
     mask |= mask >> 1;
@@ -611,7 +672,7 @@ static int32_t interval(void *state, next_uint32_fn next_uint32, uint32_t max)
     mask |= mask >> 4;
     mask |= mask >> 8;
     mask |= mask >> 16;
-    while ((value = next_uint32(state) & mask) > max)
+    while ((value = next_uint32(g) & mask) > max)
         ;
     return (int32_t) value;
 }
@@ -624,34 +685,32 @@ static double membership(double x, const double *label)
     return s < 1 ? s : 1;
 }
 
-void play_run(void *state, next_uint32_fn next_uint32, next_double_fn next_double,
-              double *w, const double *rel, int32_t n, int unordered, const double *dims,
-              double rate, int model, int32_t *picks, double *coins, double *u1, double *u2,
+void play_run(uint64_t *generator, double *w, const double *rel, int32_t n, int unordered,
+              const double *dims, double rate, int model, int32_t *picks,
               int64_t played, const int64_t *times, int64_t rows, double *snapshots)
 {
     int32_t count = unordered ? n * (n - 1) / 2 : n * (n - 1);
+    pcg64 g = {(u128) generator[0] << 64 | generator[1], (u128) generator[2] << 64 | generator[3],
+               generator[4], generator[5]};
+    u128 mult, plus;
+    jump((u128) count, g.inc, &mult, &plus);
     for (int64_t k = 0; k < rows; k++) {
         for (; played < times[k]; played++) {
             for (int32_t d = 0; d < count; d++)
                 picks[d] = d;
             for (int32_t i = count - 1; i > 0; i--) {
-                int32_t j = interval(state, next_uint32, (uint32_t) i), q = picks[j];
+                int32_t j = interval(&g, (uint32_t) i), q = picks[j];
                 picks[j] = picks[i];
                 picks[i] = q;
             }
-            for (int32_t d = 0; unordered && d < count; d++)
-                coins[d] = next_double(state);
-            for (int32_t d = 0; d < count; d++)
-                u1[d] = next_double(state);
-            for (int32_t d = 0; d < count; d++)
-                u2[d] = next_double(state);
+            u128 coin = g.state, one = unordered ? coin * mult + plus : coin, two = one * mult + plus;
             for (int32_t d = 0; d < count; d++) {
                 int32_t q = picks[d], s, l;
                 if (unordered) {
                     int32_t c = count - 1 - q;
                     int32_t r = (int32_t) ((sqrt(8.0 * c + 1.0) - 1.0) * 0.5);
                     int32_t i = n - 2 - r, j = n - 1 - (c - (r * (r + 1) >> 1));
-                    int heads = coins[d] < 0.5;
+                    int heads = next_double(&coin, g.inc) < 0.5;
                     s = heads ? i : j;
                     l = heads ? j : i;
                 } else {
@@ -659,13 +718,19 @@ void play_run(void *state, next_uint32_fn next_uint32, next_double_fn next_doubl
                     l = q - s * (n - 1);
                     l += l >= s;
                 }
-                double x1 = u1[d] * dims[1] + dims[0], x2 = u2[d] * dims[6] + dims[5];
+                double x1 = next_double(&one, g.inc) * dims[1] + dims[0];
+                double x2 = next_double(&two, g.inc) * dims[6] + dims[5];
                 dialogue(w, rel, s, l, membership(x1, dims + 2), membership(x2, dims + 7),
                          rate, model);
             }
+            g.state = two;
         }
-        memcpy(snapshots + k * n, w, n * sizeof(double));
+        memcpy(snapshots + k * n, w, (size_t) n * sizeof(double));
     }
+    generator[0] = (uint64_t) (g.state >> 64);
+    generator[1] = (uint64_t) g.state;
+    generator[4] = g.has_uint32;
+    generator[5] = g.uinteger;
 }
 
 typedef double pair __attribute__((vector_size(16)));
@@ -892,13 +957,14 @@ def _check_runs(run) -> bool:
     """Whether ``run`` plays tiny whole runs exactly as a Python replay does.
 
     One run of 4 agents, 3 timesteps recorded at 0, 2 and 3, per model and
-    schedule, each from its own seed.  The replay draws each timestep with
-    ``Generator.permutation`` and ``Generator.random``, decodes pairs from
-    ``itertools`` tables, computes memberships with ``membership_batch``
-    and plays ``_dialogue``.  The snapshots, the last timestep's drawn
-    picks, coins and uniforms, and the generator's next draw must all agree.
+    schedule, each from its own seed, played in two calls, through 2 and
+    then through 3, so that the generator's state is handed back between
+    them.  The replay draws each timestep with ``Generator.permutation``
+    and ``Generator.random``, decodes pairs from ``itertools`` tables,
+    computes memberships with ``membership_batch`` and plays
+    ``_dialogue``.  The snapshots, the last timestep's picks and the
+    generator's whole state afterwards must all agree.
     """
-    times = np.array([0, 2, 3])
     intervals = ((0.1, 0.9), (0.05, 0.6))
     cases = itertools.product(("ordered", "unordered"), (1, 2))
     for seed, (schedule, model) in enumerate(cases):
@@ -906,15 +972,15 @@ def _check_runs(run) -> bool:
             n_agents=4, timesteps=3, rate=0.3, model=model, labels=_CHECK_LABELS,
             reliability=(1.0, 0.8, 0.5, 0.9), schedule=schedule,
         )
-        player = _RunPlayer(run, config, intervals, times.size)
+        player = _RunPlayer(run, config, intervals, 2)
         rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
         weights, rels = _initial_state(config, rng)
-        snapshots = player(rng, weights, rels, 0, times)
-        rows, draws = _replay_run(config, intervals, replay, times)
-        got = (player.picks, player.coins, *player.uniforms)
-        if snapshots.tobytes() != np.array(rows).tobytes() or rng.random() != replay.random():
+        snapshots = player(rng, weights, rels, 0, [0, 2]).tolist()
+        snapshots += player(rng, weights, rels, 2, [3]).tolist()
+        rows, picks = _replay_run(config, intervals, replay, (0, 2, 3))
+        if snapshots != rows or player.picks.tolist() != picks:
             return False
-        if any(a.tolist() != b.tolist() for a, b in zip(got, draws)):
+        if rng.bit_generator.state != replay.bit_generator.state:
             return False
     return True
 
@@ -961,58 +1027,58 @@ def _check_estimators(lib) -> bool:
 
 
 def _replay_run(config: GameConfig, intervals, rng, times):
-    """``_check_runs``' reference: the recorded weights and the last timestep's draws."""
+    """``_check_runs``' reference: the recorded weights and the last timestep's picks."""
     n, model, rate = config.n_agents, config.model, config.rate
     unordered = config.schedule == "unordered"
     pairs = list((itertools.combinations if unordered else itertools.permutations)(range(n), 2))
     w, rel = rng.random(n).tolist(), list(config.reliability)
-    rows, draws = [], None
+    rows, picks = [], None
     for t in range(times[-1] + 1):
         if t:
-            picks = rng.permutation(len(pairs))
+            picks = rng.permutation(len(pairs)).tolist()
             coins = rng.random(len(pairs) if unordered else 0)
-            uniforms = [rng.random(len(pairs)) for _ in intervals]
             m1, m2 = (
-                label.membership_batch(u * (hi - lo) + lo).tolist()
-                for label, u, (lo, hi) in zip(config.labels, uniforms, intervals)
+                label.membership_batch(rng.random(len(pairs)) * (hi - lo) + lo).tolist()
+                for label, (lo, hi) in zip(config.labels, intervals)
             )
-            for d, k in enumerate(picks.tolist()):
+            for d, k in enumerate(picks):
                 s, l = pairs[k] if not unordered or coins[d] < 0.5 else pairs[k][::-1]
                 target = _dialogue(w[s], w[l], rel[s], m1[d], m2[d], model)[1]
                 if target is not None:
                     w[l] = w[l] + rate * (target - w[l])
-            draws = (picks, coins, *uniforms)
         if t in times:
             rows.append(list(w))
-    return rows, draws
+    return rows, picks
 
 
 class _RunPlayer:
     """``play_run`` bound to one game and environment, with the buffers each run reuses.
 
-    A run's timestep holds its picks (4 bytes per dialogue), the unordered
-    schedule's coins (8) and both dimensions' uniforms (16), and up to
-    ``rows`` snapshots of the weights.
+    A run's timestep holds its picks, 4 bytes per dialogue, and up to
+    ``rows`` snapshots of the weights; the coins and uniforms are drawn
+    as each dialogue plays.  The run's generator must be a ``PCG64``,
+    whose state C reads and advances as six 64-bit words: the state's
+    and the increment's high and low halves, ``has_uint32`` and
+    ``uinteger``.
     """
 
     def __init__(self, run, config: GameConfig, intervals, rows: int):
         n, unordered = config.n_agents, config.schedule == "unordered"
-        count = dialogues_per_timestep(n, config.schedule)
-        self.picks = np.empty(count, dtype=np.int32)
-        self.coins = np.empty(count if unordered else 0)
-        self.uniforms = np.empty((2, count))
+        self.picks = np.empty(dialogues_per_timestep(n, config.schedule), dtype=np.int32)
+        self.words = np.empty(6, dtype=np.uint64)
         self.snapshots = np.empty((rows, n))
         self.dims = _dims(config.labels, intervals)
         self.run = run
-        self.fixed = (n, int(unordered), self.dims.ctypes.data, config.rate, config.model)
-        self.buffers = tuple(a.ctypes.data for a in (self.picks, self.coins, *self.uniforms))
+        self.fixed = (
+            n, int(unordered), self.dims.ctypes.data, config.rate, config.model, self.picks.ctypes.data
+        )
 
     def __call__(self, rng, weights, rels, played: int, times):
         """Play ``rng``'s run from timestep ``played`` through ``times[-1]``, in place on ``weights``.
 
         Returns the weights at each of ``times``, one row each, as a view of
         the snapshot buffer that the next call overwrites.  The generator's
-        lock is held while C draws from it.
+        lock is held from reading its state until C's state is written back.
         """
         n = self.fixed[0]
         times = np.ascontiguousarray(times, dtype=np.int64)
@@ -1021,13 +1087,22 @@ class _RunPlayer:
             raise ValueError(f"one float64 weight and reliability per agent, {n} each, are needed")
         if times.ndim != 1 or times.size > len(self.snapshots):
             raise ValueError(f"at most {len(self.snapshots)} recorded times per call")
-        face = rng.bit_generator.ctypes
-        functions = (ctypes.cast(f, ctypes.c_void_p).value for f in (face.next_uint32, face.next_double))
-        with rng.bit_generator.lock:
-            self.run(
-                face.state_address, *functions, weights.ctypes.data, rels.ctypes.data, *self.fixed,
-                *self.buffers, played, times.ctypes.data, times.size, self.snapshots.ctypes.data,
+        bits, words = rng.bit_generator, self.words
+        with bits.lock:
+            state = bits.state
+            if state["bit_generator"] != "PCG64":
+                raise ValueError(f"the engine draws from a PCG64 generator, not {state['bit_generator']}")
+            pcg = state["state"]
+            words[:] = (
+                *divmod(pcg["state"], 2**64), *divmod(pcg["inc"], 2**64), state["has_uint32"], state["uinteger"]
             )
+            self.run(
+                words.ctypes.data, weights.ctypes.data, rels.ctypes.data, *self.fixed,
+                played, times.ctypes.data, times.size, self.snapshots.ctypes.data,
+            )
+            high, low, _, _, state["has_uint32"], state["uinteger"] = words.tolist()
+            pcg["state"] = high << 64 | low
+            bits.state = state
         return self.snapshots[: times.size]
 
 
@@ -1052,8 +1127,8 @@ def _loop():
         raise EngineError(f"cannot load the dialogue loop from {path}: {err}") from err
     play.argtypes = (ctypes.c_void_p,) * 6 + (ctypes.c_int64, ctypes.c_double, ctypes.c_int)
     run.argtypes = (
-        (ctypes.c_void_p,) * 5 + (ctypes.c_int32, ctypes.c_int, ctypes.c_void_p, ctypes.c_double, ctypes.c_int)
-        + (ctypes.c_void_p,) * 4 + (ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
+        (ctypes.c_void_p,) * 3 + (ctypes.c_int32, ctypes.c_int, ctypes.c_void_p, ctypes.c_double, ctypes.c_int)
+        + (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
     )
     play.restype = run.restype = None
     vector, count, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double

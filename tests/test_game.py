@@ -718,3 +718,19 @@ class TestStackedKernel:
                 speakers[block] - r * n, listeners[block] - r * n, 0.3, 1,
             ).tolist()
         assert got.tolist() == want
+
+
+class TestRunPlayer:
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.PCG64DXSM])
+    def test_a_generator_other_than_pcg64_is_refused_before_any_draw(self, bit_generator):
+        # play_run steps PCG64 itself, so any other generator's state is refused
+        # before C runs: the weights and the generator are left as they were.
+        config = GameConfig(n_agents=4, timesteps=2)
+        player = game._RunPlayer(game._loop().play_run, config, ((0.0, 1.0), (0.0, 0.5)), 3)
+        rng, twin = np.random.Generator(bit_generator(0)), np.random.Generator(bit_generator(0))
+        weights, rels = game._initial_state(config, rng)
+        before = game._initial_state(config, twin)[0]
+        with pytest.raises(ValueError, match="PCG64"):
+            player(rng, weights, rels, 0, [0, 1, 2])
+        assert weights.tolist() == before.tolist()
+        assert rng.random(8).tolist() == twin.random(8).tolist()

@@ -61,8 +61,11 @@ def swapped(source: str, a: str, b: str) -> str:
     ("t = t > 0 ? t : 0;\n", ""),  # no clamp at 0
     ("t = t < 1 ? t : 1;\n", ""),  # no clamp at 1
     ("& mask) > max", "& mask) >= max"),  # another shuffle than Generator.shuffle's
-    ("u1[d] = next_double(state)", "u2[d] = next_double(state)", "swap"),  # dimension two drawn first
-    ("coins[d] < 0.5", "coins[d] >= 0.5"),  # a low coin makes the second agent speak
+    ("next_double(&one", "next_double(&two", "swap"),  # each dimension's uniforms from the other's cursor
+    ("next_double(&coin, g.inc) < 0.5", "next_double(&coin, g.inc) >= 0.5"),  # a low coin makes the second agent speak
+    ("jump((u128) count,", "jump((u128) count - 1,"),  # the cursors one draw too close
+    ("generator[4] = g.has_uint32;\n", ""),  # the shuffle's spare half-word is not handed back
+    ("0x4385df649fccf645", "0x4385df649fccf646"),  # one wrong digit of the multiplier
     ("l += l >= s;", "l += l > s;"),  # ordered decode off by one
     ("j = n - 1 - (c", "j = n - 2 - (c"),  # unordered decode off by one
     ("played < times[k]", "played <= times[k]"),  # each snapshot one timestep late
@@ -73,7 +76,7 @@ def swapped(source: str, a: str, b: str) -> str:
     ("(1.0 - lam) * b[i] <= rel", "(1.0 - lam) * b[i] < rel"),  # a listener that fits exactly stays
 ], ids=[
     "ties-last", "no-lower-clamp", "no-upper-clamp", "shuffle", "uniforms-swapped",
-    "coin-roles-flipped", "ordered-decode", "unordered-decode", "recording-shifted",
+    "coin-roles-flipped", "jump-off-by-one", "half-word-dropped", "multiplier-digit", "ordered-decode", "unordered-decode", "recording-shifted",
     "targets-lose-negative-zero", "targets-unclipped-at-one", "targets-dimensions-swapped",
     "upward-counts-the-diagonal", "select-strict",
 ])
@@ -88,6 +91,15 @@ def test_the_check_refuses_a_loop_built_from_altered_source(cache, monkeypatch, 
         game._loop()
     (name,) = libraries(cache)
     assert str(cache / name) in str(info.value)
+
+
+def test_the_source_compiles_cleanly_under_strict_warnings():
+    # -Wconversion refuses an implicit narrowing, such as the 128-bit
+    # generator state cut to 64 bits without a cast; -Wall -Wextra alone
+    # let that through.
+    flags = ("-Wall", "-Wextra", "-Wconversion", "-Werror", "-fsyntax-only", "-x", "c", "-")
+    done = subprocess.run(("cc", *flags), input=game._LOOP_SOURCE, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_a_library_under_the_right_name_from_other_source_is_refused(cache, tmp_path, monkeypatch):
