@@ -18,13 +18,15 @@ unordered one.  Every value argument is checked by ``game``'s rules, and
 a refused one raises ``ConfigError``, naming it, before any draw.
 
 The Monte Carlo estimators, ``positive_update_probability_mc`` and
-``estimate_target_moments`` (and so ``build_prediction``), draw their
-uniforms with numpy, as ``Environment.sample_batch`` does, and run their
-per-observation work in the engine's compiled library, ``game._loop()``,
-which needs a C compiler; the means, variances and counts are numpy's.
-``update_directions`` and ``game.batch_implied_weights`` stay as their
-numpy reference.  The exact share, the trajectories and the convergence
-counts need no compiler.
+``estimate_target_moments`` (and so ``build_prediction``), run in the
+engine's compiled library, ``game._loop()``, which needs a C compiler.
+They step the generator's ``PCG64`` in C, drawing the uniforms
+``Environment.sample_batch`` would draw and handing the state back, so
+they refuse, as ``rng``, anything but a numpy ``Generator`` over
+``PCG64``; the per-observation work runs in C too, and the means,
+variances and counts are numpy's.  ``update_directions`` and
+``game.batch_implied_weights`` stay as their numpy reference.  The exact
+share, the trajectories and the convergence counts need no compiler.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ import numpy as np
 from .game import (
     ConfigError,
     _dims,
+    _draw_uniforms,
+    _generator,
     _integer,
     _label_pair,
     _loop,
@@ -216,17 +220,19 @@ def _environment(env) -> Environment:
     return env
 
 
-def _chunks(rng: np.random.Generator, n_samples: int, chunk: int):
+def _chunks(lib, rng: np.random.Generator, n_samples: int, chunk: int):
     """Uniforms for ``n_samples`` observations, ``chunk`` at a time, as ``sample_batch`` draws them.
 
     Yields each chunk's dimension-one and dimension-two uniforms, drawn in
-    that order into two buffers that the next chunk overwrites.
+    that order into two buffers that the next chunk overwrites.  ``lib``'s
+    ``draw_uniforms`` steps ``rng``'s ``PCG64`` in C, drawing the bits
+    ``rng.random(out=)`` would draw, and hands its state back after each
+    chunk.
     """
     buffers = np.empty((2, min(chunk, n_samples)))
     for done in range(0, n_samples, chunk):
         a, b = buffers[:, : min(chunk, n_samples - done)]
-        rng.random(out=a)
-        rng.random(out=b)
+        _draw_uniforms(lib, rng, a, b)
         yield a, b
 
 
@@ -242,10 +248,10 @@ def positive_update_probability_mc(
     observations are those ``sample_batch`` draws, and the compiled
     ``mc_upward`` counts those ``update_directions`` gives +1.
     """
-    env, n_samples = _environment(env), _integer(n_samples, "n_samples", 1)
+    env, n_samples, rng = _environment(env), _integer(n_samples, "n_samples", 1), _generator(rng)
     # mc_upward reads only the intervals from dims; the labels play no part.
     lib, dims = _loop(), _dims(canonical_label_pair(), env.intervals)
-    hits = sum(_mc_upward(lib, dims, a, b) for a, b in _chunks(rng, n_samples, _MC_CHUNK))
+    hits = sum(_mc_upward(lib, dims, a, b) for a, b in _chunks(lib, rng, n_samples, _MC_CHUNK))
     estimate = hits / n_samples
     se = math.sqrt(estimate * (1.0 - estimate) / n_samples)
     return estimate, se
@@ -270,7 +276,9 @@ class RunningMoments:
         if count == 0:
             return
         mean = float(values.mean())
-        sum_sq_dev = float(np.square(values - mean).sum())
+        deviations = values - mean
+        np.square(deviations, out=deviations)
+        sum_sq_dev = float(deviations.sum())
         if self.count == 0:
             # The first batch is taken as it is: mean * count / count need not be mean.
             self.count, self.mean, self.sum_sq_dev = count, mean, sum_sq_dev
@@ -330,21 +338,20 @@ def estimate_target_moments(
     env, reliability, model = _environment(env), _real(reliability, "reliability"), _model(model)
     n_samples = _integer(n_samples, "n_samples", 1)
     labels = _label_pair(canonical_label_pair() if labels is None else labels, env.intervals)
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0) if rng is None else _generator(rng)
     lib, dims = _loop(), _dims(labels, env.intervals)
 
     moments = RunningMoments()
     if model == 2:
         targets = np.empty(min(_MOMENTS_CHUNK, n_samples))
-        for a, b in _chunks(rng, n_samples, _MOMENTS_CHUNK):
+        for a, b in _chunks(lib, rng, n_samples, _MOMENTS_CHUNK):
             moments.update(targets[: _mc_targets(lib, dims, reliability, a, b, targets)])
         if moments.count == 0:
             raise EstimationError(
                 "every sampled observation fit both labels equally well"
             )
     else:
-        (a, b), = _chunks(rng, n_samples, n_samples)
+        (a, b), = _chunks(lib, rng, n_samples, n_samples)
         targets = np.empty(n_samples)
         kept = _mc_targets(lib, dims, reliability, a, b, targets)
         if kept == 0:

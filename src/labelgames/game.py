@@ -48,12 +48,18 @@ draws and the generator's state included, against a Python replay from
 C compiler with ``unsigned __int128``; where the build fails,
 ``EngineError`` says so.
 
-The same library holds the Monte Carlo loops of ``analysis``'s
-estimators, ``mc_targets``, ``mc_select`` and ``mc_upward``, called
-through ``_mc_targets``, ``_mc_select`` and ``_mc_upward``;
-``batch_implied_weights`` is their numpy reference, against which
-``_check_estimators`` checks them on a fixed grid, and ``_label_pair`` is
-the one check of the labels they and the game are given.
+The same library holds what ``analysis``'s Monte Carlo estimators run.
+``draw_uniforms``, called through ``_draw_uniforms``, steps their
+generator's ``PCG64`` in C as ``play_run`` does, drawing what
+``Generator.random`` would; ``_check_draws`` checks it against numpy, the
+generator's whole state included.  ``_stepped`` reads and writes back the
+state for both, and ``_generator`` refuses, as ``rng``, anything but a
+``Generator`` over ``PCG64``.  The loops ``mc_targets``, ``mc_select``
+and ``mc_upward`` are called through ``_mc_targets``, ``_mc_select`` and
+``_mc_upward``; ``batch_implied_weights`` is their numpy reference,
+against which ``_check_estimators`` checks them on a fixed grid, and
+``_label_pair`` is the one check of the labels they and the game are
+given.
 
 The per-timestep Python path stays for the tests only: ``_draw_schedule``
 shuffles and decodes one timestep's pairs for any number of runs,
@@ -567,14 +573,18 @@ def _group_by_listener(listeners, runs, n, schedule):
 # the labels ``_label_terms`` accepts.  ``dims`` holds, per dimension, lo,
 # hi - lo, and the label's prototype, scale and width.
 #
-# The Monte Carlo estimators of ``analysis`` run the three ``mc_`` loops on
-# uniforms that numpy drew.  ``mc_targets`` maps them, two observations at
-# a time, and computes their memberships as ``play_run`` does, then does
-# what ``_signed_targets`` does elementwise: the majority signs by
-# ``max(m, 1 - m)``, the target where the denominator is not zero, clipped
-# as ``np.clip`` clips, so that a target of -0.0 stays -0.0.  It moves the
-# usable observations' signed memberships and targets to the front, in
-# order, and returns their count.  ``mc_select`` copies the targets of those
+# ``draw_uniforms`` fills ``a`` and ``b`` with ``count`` uniforms each, as
+# ``Generator.random`` fills them one after the other: ``a`` from the
+# state and ``b`` from a cursor jumped ``count`` draws on, whose state it
+# writes back; like ``next_double`` it leaves the half-word alone.  The
+# Monte Carlo estimators of ``analysis`` draw their uniforms through it
+# and run the three ``mc_`` loops on them.  ``mc_targets`` maps the
+# uniforms, two observations at a time, and computes their memberships as
+# ``play_run`` does, then does what ``_signed_targets`` does elementwise:
+# the majority signs by ``max(m, 1 - m)``, the target where the
+# denominator is not zero, clipped as ``np.clip`` clips, so that a target
+# of -0.0 stays -0.0.  It moves the usable observations' signed
+# memberships and targets to the front, in order, and returns their count.  ``mc_select`` copies the targets of those
 # at which a listener of weight ``lam`` updates under model 1, and
 # ``mc_upward`` counts the observations ``analysis.update_directions`` gives
 # +1: bit k of ``up`` holds quadrant k's test, where k sets bit 0 for
@@ -731,6 +741,20 @@ void play_run(uint64_t *generator, double *w, const double *rel, int32_t n, int 
     generator[1] = (uint64_t) g.state;
     generator[4] = g.has_uint32;
     generator[5] = g.uinteger;
+}
+
+void draw_uniforms(uint64_t *generator, int64_t count, double *a, double *b)
+{
+    u128 one = (u128) generator[0] << 64 | generator[1], inc = (u128) generator[2] << 64 | generator[3];
+    u128 mult, plus;
+    jump((u128) count, inc, &mult, &plus);
+    u128 two = one * mult + plus;
+    for (int64_t i = 0; i < count; i++) {
+        a[i] = next_double(&one, inc);
+        b[i] = next_double(&two, inc);
+    }
+    generator[0] = (uint64_t) (two >> 64);
+    generator[1] = (uint64_t) two;
 }
 
 typedef double pair __attribute__((vector_size(16)));
@@ -920,8 +944,9 @@ def _check(lib, path: Path) -> None:
     extended precision, or one that breaks ties or clamps otherwise, gives
     other bits.  The batch is played through ``_dialogue`` itself, not
     ``_apply_sequential``, whose calls the benchmark's tracer counts as
-    engine fallbacks.  Its ``play_run`` then plays ``_check_runs``, and its
-    Monte Carlo loops ``_check_estimators``.
+    engine fallbacks.  Its ``play_run`` then plays ``_check_runs``, its
+    ``draw_uniforms`` ``_check_draws``, and its Monte Carlo loops
+    ``_check_estimators``.
     """
     edges = (0.0, 5e-324, 1e-17, 0.5, 1.0 - 2.0**-53, 1.0)
     memberships = (0.0, 0.3, 0.5, 0.7, 1.0)
@@ -941,7 +966,7 @@ def _check(lib, path: Path) -> None:
             lib.play_dialogues, weights, np.repeat(rel, 2), m1, m2, speakers, speakers + 1, rate, model
         )
         agree = agree and got.tobytes() == want.tobytes()
-    if not (agree and _check_runs(lib.play_run) and _check_estimators(lib)):
+    if not (agree and _check_runs(lib.play_run) and _check_draws(lib) and _check_estimators(lib)):
         raise EngineError(f"the dialogue loop in {path} disagrees with the reference; remove it to rebuild")
 
 
@@ -983,6 +1008,25 @@ def _check_runs(run) -> bool:
         if rng.bit_generator.state != replay.bit_generator.state:
             return False
     return True
+
+
+def _check_draws(lib) -> bool:
+    """Whether ``lib``'s ``draw_uniforms`` draws as ``Generator.random`` does.
+
+    From a generator holding a spare half-word, 1 and then 7 uniforms
+    into each of two buffers; the uniforms and the generator's whole state
+    afterwards must equal those of a twin that calls ``random`` twice per
+    count.
+    """
+    rng, replay = np.random.default_rng(11), np.random.default_rng(11)
+    for generator in (rng, replay):
+        generator.integers(10, dtype=np.uint32)  # leaves a half-word pending
+    for count in (1, 7):
+        a, b = np.empty((2, count))
+        _draw_uniforms(lib, rng, a, b)
+        if a.tobytes() + b.tobytes() != replay.random(count).tobytes() + replay.random(count).tobytes():
+            return False
+    return rng.bit_generator.state == replay.bit_generator.state
 
 
 def _check_estimators(lib) -> bool:
@@ -1051,21 +1095,58 @@ def _replay_run(config: GameConfig, intervals, rng, times):
     return rows, picks
 
 
+def _generator(rng) -> np.random.Generator:
+    """``rng`` when it is a numpy ``Generator`` over ``PCG64``, the one bit generator C steps."""
+    if isinstance(rng, np.random.Generator) and type(rng.bit_generator) is np.random.PCG64:
+        return rng
+    raise ConfigError(f"rng must be a numpy Generator over PCG64, got {rng!r}", "rng")
+
+
+@contextlib.contextmanager
+def _stepped(rng):
+    """The address of six words holding ``rng``'s state, for C to step; written back on exit.
+
+    The six 64-bit words are the state's and the increment's high and low
+    halves, ``has_uint32`` and ``uinteger``; the state and the half-word
+    that C leaves in them are written back.  ``rng`` is refused by
+    ``_generator`` before its state is read, and its lock is held from
+    reading the state until C's is written back.
+    """
+    bits = _generator(rng).bit_generator
+    with bits.lock:
+        state = bits.state
+        pcg = state["state"]
+        words = np.array(
+            (*divmod(pcg["state"], 2**64), *divmod(pcg["inc"], 2**64), state["has_uint32"], state["uinteger"]),
+            dtype=np.uint64,
+        )
+        yield words.ctypes.data
+        high, low, _, _, state["has_uint32"], state["uinteger"] = words.tolist()
+        pcg["state"] = high << 64 | low
+        bits.state = state
+
+
+def _draw_uniforms(lib, rng, a, b) -> None:
+    """Fill ``a``, then ``b``, with ``rng``'s next uniforms, as ``rng.random(out=)`` would, in C."""
+    _doubles(a, b)
+    if not a.shape == b.shape == (a.size,):
+        raise ValueError("two buffers of one uniform per observation are needed")
+    with _stepped(rng) as generator:
+        lib.draw_uniforms(generator, a.size, a.ctypes.data, b.ctypes.data)
+
+
 class _RunPlayer:
     """``play_run`` bound to one game and environment, with the buffers each run reuses.
 
     A run's timestep holds its picks, 4 bytes per dialogue, and up to
     ``rows`` snapshots of the weights; the coins and uniforms are drawn
     as each dialogue plays.  The run's generator must be a ``PCG64``,
-    whose state C reads and advances as six 64-bit words: the state's
-    and the increment's high and low halves, ``has_uint32`` and
-    ``uinteger``.
+    whose state C reads and advances through ``_stepped``.
     """
 
     def __init__(self, run, config: GameConfig, intervals, rows: int):
         n, unordered = config.n_agents, config.schedule == "unordered"
         self.picks = np.empty(dialogues_per_timestep(n, config.schedule), dtype=np.int32)
-        self.words = np.empty(6, dtype=np.uint64)
         self.snapshots = np.empty((rows, n))
         self.dims = _dims(config.labels, intervals)
         self.run = run
@@ -1087,22 +1168,11 @@ class _RunPlayer:
             raise ValueError(f"one float64 weight and reliability per agent, {n} each, are needed")
         if times.ndim != 1 or times.size > len(self.snapshots):
             raise ValueError(f"at most {len(self.snapshots)} recorded times per call")
-        bits, words = rng.bit_generator, self.words
-        with bits.lock:
-            state = bits.state
-            if state["bit_generator"] != "PCG64":
-                raise ValueError(f"the engine draws from a PCG64 generator, not {state['bit_generator']}")
-            pcg = state["state"]
-            words[:] = (
-                *divmod(pcg["state"], 2**64), *divmod(pcg["inc"], 2**64), state["has_uint32"], state["uinteger"]
-            )
+        with _stepped(rng) as generator:
             self.run(
-                words.ctypes.data, weights.ctypes.data, rels.ctypes.data, *self.fixed,
+                generator, weights.ctypes.data, rels.ctypes.data, *self.fixed,
                 played, times.ctypes.data, times.size, self.snapshots.ctypes.data,
             )
-            high, low, _, _, state["has_uint32"], state["uinteger"] = words.tolist()
-            pcg["state"] = high << 64 | low
-            bits.state = state
         return self.snapshots[: times.size]
 
 
@@ -1120,8 +1190,9 @@ def _loop():
         _build(path)
     try:
         lib = ctypes.CDLL(str(path))
-        play, run, targets, select, upward = (
-            getattr(lib, name) for name in ("play_dialogues", "play_run", "mc_targets", "mc_select", "mc_upward")
+        play, run, draw, targets, select, upward = (
+            getattr(lib, name)
+            for name in ("play_dialogues", "play_run", "draw_uniforms", "mc_targets", "mc_select", "mc_upward")
         )
     except (OSError, AttributeError) as err:
         raise EngineError(f"cannot load the dialogue loop from {path}: {err}") from err
@@ -1130,8 +1201,9 @@ def _loop():
         (ctypes.c_void_p,) * 3 + (ctypes.c_int32, ctypes.c_int, ctypes.c_void_p, ctypes.c_double, ctypes.c_int)
         + (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
     )
-    play.restype = run.restype = None
     vector, count, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    draw.argtypes = (vector, count, vector, vector)
+    play.restype = run.restype = draw.restype = None
     targets.argtypes = (count, vector, real) + (vector,) * 3
     select.argtypes = (count, real, real) + (vector,) * 4
     upward.argtypes = (count,) + (vector,) * 3

@@ -59,6 +59,11 @@ def random_box_envs(count, seed):
     return envs
 
 
+def generator_state(rng):
+    """The whole state of a numpy Generator, arrays included, to tell whether it drew; None for anything else."""
+    return rng.bit_generator.state if isinstance(rng, np.random.Generator) else None
+
+
 class TestClassifyRegion:
     """Quadrants through ``choose_assertion`` at weight 1/2, directions through ``update_directions``."""
 
@@ -186,6 +191,20 @@ class TestRunningMoments:
         assert forward.variance == pytest.approx(backward.variance, rel=1e-12)
         assert forward.variance == pytest.approx(float(data.var(ddof=1)), rel=1e-12)
 
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 9, 129, 1001])
+    def test_a_batch_keeps_the_bits_of_numpys_reduction(self, size):
+        # The estimators' differential tests share RunningMoments with their
+        # reference, so this pins its reduction: numpy's pairwise sum of the
+        # squared deviations from the batch mean, in order.  Sizes reach
+        # past the sum's 8-wide unrolling and its 128-element blocks.
+        values = np.random.default_rng(size).random(size) * 3.0 - 1.0
+        given = values.copy()
+        acc = RunningMoments()
+        acc.update(values)
+        assert acc.mean.hex() == float(values.mean()).hex()
+        assert acc.sum_sq_dev.hex() == float(np.square(values - values.mean()).sum()).hex()
+        assert values.tobytes() == given.tobytes()  # the batch itself is left alone
+
     def test_small_counts(self):
         acc = RunningMoments()
         assert acc.variance == 0.0
@@ -252,12 +271,14 @@ class TestTargetMoments:
                 estimate(env_b, reliability=reliability, model=model, n_samples=1000, rng=rng)
             assert rng.bit_generator.state == before
 
-    # Each Monte Carlo entry point, its checked arguments and their valid values.
+    # Each Monte Carlo entry point, its checked arguments and their valid values; unless
+    # ``rng`` is the refused argument, a fresh PCG64 generator is passed as ``rng``.
     MC_ENTRY_POINTS = [
-        (estimate_target_moments, {"reliability": 1.0, "model": 2, "n_samples": 1000, "labels": None}),
+        (estimate_target_moments,
+         {"reliability": 1.0, "model": 2, "n_samples": 1000, "labels": None, "rng": None}),
         (build_prediction,
-         {"rate": 1e-3, "reliability": 1.0, "model": 2, "n_samples": 1000, "labels": None}),
-        (positive_update_probability_mc, {"n_samples": 1000}),
+         {"rate": 1e-3, "reliability": 1.0, "model": 2, "n_samples": 1000, "labels": None, "rng": None}),
+        (positive_update_probability_mc, {"n_samples": 1000, "rng": np.random.default_rng(5)}),
     ]
 
     @pytest.mark.parametrize("field, value", [
@@ -270,17 +291,20 @@ class TestTargetMoments:
         # whose membership the compiled loop cannot compute.
         ("labels", (canonical_label(0.5),) * 2), ("labels", (1, 2)), ("labels", (canonical_label(),)),
         ("labels", (FAR, Label((1.0,), Euclidean(), ThresholdDistribution(lambda t: 1.0 - t), ConceptualSpace(1)))),
+        # No generator, where one is required, and generators the compiled library cannot step.
+        ("rng", None), ("rng", 5),
+        ("rng", np.random.Generator(np.random.MT19937(5))), ("rng", np.random.Generator(np.random.PCG64DXSM(5))),
     ])
     def test_refused_argument_leaves_the_generator_untouched(self, env_b, field, value):
         for estimate, valid in self.MC_ENTRY_POINTS:
-            if field not in valid:
-                continue
-            rng = np.random.default_rng(5)
-            before = rng.bit_generator.state
+            if field not in valid or value is None and valid[field] is None:
+                continue  # None is the default there
+            arguments = {**valid, "rng": np.random.default_rng(5), field: value}
+            before = generator_state(arguments["rng"])
             with pytest.raises(ConfigError) as info:
-                estimate(env_b, **{**valid, field: value}, rng=rng)
+                estimate(env_b, **arguments)
             assert info.value.field == field
-            assert rng.bit_generator.state == before
+            np.testing.assert_equal(generator_state(arguments["rng"]), before)
 
     def test_streaming_estimate_matches_direct_computation(self, env_b):
         from labelgames.game import batch_implied_weights

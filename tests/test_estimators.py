@@ -9,7 +9,8 @@ scales, threshold widths other than 1) and reliabilities through 0 and
 1; fixed edge points add ties, targets of -0.0, clips at both ends and
 observations on the quadrant lines and diagonals.  The estimators built
 on the loops must equal the numpy code they replaced, chunk boundaries
-included.
+included, and leave the generator, which they step in C, in the whole
+state numpy's draws would, its spare half-word included.
 """
 
 import numpy as np
@@ -150,6 +151,15 @@ def reference_moments(env, reliability, model, n_samples, rng, labels):
     return TargetMoments(mean=moments.mean, variance=moments.variance, count=moments.count)
 
 
+def reference_share(env, n_samples, rng):
+    """``positive_update_probability_mc``'s estimate as numpy computed it before the compiled loops."""
+    hits = 0
+    for done in range(0, n_samples, analysis._MC_CHUNK):
+        xs = env.sample_batch(rng, min(analysis._MC_CHUNK, n_samples - done))
+        hits += np.count_nonzero(update_directions(xs) > 0)
+    return hits / n_samples
+
+
 def outcome(call):
     """The moments' bits, or the kind of error raised."""
     try:
@@ -157,6 +167,27 @@ def outcome(call):
     except (EstimationError, NonConvergenceError) as err:
         return type(err)
     return moments.mean.hex(), moments.variance.hex(), moments.count
+
+
+def twin_generators(seed):
+    """Two generators in one state, holding a spare half-word, which drawing uniforms leaves alone."""
+    rngs = [np.random.default_rng(seed) for _ in range(2)]
+    for rng in rngs:
+        rng.integers(10, dtype=np.uint32)
+        assert rng.bit_generator.state["has_uint32"] == 1
+    return rngs
+
+
+def assert_estimators_match(env, rel, model, n_samples, labels, seed):
+    rngs = twin_generators(seed)
+    got = outcome(lambda: analysis.estimate_target_moments(env, rel, model, n_samples, rngs[0], labels))
+    want = outcome(lambda: reference_moments(env, rel, model, n_samples, rngs[1], labels))
+    assert got == want
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    estimate, _ = analysis.positive_update_probability_mc(env, n_samples, rngs[0])
+    assert estimate == reference_share(env, n_samples, rngs[1])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 @settings(max_examples=60, deadline=None)
@@ -173,17 +204,14 @@ def test_estimators_match_the_numpy_code_they_replace(intervals, labels, rel, mo
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analysis, "_MOMENTS_CHUNK", 64)
         patch.setattr(analysis, "_MC_CHUNK", 64)
-        env = Environment(intervals)
-        rngs = [np.random.default_rng(seed) for _ in range(2)]
-        got = outcome(lambda: analysis.estimate_target_moments(env, rel, model, n_samples, rngs[0], labels))
-        want = outcome(lambda: reference_moments(env, rel, model, n_samples, rngs[1], labels))
-        assert got == want
-        assert rngs[0].random() == rngs[1].random()
+        assert_estimators_match(Environment(intervals), rel, model, n_samples, labels, seed)
 
-        hits = 0
-        for done in range(0, n_samples, 64):
-            xs = env.sample_batch(rngs[1], min(64, n_samples - done))
-            hits += np.count_nonzero(update_directions(xs) > 0)
-        estimate, _ = analysis.positive_update_probability_mc(env, n_samples, rngs[0])
-        assert estimate == hits / n_samples
-        assert rngs[0].random() == rngs[1].random()
+
+@pytest.mark.parametrize("model", [1, 2])
+def test_estimators_match_the_numpy_code_at_the_real_chunk_sizes(model):
+    # Three past a whole chunk of one estimator, so that draws jump the
+    # real chunks' distances and a short last chunk follows a full one;
+    # model 1's moments draw all their samples in one chunk.
+    env = Environment(((0.1, 0.9), (0.05, 0.6)))
+    n_samples = (analysis._MOMENTS_CHUNK if model == 2 else analysis._MC_CHUNK) + 3
+    assert_estimators_match(env, 0.9, model, n_samples, CANONICAL, 17)

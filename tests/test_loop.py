@@ -61,9 +61,9 @@ def swapped(source: str, a: str, b: str) -> str:
     ("t = t > 0 ? t : 0;\n", ""),  # no clamp at 0
     ("t = t < 1 ? t : 1;\n", ""),  # no clamp at 1
     ("& mask) > max", "& mask) >= max"),  # another shuffle than Generator.shuffle's
-    ("next_double(&one", "next_double(&two", "swap"),  # each dimension's uniforms from the other's cursor
+    ("next_double(&one, g.inc", "next_double(&two, g.inc", "swap"),  # each dimension's uniforms from the other's cursor
     ("next_double(&coin, g.inc) < 0.5", "next_double(&coin, g.inc) >= 0.5"),  # a low coin makes the second agent speak
-    ("jump((u128) count,", "jump((u128) count - 1,"),  # the cursors one draw too close
+    ("jump((u128) count, g.inc", "jump((u128) count - 1, g.inc"),  # the cursors one draw too close
     ("generator[4] = g.has_uint32;\n", ""),  # the shuffle's spare half-word is not handed back
     ("0x4385df649fccf645", "0x4385df649fccf646"),  # one wrong digit of the multiplier
     ("l += l >= s;", "l += l > s;"),  # ordered decode off by one
@@ -74,11 +74,15 @@ def swapped(source: str, a: str, b: str) -> str:
     ("{a[i], a[j]}", "{b[i], b[j]}", "swap"),  # each dimension's uniforms under the other's label
     ("(x1 - x2 > 0) << 3", "(x1 - x2 >= 0) << 3"),  # the diagonal counted as upward
     ("(1.0 - lam) * b[i] <= rel", "(1.0 - lam) * b[i] < rel"),  # a listener that fits exactly stays
+    ("jump((u128) count, inc", "jump((u128) count - 1, inc"),  # the estimators' b one draw early
+    ("next_double(&one, inc)", "next_double(&two, inc)", "swap"),  # the estimators' a and b swapped
+    ("generator[1] = (uint64_t) two;\n", ""),  # only the high half of the estimators' state handed back
 ], ids=[
     "ties-last", "no-lower-clamp", "no-upper-clamp", "shuffle", "uniforms-swapped",
     "coin-roles-flipped", "jump-off-by-one", "half-word-dropped", "multiplier-digit", "ordered-decode", "unordered-decode", "recording-shifted",
     "targets-lose-negative-zero", "targets-unclipped-at-one", "targets-dimensions-swapped",
     "upward-counts-the-diagonal", "select-strict",
+    "draws-cursor-early", "draws-swapped", "draws-state-half-written",
 ])
 def test_the_check_refuses_a_loop_built_from_altered_source(cache, monkeypatch, edit):
     if edit[-1] == "swap":
