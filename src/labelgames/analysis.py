@@ -19,7 +19,7 @@ a refused one raises ``ConfigError``, naming it, before any draw.
 
 The Monte Carlo estimators, ``positive_update_probability_mc`` and
 ``estimate_target_moments`` (and so ``build_prediction``), run in the
-engine's compiled library, ``game._loop()``, which needs a C compiler.
+engine's compiled library, ``engine._loop()``, which needs a C compiler.
 They step the generator's ``PCG64`` in C, drawing the uniforms
 ``Environment.sample_batch`` would draw and handing the state back, so
 they refuse, as ``rng``, anything but a numpy ``Generator`` over
@@ -37,20 +37,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .game import (
-    ConfigError,
-    _dims,
-    _draw_uniforms,
-    _generator,
-    _integer,
-    _label_pair,
-    _loop,
-    _mc_select,
-    _mc_targets,
-    _mc_upward,
-    _model,
-    _real,
-)
+from .engine import _dims, _draw_uniforms, _generator, _loop, _mc_select, _mc_targets, _mc_upward, _physical_memory
+from .game import ConfigError, _integer, _label_pair, _model, _real
 from .labels import Label, canonical_label_pair
 
 
@@ -211,6 +199,9 @@ def positive_update_probability(env: Environment) -> float:
 # drawn dimension by dimension, so the sizes are part of their output.
 _MC_CHUNK = 1 << 20
 _MOMENTS_CHUNK = 1 << 19
+# Bytes model 1's target moments hold per sample, all at once: two
+# uniforms, which become the signed memberships, a target and a selected one.
+_HELD_BYTES_PER_SAMPLE = 32
 
 
 def _environment(env) -> Environment:
@@ -333,12 +324,20 @@ def estimate_target_moments(
     well enough.  ``labels`` defaults to the canonical pair; other labels
     must be two that the compiled loop computes, each over a space holding
     its dimension's interval, or a ``ConfigError`` naming them is raised
-    before any draw.
+    before any draw.  So is one naming ``n_samples`` when model 1's
+    samples would not fit in physical memory.
     """
     env, reliability, model = _environment(env), _real(reliability, "reliability"), _model(model)
     n_samples = _integer(n_samples, "n_samples", 1)
     labels = _label_pair(canonical_label_pair() if labels is None else labels, env.intervals)
     rng = np.random.default_rng(0) if rng is None else _generator(rng)
+    have = _physical_memory() if model == 1 else None  # model 2 streams its samples
+    if have is not None and n_samples * _HELD_BYTES_PER_SAMPLE > have:
+        raise ConfigError(
+            f"model 1 holds every sample at once: n_samples = {n_samples} needs about "
+            f"{n_samples * _HELD_BYTES_PER_SAMPLE / 2**30:.1f} GiB; physical memory is {have / 2**30:.1f} GiB",
+            "n_samples",
+        )
     lib, dims = _loop(), _dims(labels, env.intervals)
 
     moments = RunningMoments()

@@ -37,7 +37,8 @@ from .experiment import (
     sweep,
     validate_predictions,
 )
-from .game import ConfigError, EngineError, _integer
+from .engine import EngineError
+from .game import ConfigError, _integer
 
 
 def _parse_float_list(raw: str) -> list[float]:

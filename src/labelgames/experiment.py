@@ -4,7 +4,7 @@ A single experiment repeats the same game configuration across independent
 runs, each seeded by mixing a master seed with the run id, records the
 population mean and cross-agent standard deviation of the weights over
 time, and aggregates across runs.  The runs play one after another, each
-in one C call (``game._RunPlayer``, around ``play_run``) per block of
+in one C call (``engine._RunPlayer``, around ``play_run``) per block of
 recorded timesteps: the kernel steps the run's own ``PCG64`` generator
 in C, drawing every timestep's schedule and observations as a Python run
 would draw them, plays the dialogues and copies the weights out at each
@@ -18,7 +18,7 @@ seed give byte-identical output files.
 contains its dimension's interval, on construction.  A configuration
 whose run cannot fit in physical memory is refused before anything
 runs, with ``FootprintError``, a ``ConfigError``; an engine that cannot
-be built or fails its check raises ``game.EngineError``, also before any
+be built or fails its check raises ``engine.EngineError``, also before any
 output directory is made.
 
 Sweeps, model comparisons, and prediction validation are thin layers that
@@ -34,20 +34,18 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import Environment, _rate, build_prediction
+from .engine import _STACK_BYTES_PER_DIALOGUE, _RunPlayer, _loop, _physical_memory
+from .engine import _stacked_timestep  # noqa: F401  the benchmark's tracer hooks it here by name
 from .game import (
     ConfigError,
     GameConfig,
     _INT32_IDS,
-    _STACK_BYTES_PER_DIALOGUE,
-    _RunPlayer,
     _initial_state,
     _integer,
     _label_pair,
-    _loop,
     _real,
     dialogues_per_timestep,
 )
-from .game import _stacked_timestep  # noqa: F401  the benchmark's tracer hooks it here by name
 
 _MASK64 = (1 << 64) - 1
 
@@ -258,14 +256,6 @@ def persist_experiment(
 
 class FootprintError(ConfigError):
     """A configuration whose stacked timestep cannot fit in physical memory."""
-
-
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where the system does not say."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
 
 
 def _check_footprint(config: ExperimentConfig) -> None:

@@ -24,77 +24,29 @@ order, sampling a fresh observation per dialogue, and applies updates
 sequentially.  An agent's state is two floats, its weight and its
 reliability, and a population's is two float arrays.  The dialogue
 arithmetic is written once in Python, on plain floats, in ``_dialogue``
-and its helpers, and mirrored in C; ``choose_assertion``,
-``implied_weight`` and ``run_dialogue`` wrap them for single agents and
-take floats.
-
-The engine is one C function, ``play_run``: it plays one run's timesteps
-in one call, stepping the run's own numpy ``PCG64`` in C from the state
-``_RunPlayer`` reads and writes back.  It draws the shuffle as
-``Generator.shuffle`` does, then each dialogue's role coin and uniforms
-as the dialogue plays, from three cursors placed where
-``Generator.random`` would have drawn them; it decodes the pairs,
-computes the observations and memberships and plays each dialogue in
-``_dialogue``'s operation order.  ``_RunPlayer`` binds it to one game and
-holds the buffers each run reuses, the picks and the snapshots.  The
-memberships are those of 1-d labels with a ``Euclidean`` or one-weight
-``WeightedCityBlock`` metric and a ``UniformThreshold``; ``GameConfig``
-refuses every other label.
-The C source is compiled on first use, cached under a hash of its source
-and compile command, and checked before each process first uses it:
-dialogues against ``_dialogue`` on a fixed batch, and tiny whole runs,
-draws and the generator's state included, against a Python replay from
-``Generator.permutation`` and ``Generator.random``.  Building it needs a
-C compiler with ``unsigned __int128``; where the build fails,
-``EngineError`` says so.
-
-The same library holds what ``analysis``'s Monte Carlo estimators run.
-``draw_uniforms``, called through ``_draw_uniforms``, steps their
-generator's ``PCG64`` in C as ``play_run`` does, drawing what
-``Generator.random`` would; ``_check_draws`` checks it against numpy, the
-generator's whole state included.  ``_stepped`` reads and writes back the
-state for both, and ``_generator`` refuses, as ``rng``, anything but a
-``Generator`` over ``PCG64``.  The loops ``mc_targets``, ``mc_select``
-and ``mc_upward`` are called through ``_mc_targets``, ``_mc_select`` and
-``_mc_upward``; ``batch_implied_weights`` is their numpy reference,
-against which ``_check_estimators`` checks them on a fixed grid, and
-``_label_pair`` is the one check of the labels they and the game are
-given.
+and its helpers, and mirrored in the engine's C (``engine``);
+``choose_assertion``, ``implied_weight`` and ``run_dialogue`` wrap them
+for single agents and take floats.  ``batch_implied_weights`` is the
+numpy reference of the engine's Monte Carlo loops, and ``_label_pair``
+the one check of the labels they and the game are given.
 
 The per-timestep Python path stays for the tests only: ``_draw_schedule``
-shuffles and decodes one timestep's pairs for any number of runs,
-``_stacked_timestep`` plays them, stacked lane by lane, through the C
-loop ``play_dialogues``, and ``_apply_sequential`` is the reference that
-plays them one at a time through ``_dialogue``.
+shuffles and decodes one timestep's pairs for any number of runs, which
+``engine._stacked_timestep`` plays stacked lane by lane, and
+``_apply_sequential`` is the reference that plays them one at a time
+through ``_dialogue``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import enum
-import functools
-import hashlib
-import itertools
 import numbers
-import os
-import stat
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .labels import (
-    ConceptualSpace,
-    Euclidean,
-    Label,
-    UniformThreshold,
-    WeightedCityBlock,
-    canonical_label,
-    canonical_label_pair,
-)
+from .labels import Euclidean, Label, UniformThreshold, WeightedCityBlock, canonical_label_pair
 
 __all__ = [
     "ConfigError",
@@ -268,11 +220,6 @@ def _label_terms(label) -> tuple[float, float, float] | None:
     if type(threshold) is not UniformThreshold:
         return None
     return float(label.prototype[0]), scale, float(threshold.width)
-
-
-def _dims(labels, intervals) -> np.ndarray:
-    """The compiled loop's ``dims``: per dimension lo, hi - lo and ``_label_terms``' three."""
-    return np.array([(lo, hi - lo, *_label_terms(label)) for label, (lo, hi) in zip(labels, intervals)])
 
 
 def _initial_state(config: GameConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -511,14 +458,6 @@ def _apply_sequential(weights, rels, m1, m2, speakers, listeners, rate, model):
 # Pair and lane ids are int32: below 2**31 of each, so at most 46,341 agents.
 _INT32_IDS = 2**31
 
-# Bytes one run's timestep holds per dialogue at its peak: the picks; the
-# coins and uniforms are drawn as each dialogue plays.  Measured peaks
-# (ru_maxrss of two-timestep runs, above the RSS after imports): 3.94 bytes
-# for 1000 agents, from uniform weights or with every weight at 1, under
-# either schedule, and 4.02 for 1400 agents under the unordered one.  The
-# constant is the largest of these plus about a quarter.
-_STACK_BYTES_PER_DIALOGUE = 5
-
 
 # Kept, though the engine no longer calls it: the benchmark's tracer hooks it
 # by name until the benchmark drops that hook.
@@ -542,687 +481,3 @@ def _group_by_listener(listeners, runs, n, schedule):
     take = np.zeros((rounds, total), dtype=order.dtype)
     take[slots, listeners[order]] = order
     return take, np.arange(rounds)[:, np.newaxis] >= counts
-
-
-# The C source.  ``dialogue`` is written in ``_dialogue``'s operation
-# order: the four compounds in ``ASSERTION_ORDER``, where only a strictly
-# greater one replaces the best, so ties go first; ``min(1.0, max(0.0, t))``
-# as two comparisons; and the update w + rate * (t - w).  ``play_dialogues``
-# plays given dialogues through it.
-#
-# ``play_run`` steps numpy's PCG64 itself: the 128-bit LCG step and the
-# XSL-RR output, ``next_uint32`` with numpy's spare half-word
-# (``has_uint32``, ``uinteger``) and ``next_double`` as (next64 >> 11) *
-# 2**-53.  ``generator`` holds the state's and the increment's high and low
-# halves, ``has_uint32`` and ``uinteger``; the state and the half-word are
-# written back on return.  It plays one run's timesteps from ``played``
-# through ``times[rows - 1]``, copying the weights into row k of
-# ``snapshots`` at timestep ``times[k]``.  Each timestep shuffles the pair
-# ids by Fisher-Yates with numpy's ``random_interval`` (masked rejection on
-# ``next_uint32``; every id is below 2**31), as ``Generator.shuffle`` does.
-# numpy would then draw the unordered schedule's role coins, dimension
-# one's uniforms and dimension two's, ``count`` each, by ``next_double``.
-# An LCG jumps ahead n steps in O(log n) (``jump``), so three cursors start
-# where those draws would: ``coin`` at the state after the shuffle, ``one``
-# ``count`` draws on under the unordered schedule, and ``two`` ``count``
-# draws past ``one``; the timestep ends at ``two``'s state, and the
-# half-word stays as the shuffle left it.  Each dialogue draws its coin and
-# uniforms from the cursors as it plays, decodes its pair as ``_pairs``
-# does, maps its uniforms onto the intervals as ``Environment.sample_runs``
-# does and computes its memberships as ``Label.membership_batch`` does for
-# the labels ``_label_terms`` accepts.  ``dims`` holds, per dimension, lo,
-# hi - lo, and the label's prototype, scale and width.
-#
-# ``draw_uniforms`` fills ``a`` and ``b`` with ``count`` uniforms each, as
-# ``Generator.random`` fills them one after the other: ``a`` from the
-# state and ``b`` from a cursor jumped ``count`` draws on, whose state it
-# writes back; like ``next_double`` it leaves the half-word alone.  The
-# Monte Carlo estimators of ``analysis`` draw their uniforms through it
-# and run the three ``mc_`` loops on them.  ``mc_targets`` maps the
-# uniforms, two observations at a time, and computes their memberships as
-# ``play_run`` does, then does what ``_signed_targets`` does elementwise:
-# the majority signs by ``max(m, 1 - m)``, the target where the
-# denominator is not zero, clipped as ``np.clip`` clips, so that a target
-# of -0.0 stays -0.0.  It moves the usable observations' signed
-# memberships and targets to the front, in order, and returns their count.  ``mc_select`` copies the targets of those
-# at which a listener of weight ``lam`` updates under model 1, and
-# ``mc_upward`` counts the observations ``analysis.update_directions`` gives
-# +1: bit k of ``up`` holds quadrant k's test, where k sets bit 0 for
-# dimension one at least 1/2 and bit 1 for dimension two.  Every choice in
-# these loops is made on bits, by masks, so that no branch in them depends
-# on the data.
-_LOOP_SOURCE = r"""
-#include <math.h>
-#include <stdint.h>
-#include <string.h>
-
-static void dialogue(double *w, const double *rel, int32_t speaker, int32_t listener,
-                     double a, double b, double rate, int model)
-{
-    double share = w[speaker];
-    double first = a, second = b, best = share * a + (1.0 - share) * b, c;
-    c = share * a + (1.0 - share) * (1.0 - b);
-    if (c > best) { best = c; first = a; second = 1.0 - b; }
-    c = share * (1.0 - a) + (1.0 - share) * b;
-    if (c > best) { best = c; first = 1.0 - a; second = b; }
-    c = share * (1.0 - a) + (1.0 - share) * (1.0 - b);
-    if (c > best) { first = 1.0 - a; second = 1.0 - b; }
-    double r = rel[speaker], wl = w[listener];
-    double mu = wl * first + (1.0 - wl) * second, denom = first - second;
-    if ((model == 1 ? mu <= r : mu != r) && denom != 0.0) {
-        double t = (r - second) / denom;
-        t = t > 0 ? t : 0;
-        t = t < 1 ? t : 1;
-        w[listener] = wl + rate * (t - wl);
-    }
-}
-
-void play_dialogues(double *w, const double *rel, const double *m1, const double *m2,
-                    const int32_t *speaker, const int32_t *listener, int64_t count,
-                    double rate, int model)
-{
-    for (int64_t d = 0; d < count; d++)
-        dialogue(w, rel, speaker[d], listener[d], m1[d], m2[d], rate, model);
-}
-
-typedef unsigned __int128 u128;
-
-#define MULTIPLIER ((u128) 0x2360ed051fc65da4ULL << 64 | 0x4385df649fccf645ULL)
-
-typedef struct {
-    u128 state, inc;
-    uint64_t has_uint32, uinteger;
-} pcg64;
-
-static uint64_t next64(u128 *state, u128 inc)
-{
-    *state = *state * MULTIPLIER + inc;
-    uint64_t x = (uint64_t) (*state >> 64) ^ (uint64_t) *state;
-    unsigned rot = (unsigned) (*state >> 122);
-    return x >> rot | x << (-rot & 63);
-}
-
-static double next_double(u128 *state, u128 inc)
-{
-    return (double) (next64(state, inc) >> 11) * (1.0 / 9007199254740992.0);
-}
-
-static uint32_t next_uint32(pcg64 *g)
-{
-    if (g->has_uint32) {
-        g->has_uint32 = 0;
-        return (uint32_t) g->uinteger;
-    }
-    uint64_t next = next64(&g->state, g->inc);
-    g->has_uint32 = 1;
-    g->uinteger = next >> 32;
-    return (uint32_t) next;
-}
-
-static void jump(u128 delta, u128 inc, u128 *mult, u128 *plus)
-{
-    u128 m = MULTIPLIER, p = inc;
-    *mult = 1;
-    *plus = 0;
-    for (; delta; delta >>= 1) {
-        if (delta & 1) {
-            *mult *= m;
-            *plus = *plus * m + p;
-        }
-        p *= m + 1;
-        m *= m;
-    }
-}
-
-static int32_t interval(pcg64 *g, uint32_t max)
-{
-    uint32_t mask = max, value;
-    mask |= mask >> 1;
-    mask |= mask >> 2;
-    mask |= mask >> 4;
-    mask |= mask >> 8;
-    mask |= mask >> 16;
-    while ((value = next_uint32(g) & mask) > max)
-        ;
-    return (int32_t) value;
-}
-
-static double membership(double x, const double *label)
-{
-    double s = label[1] * fabs(x - label[0]) / label[2];
-    s = 1.0 - s;
-    s = s > 0 ? s : 0;
-    return s < 1 ? s : 1;
-}
-
-void play_run(uint64_t *generator, double *w, const double *rel, int32_t n, int unordered,
-              const double *dims, double rate, int model, int32_t *picks,
-              int64_t played, const int64_t *times, int64_t rows, double *snapshots)
-{
-    int32_t count = unordered ? n * (n - 1) / 2 : n * (n - 1);
-    pcg64 g = {(u128) generator[0] << 64 | generator[1], (u128) generator[2] << 64 | generator[3],
-               generator[4], generator[5]};
-    u128 mult, plus;
-    jump((u128) count, g.inc, &mult, &plus);
-    for (int64_t k = 0; k < rows; k++) {
-        for (; played < times[k]; played++) {
-            for (int32_t d = 0; d < count; d++)
-                picks[d] = d;
-            for (int32_t i = count - 1; i > 0; i--) {
-                int32_t j = interval(&g, (uint32_t) i), q = picks[j];
-                picks[j] = picks[i];
-                picks[i] = q;
-            }
-            u128 coin = g.state, one = unordered ? coin * mult + plus : coin, two = one * mult + plus;
-            for (int32_t d = 0; d < count; d++) {
-                int32_t q = picks[d], s, l;
-                if (unordered) {
-                    int32_t c = count - 1 - q;
-                    int32_t r = (int32_t) ((sqrt(8.0 * c + 1.0) - 1.0) * 0.5);
-                    int32_t i = n - 2 - r, j = n - 1 - (c - (r * (r + 1) >> 1));
-                    int heads = next_double(&coin, g.inc) < 0.5;
-                    s = heads ? i : j;
-                    l = heads ? j : i;
-                } else {
-                    s = q / (n - 1);
-                    l = q - s * (n - 1);
-                    l += l >= s;
-                }
-                double x1 = next_double(&one, g.inc) * dims[1] + dims[0];
-                double x2 = next_double(&two, g.inc) * dims[6] + dims[5];
-                dialogue(w, rel, s, l, membership(x1, dims + 2), membership(x2, dims + 7),
-                         rate, model);
-            }
-            g.state = two;
-        }
-        memcpy(snapshots + k * n, w, (size_t) n * sizeof(double));
-    }
-    generator[0] = (uint64_t) (g.state >> 64);
-    generator[1] = (uint64_t) g.state;
-    generator[4] = g.has_uint32;
-    generator[5] = g.uinteger;
-}
-
-void draw_uniforms(uint64_t *generator, int64_t count, double *a, double *b)
-{
-    u128 one = (u128) generator[0] << 64 | generator[1], inc = (u128) generator[2] << 64 | generator[3];
-    u128 mult, plus;
-    jump((u128) count, inc, &mult, &plus);
-    u128 two = one * mult + plus;
-    for (int64_t i = 0; i < count; i++) {
-        a[i] = next_double(&one, inc);
-        b[i] = next_double(&two, inc);
-    }
-    generator[0] = (uint64_t) (two >> 64);
-    generator[1] = (uint64_t) two;
-}
-
-typedef double pair __attribute__((vector_size(16)));
-typedef int64_t mask __attribute__((vector_size(16)));
-
-static pair pick(mask c, pair x, pair y)
-{
-    return (pair) ((c & (mask) x) | (~c & (mask) y));
-}
-
-static pair majority(pair u, const double *dim)
-{
-    pair s = u * dim[1] + dim[0] - dim[2], zero = {0, 0}, one = {1, 1};
-    s = 1.0 - dim[3] * (pair) ((mask) s & INT64_MAX) / dim[4];
-    s = pick(s > 0, s, zero);
-    s = pick(s < 1, s, one);
-    pair n = 1.0 - s;
-    return pick(s > n, s, n);
-}
-
-int64_t mc_targets(int64_t count, const double *dims, double rel, double *a, double *b, double *t)
-{
-    int64_t kept = 0;
-    pair zero = {0, 0}, one = {1, 1};
-    for (int64_t i = 0; i < count; i += 2) {
-        int64_t j = i + (i + 1 < count);
-        pair m1 = majority((pair) {a[i], a[j]}, dims), m2 = majority((pair) {b[i], b[j]}, dims + 5);
-        pair denom = m1 - m2, target = (rel - m2) / denom;
-        mask usable = denom != 0;
-        target = pick(target < 0, zero, target);
-        target = pick(target > 1, one, target);
-        a[kept] = m1[0];
-        b[kept] = m2[0];
-        t[kept] = target[0];
-        kept -= usable[0];
-        if (j > i) {
-            a[kept] = m1[1];
-            b[kept] = m2[1];
-            t[kept] = target[1];
-            kept -= usable[1];
-        }
-    }
-    return kept;
-}
-
-int64_t mc_select(int64_t count, double lam, double rel, const double *a, const double *b,
-                  const double *t, double *out)
-{
-    int64_t kept = 0;
-    for (int64_t i = 0; i < count; i++) {
-        out[kept] = t[i];
-        kept += lam * a[i] + (1.0 - lam) * b[i] <= rel;
-    }
-    return kept;
-}
-
-int64_t mc_upward(int64_t count, const double *dims, const double *a, const double *b)
-{
-    int64_t hits = 0;
-    for (int64_t i = 0; i < count; i++) {
-        double x1 = a[i] * dims[1] + dims[0], x2 = b[i] * dims[6] + dims[5];
-        unsigned up = (x2 - x1 > 0) | (x1 + x2 - 1.0 > 0) << 1 | (1.0 - x1 - x2 > 0) << 2
-                      | (x1 - x2 > 0) << 3;
-        hits += up >> ((x1 >= 0.5) | (x2 >= 0.5) << 1) & 1;
-    }
-    return hits;
-}
-"""
-
-# The one command that builds the loop; the source arrives on standard
-# input.  No contraction into fused multiply-adds, which would round once
-# where ``_dialogue`` rounds twice.
-_COMPILE = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-x", "c", "-")
-
-# Built loops are cached here, or in a private per-user directory when this
-# is not a writable directory.
-_CACHE = Path(__file__).resolve().parent / "__pycache__"
-
-
-class EngineError(RuntimeError):
-    """The compiled dialogue loop could not be built, loaded or trusted."""
-
-
-def _cache_dir() -> Path:
-    """The package cache when it is a writable directory, else this user's private one.
-
-    The private one sits under the temporary directory, and is refused
-    unless it is a directory of mode 0700 owned by this user.
-    """
-    with contextlib.suppress(OSError):
-        _CACHE.mkdir(exist_ok=True)
-    if _CACHE.is_dir() and os.access(_CACHE, os.W_OK | os.X_OK):
-        return _CACHE
-    path = Path(tempfile.gettempdir()) / f"labelgames-{os.getuid()}"
-    with contextlib.suppress(FileExistsError):
-        path.mkdir(mode=0o700)
-    info = path.lstat()
-    if not stat.S_ISDIR(info.st_mode) or info.st_uid != os.getuid() or info.st_mode & 0o077:
-        raise EngineError(f"{path} is not a directory private to this user")
-    return path
-
-
-def _build(path: Path) -> None:
-    """Compile the loop into ``path`` through a temporary file, replaced into place whole."""
-    import subprocess  # only a build needs it
-
-    fd, temporary = tempfile.mkstemp(prefix=f"{path.name}.", dir=path.parent)
-    os.close(fd)
-    try:
-        try:
-            done = subprocess.run(
-                (*_COMPILE, "-o", temporary), input=_LOOP_SOURCE, capture_output=True, text=True
-            )
-        except OSError as err:
-            raise EngineError(f"the engine needs a C compiler; `{' '.join(_COMPILE)}` could not start: {err}") from err
-        if done.returncode != 0:
-            raise EngineError(f"`{' '.join(_COMPILE)}` failed to build the dialogue loop:\n{done.stderr}")
-        os.replace(temporary, path)
-    finally:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(temporary)
-
-
-def _play(play, weights, rels, m1, m2, speakers, listeners, rate, model):
-    """The weights after ``play`` runs the dialogues in order; the inputs are left as they are.
-
-    Every array is checked for length, and the lane ids for range, before
-    their pointers are passed.
-    """
-    w = np.array(weights, dtype=np.float64)
-    rel = np.ascontiguousarray(rels, dtype=np.float64)
-    columns = [np.ascontiguousarray(a, dtype=np.float64) for a in (m1, m2)]
-    columns += [np.ascontiguousarray(a, dtype=np.int32) for a in (speakers, listeners)]
-    count = columns[2].size
-    if w.ndim != 1 or rel.shape != w.shape or any(c.shape != (count,) for c in columns):
-        raise ValueError("one weight and reliability per lane, and one entry per dialogue, are needed")
-    if count and any(ids.min() < 0 or ids.max() >= w.size for ids in columns[2:]):
-        raise ValueError("lane ids must lie in [0, lanes)")
-    play(w.ctypes.data, rel.ctypes.data, *(c.ctypes.data for c in columns), count, rate, model)
-    return w
-
-
-def _doubles(*arrays) -> None:
-    """Refuse, before their pointers are passed, arrays that are not writable C-contiguous float64."""
-    if not all(a.dtype == np.float64 and a.flags.c_contiguous and a.flags.writeable for a in arrays):
-        raise ValueError("writable C-contiguous float64 arrays are needed")
-
-
-def _mc_targets(lib, dims, reliability: float, a, b, t) -> int:
-    """``lib``'s ``mc_targets`` on the uniforms ``a`` and ``b``: the usable count.
-
-    The usable observations' signed memberships overwrite the front of
-    ``a`` and ``b``, and their targets that of ``t``, in draw order.
-    """
-    _doubles(dims, a, b, t)
-    if not (a.shape == b.shape == (a.size,) and t.size >= a.size and dims.shape == (2, 5)):
-        raise ValueError("two uniforms per observation, a target slot each and 2 x 5 dims are needed")
-    return lib.mc_targets(a.size, dims.ctypes.data, reliability, a.ctypes.data, b.ctypes.data, t.ctypes.data)
-
-
-def _mc_select(lib, resting: float, reliability: float, a, b, t, out) -> int:
-    """``lib``'s ``mc_select``: copies into ``out`` the targets ``t`` at which a weight of ``resting`` updates."""
-    _doubles(a, b, t, out)
-    if not (a.shape == b.shape == t.shape == (a.size,) and out.size >= a.size):
-        raise ValueError("two memberships and a target per observation, and a slot each, are needed")
-    return lib.mc_select(
-        a.size, resting, reliability, a.ctypes.data, b.ctypes.data, t.ctypes.data, out.ctypes.data
-    )
-
-
-def _mc_upward(lib, dims, a, b) -> int:
-    """``lib``'s ``mc_upward``: how many observations drawn as the uniforms ``a`` and ``b`` pull upward."""
-    _doubles(dims, a, b)
-    if not (a.shape == b.shape == (a.size,) and dims.shape == (2, 5)):
-        raise ValueError("two uniforms per observation and 2 x 5 dims are needed")
-    return lib.mc_upward(a.size, dims.ctypes.data, a.ctypes.data, b.ctypes.data)
-
-
-def _check(lib, path: Path) -> None:
-    """Refuse the library in ``path`` if it differs from the Python reference by a bit.
-
-    Its ``play_dialogues`` plays a fixed batch.  Each dialogue of the
-    batch is its own run of two agents: every combination of a speaker
-    weight at or next to 0, 1/2 or 1 (where compounds tie), two listener
-    weights, memberships from 0 to 1 through exactly 1/2 and two
-    reliabilities, under both models.  A loop built with contraction or
-    extended precision, or one that breaks ties or clamps otherwise, gives
-    other bits.  The batch is played through ``_dialogue`` itself, not
-    ``_apply_sequential``, whose calls the benchmark's tracer counts as
-    engine fallbacks.  Its ``play_run`` then plays ``_check_runs``, its
-    ``draw_uniforms`` ``_check_draws``, and its Monte Carlo loops
-    ``_check_estimators``.
-    """
-    edges = (0.0, 5e-324, 1e-17, 0.5, 1.0 - 2.0**-53, 1.0)
-    memberships = (0.0, 0.3, 0.5, 0.7, 1.0)
-    cases = list(itertools.product(edges, (0.25, 1.0), memberships, memberships, (0.8, 1.0)))
-    w_speaker, w_listener, m1, m2, rel = np.array(cases).T.copy()
-    weights = np.column_stack((w_speaker, w_listener)).reshape(-1)
-    speakers = np.arange(0, weights.size, 2, dtype=np.int32)
-    rate = 0.3
-    agree = True
-    for model in (1, 2):
-        want = weights.copy()
-        for d, (ws, wl, a, b, r) in enumerate(cases):
-            target = _dialogue(ws, wl, r, a, b, model)[1]
-            if target is not None:
-                want[2 * d + 1] = wl + rate * (target - wl)
-        got = _play(
-            lib.play_dialogues, weights, np.repeat(rel, 2), m1, m2, speakers, speakers + 1, rate, model
-        )
-        agree = agree and got.tobytes() == want.tobytes()
-    if not (agree and _check_runs(lib.play_run) and _check_draws(lib) and _check_estimators(lib)):
-        raise EngineError(f"the dialogue loop in {path} disagrees with the reference; remove it to rebuild")
-
-
-# The labels of ``_check_runs``: dimension one's has a prototype off the
-# interval's edge, a metric scale and a threshold width other than 1.
-_CHECK_LABELS = (
-    Label((0.7,), WeightedCityBlock((1.5,)), UniformThreshold(width=0.8), ConceptualSpace(1)),
-    canonical_label(),
-)
-
-
-def _check_runs(run) -> bool:
-    """Whether ``run`` plays tiny whole runs exactly as a Python replay does.
-
-    One run of 4 agents, 3 timesteps recorded at 0, 2 and 3, per model and
-    schedule, each from its own seed, played in two calls, through 2 and
-    then through 3, so that the generator's state is handed back between
-    them.  The replay draws each timestep with ``Generator.permutation``
-    and ``Generator.random``, decodes pairs from ``itertools`` tables,
-    computes memberships with ``membership_batch`` and plays
-    ``_dialogue``.  The snapshots, the last timestep's picks and the
-    generator's whole state afterwards must all agree.
-    """
-    intervals = ((0.1, 0.9), (0.05, 0.6))
-    cases = itertools.product(("ordered", "unordered"), (1, 2))
-    for seed, (schedule, model) in enumerate(cases):
-        config = GameConfig(
-            n_agents=4, timesteps=3, rate=0.3, model=model, labels=_CHECK_LABELS,
-            reliability=(1.0, 0.8, 0.5, 0.9), schedule=schedule,
-        )
-        player = _RunPlayer(run, config, intervals, 2)
-        rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
-        weights, rels = _initial_state(config, rng)
-        snapshots = player(rng, weights, rels, 0, [0, 2]).tolist()
-        snapshots += player(rng, weights, rels, 2, [3]).tolist()
-        rows, picks = _replay_run(config, intervals, replay, (0, 2, 3))
-        if snapshots != rows or player.picks.tolist() != picks:
-            return False
-        if rng.bit_generator.state != replay.bit_generator.state:
-            return False
-    return True
-
-
-def _check_draws(lib) -> bool:
-    """Whether ``lib``'s ``draw_uniforms`` draws as ``Generator.random`` does.
-
-    From a generator holding a spare half-word, 1 and then 7 uniforms
-    into each of two buffers; the uniforms and the generator's whole state
-    afterwards must equal those of a twin that calls ``random`` twice per
-    count.
-    """
-    rng, replay = np.random.default_rng(11), np.random.default_rng(11)
-    for generator in (rng, replay):
-        generator.integers(10, dtype=np.uint32)  # leaves a half-word pending
-    for count in (1, 7):
-        a, b = np.empty((2, count))
-        _draw_uniforms(lib, rng, a, b)
-        if a.tobytes() + b.tobytes() != replay.random(count).tobytes() + replay.random(count).tobytes():
-            return False
-    return rng.bit_generator.state == replay.bit_generator.state
-
-
-def _check_estimators(lib) -> bool:
-    """Whether ``lib``'s Monte Carlo loops give the numpy reference's bytes on a fixed grid.
-
-    Every pair of eight uniforms, through 0, 1/2 and next to 1, in two
-    boxes: the unit square under ``_CHECK_LABELS`` at reliability 0.7,
-    where each uniform is its observation, and a box off the square's
-    edges under the canonical labels at reliability 1.  The grid holds
-    memberships that tie, targets of -0.0 and clips at both ends, and
-    observations on the quadrant lines and the diagonals.  The targets and
-    signed memberships must equal ``batch_implied_weights``' usable ones,
-    the selection those of a listener at weight 0 in the square, some of
-    whose compounds fit exactly as well as the reliability, and at weight
-    0.3 in the other box, and the upward count that of
-    ``analysis.update_directions``.
-    """
-    from .analysis import update_directions  # analysis imports this module
-
-    grid = np.array([0.0, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 1.0 - 2.0**-53])
-    uniforms = np.array(np.meshgrid(grid, grid)).reshape(2, -1)
-    boxes = (
-        (_CHECK_LABELS, ((0.0, 1.0), (0.0, 1.0)), 0.7, 0.0),
-        (canonical_label_pair(), ((0.1, 0.9), (0.05, 0.6)), 1.0, 0.3),
-    )
-    for labels, intervals, rel, resting in boxes:
-        dims = _dims(labels, intervals)
-        xs = (uniforms * dims[:, 1:2] + dims[:, :1]).T
-        targets, usable, m1, m2 = batch_implied_weights(labels, xs, rel)
-        updating = usable & (resting * m1 + (1.0 - resting) * m2 <= rel)
-        a, b = uniforms.copy()
-        t, out = np.empty((2, a.size))
-        if _mc_upward(lib, dims, a, b) != np.count_nonzero(update_directions(xs) > 0):
-            return False
-        kept = _mc_targets(lib, dims, rel, a, b, t)
-        count = _mc_select(lib, resting, rel, a[:kept], b[:kept], t[:kept], out)
-        got = (t[:kept], a[:kept], b[:kept], out[:count])
-        want = (targets[usable], m1[usable], m2[usable], targets[updating])
-        if any(g.tobytes() != w.tobytes() for g, w in zip(got, want)):
-            return False
-    return True
-
-
-def _replay_run(config: GameConfig, intervals, rng, times):
-    """``_check_runs``' reference: the recorded weights and the last timestep's picks."""
-    n, model, rate = config.n_agents, config.model, config.rate
-    unordered = config.schedule == "unordered"
-    pairs = list((itertools.combinations if unordered else itertools.permutations)(range(n), 2))
-    w, rel = rng.random(n).tolist(), list(config.reliability)
-    rows, picks = [], None
-    for t in range(times[-1] + 1):
-        if t:
-            picks = rng.permutation(len(pairs)).tolist()
-            coins = rng.random(len(pairs) if unordered else 0)
-            m1, m2 = (
-                label.membership_batch(rng.random(len(pairs)) * (hi - lo) + lo).tolist()
-                for label, (lo, hi) in zip(config.labels, intervals)
-            )
-            for d, k in enumerate(picks):
-                s, l = pairs[k] if not unordered or coins[d] < 0.5 else pairs[k][::-1]
-                target = _dialogue(w[s], w[l], rel[s], m1[d], m2[d], model)[1]
-                if target is not None:
-                    w[l] = w[l] + rate * (target - w[l])
-        if t in times:
-            rows.append(list(w))
-    return rows, picks
-
-
-def _generator(rng) -> np.random.Generator:
-    """``rng`` when it is a numpy ``Generator`` over ``PCG64``, the one bit generator C steps."""
-    if isinstance(rng, np.random.Generator) and type(rng.bit_generator) is np.random.PCG64:
-        return rng
-    raise ConfigError(f"rng must be a numpy Generator over PCG64, got {rng!r}", "rng")
-
-
-@contextlib.contextmanager
-def _stepped(rng):
-    """The address of six words holding ``rng``'s state, for C to step; written back on exit.
-
-    The six 64-bit words are the state's and the increment's high and low
-    halves, ``has_uint32`` and ``uinteger``; the state and the half-word
-    that C leaves in them are written back.  ``rng`` is refused by
-    ``_generator`` before its state is read, and its lock is held from
-    reading the state until C's is written back.
-    """
-    bits = _generator(rng).bit_generator
-    with bits.lock:
-        state = bits.state
-        pcg = state["state"]
-        words = np.array(
-            (*divmod(pcg["state"], 2**64), *divmod(pcg["inc"], 2**64), state["has_uint32"], state["uinteger"]),
-            dtype=np.uint64,
-        )
-        yield words.ctypes.data
-        high, low, _, _, state["has_uint32"], state["uinteger"] = words.tolist()
-        pcg["state"] = high << 64 | low
-        bits.state = state
-
-
-def _draw_uniforms(lib, rng, a, b) -> None:
-    """Fill ``a``, then ``b``, with ``rng``'s next uniforms, as ``rng.random(out=)`` would, in C."""
-    _doubles(a, b)
-    if not a.shape == b.shape == (a.size,):
-        raise ValueError("two buffers of one uniform per observation are needed")
-    with _stepped(rng) as generator:
-        lib.draw_uniforms(generator, a.size, a.ctypes.data, b.ctypes.data)
-
-
-class _RunPlayer:
-    """``play_run`` bound to one game and environment, with the buffers each run reuses.
-
-    A run's timestep holds its picks, 4 bytes per dialogue, and up to
-    ``rows`` snapshots of the weights; the coins and uniforms are drawn
-    as each dialogue plays.  The run's generator must be a ``PCG64``,
-    whose state C reads and advances through ``_stepped``.
-    """
-
-    def __init__(self, run, config: GameConfig, intervals, rows: int):
-        n, unordered = config.n_agents, config.schedule == "unordered"
-        self.picks = np.empty(dialogues_per_timestep(n, config.schedule), dtype=np.int32)
-        self.snapshots = np.empty((rows, n))
-        self.dims = _dims(config.labels, intervals)
-        self.run = run
-        self.fixed = (
-            n, int(unordered), self.dims.ctypes.data, config.rate, config.model, self.picks.ctypes.data
-        )
-
-    def __call__(self, rng, weights, rels, played: int, times):
-        """Play ``rng``'s run from timestep ``played`` through ``times[-1]``, in place on ``weights``.
-
-        Returns the weights at each of ``times``, one row each, as a view of
-        the snapshot buffer that the next call overwrites.  The generator's
-        lock is held from reading its state until C's state is written back.
-        """
-        n = self.fixed[0]
-        times = np.ascontiguousarray(times, dtype=np.int64)
-        if not (weights.dtype == rels.dtype == np.float64 and weights.shape == rels.shape == (n,)
-                and weights.flags.c_contiguous and weights.flags.writeable and rels.flags.c_contiguous):
-            raise ValueError(f"one float64 weight and reliability per agent, {n} each, are needed")
-        if times.ndim != 1 or times.size > len(self.snapshots):
-            raise ValueError(f"at most {len(self.snapshots)} recorded times per call")
-        with _stepped(rng) as generator:
-            self.run(
-                generator, weights.ctypes.data, rels.ctypes.data, *self.fixed,
-                played, times.ctypes.data, times.size, self.snapshots.ctypes.data,
-            )
-        return self.snapshots[: times.size]
-
-
-@functools.cache
-def _loop():
-    """The compiled engine library, built on first use and checked once per process.
-
-    The library is cached under a name keyed by the hash of the source and
-    the compile command, so an edit to either builds a new one; raises
-    ``EngineError`` when it cannot be built or loaded, or fails ``_check``.
-    """
-    key = hashlib.sha256("\0".join((_LOOP_SOURCE, *_COMPILE)).encode()).hexdigest()[:24]
-    path = _cache_dir() / f"dialogues-{key}.so"
-    if not path.is_file():
-        _build(path)
-    try:
-        lib = ctypes.CDLL(str(path))
-        play, run, draw, targets, select, upward = (
-            getattr(lib, name)
-            for name in ("play_dialogues", "play_run", "draw_uniforms", "mc_targets", "mc_select", "mc_upward")
-        )
-    except (OSError, AttributeError) as err:
-        raise EngineError(f"cannot load the dialogue loop from {path}: {err}") from err
-    play.argtypes = (ctypes.c_void_p,) * 6 + (ctypes.c_int64, ctypes.c_double, ctypes.c_int)
-    run.argtypes = (
-        (ctypes.c_void_p,) * 3 + (ctypes.c_int32, ctypes.c_int, ctypes.c_void_p, ctypes.c_double, ctypes.c_int)
-        + (ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p)
-    )
-    vector, count, real = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-    draw.argtypes = (vector, count, vector, vector)
-    play.restype = run.restype = draw.restype = None
-    targets.argtypes = (count, vector, real) + (vector,) * 3
-    select.argtypes = (count, real, real) + (vector,) * 4
-    upward.argtypes = (count,) + (vector,) * 3
-    targets.restype = select.restype = upward.restype = count
-    _check(lib, path)
-    return lib
-
-
-def _stacked_timestep(weights, rels, m1, m2, speakers, listeners, rate, model, runs):
-    """Advance every run one timestep on stacked per-run state; only tests call it.
-
-    Agent i of run r occupies lane r*n + i, speakers and listeners carry
-    lane ids, and run r's dialogues fill the r-th block of the arrays.  So
-    the compiled ``play_dialogues``, playing the whole stack in dialogue
-    order with ``_dialogue``'s arithmetic, leaves each run bit-identical
-    to replaying its block through ``_apply_sequential``.  The engine
-    plays whole runs through ``_RunPlayer`` instead; this per-timestep path
-    stays until the tests no longer compare through it.
-    ``bench/tracing.py`` still resolves this function's name and its
-    ``runs`` and ``speakers`` parameters.
-    """
-    return _play(_loop().play_dialogues, weights, rels, m1, m2, speakers, listeners, rate, model)

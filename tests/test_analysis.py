@@ -6,6 +6,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+from labelgames import analysis
 from labelgames.analysis import (
     Environment,
     EstimationError,
@@ -305,6 +306,19 @@ class TestTargetMoments:
                 estimate(env_b, **arguments)
             assert info.value.field == field
             np.testing.assert_equal(generator_state(arguments["rng"]), before)
+
+    def test_model_1_refuses_samples_past_physical_memory_before_any_draw(self, env_b, monkeypatch):
+        # Model 1 holds 32 bytes per sample at once; model 2 streams its samples.
+        monkeypatch.setattr(analysis, "_physical_memory", lambda: 32 * 1000 - 1)
+        for estimate in (estimate_target_moments, partial(build_prediction, rate=1e-3)):
+            rng = np.random.default_rng(5)
+            before = rng.bit_generator.state
+            with pytest.raises(ConfigError, match="n_samples = 1000") as info:
+                estimate(env_b, model=1, n_samples=1000, rng=rng)
+            assert info.value.field == "n_samples"
+            assert rng.bit_generator.state == before
+        assert estimate_target_moments(env_b, model=1, n_samples=999).count > 0
+        assert estimate_target_moments(env_b, model=2, n_samples=1000).count > 0
 
     def test_streaming_estimate_matches_direct_computation(self, env_b):
         from labelgames.game import batch_implied_weights

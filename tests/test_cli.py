@@ -147,6 +147,18 @@ class TestErrorPaths:
         assert err.startswith("config error:") and "physical memory" in err
         assert not out.exists()
 
+    def test_a_model_1_prediction_larger_than_memory_is_refused_before_any_draw(
+        self, base_cfg, tmp_path, capsys, monkeypatch
+    ):
+        # Model 1 holds every sample at once, about 9.6 GB at 3e8 samples;
+        # the host's memory is fixed at 8 GiB.
+        monkeypatch.setattr(analysis, "_physical_memory", lambda: 8 * 2**30)
+        start = time.perf_counter()
+        assert run_cli("predict", "--config", base_cfg, "--samples", 300_000_000, "--out", tmp_path / "out") == 2
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "n_samples = 300000000" in err
+
     def test_output_collision_is_an_io_error(self, base_cfg, tmp_path, capsys):
         blocker = tmp_path / "occupied"
         blocker.write_text("not a directory\n")

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelgames import analysis, game
+from labelgames import analysis, engine
 from labelgames.analysis import (
     Environment,
     EstimationError,
@@ -52,15 +52,15 @@ def assert_loops_match(labels, intervals, rel, resting, a, b):
     xs = observations(intervals, a, b)
     targets, usable, m1, m2 = batch_implied_weights(labels, xs, rel)
     updating = usable & (resting * m1 + (1.0 - resting) * m2 <= rel)
-    lib, dims = game._loop(), game._dims(labels, intervals)
+    lib, dims = engine._loop(), engine._dims(labels, intervals)
 
-    assert game._mc_upward(lib, dims, a, b) == np.count_nonzero(update_directions(xs) > 0)
+    assert engine._mc_upward(lib, dims, a, b) == np.count_nonzero(update_directions(xs) > 0)
     t, out = np.empty((2, a.size))
-    kept = game._mc_targets(lib, dims, rel, a, b, t)
+    kept = engine._mc_targets(lib, dims, rel, a, b, t)
     assert t[:kept].tobytes() == targets[usable].tobytes()
     assert a[:kept].tobytes() == m1[usable].tobytes()
     assert b[:kept].tobytes() == m2[usable].tobytes()
-    count = game._mc_select(lib, resting, rel, a[:kept], b[:kept], t[:kept], out)
+    count = engine._mc_select(lib, resting, rel, a[:kept], b[:kept], t[:kept], out)
     assert out[:count].tobytes() == targets[updating].tobytes()
 
 

@@ -31,7 +31,8 @@ from labelgames.experiment import (
     validate_predictions,
 )
 from labelgames.experiment import _run_stacked
-from labelgames.game import _STACK_BYTES_PER_DIALOGUE, GameConfig
+from labelgames.engine import _STACK_BYTES_PER_DIALOGUE
+from labelgames.game import GameConfig
 from labelgames.labels import (
     ConceptualSpace,
     Euclidean,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelgames import game
+from labelgames import engine, game
 from labelgames.analysis import Environment, update_directions
 from labelgames.experiment import ExperimentConfig, run_experiment
 from labelgames.game import (
@@ -375,7 +375,7 @@ def kernel_timestep(weights, rels, env, rate, model, rng, schedule="ordered"):
     n = len(weights)
     speakers, listeners = game._draw_schedule(n, schedule, [rng])
     m1, m2 = game._memberships(LABELS, env.sample_batch(rng, speakers.size))
-    return game._stacked_timestep(
+    return engine._stacked_timestep(
         weights, rels, m1, m2, speakers, listeners, rate, model, 1
     ).tolist()
 
@@ -504,7 +504,7 @@ def counting_sequential_calls(monkeypatch):
 
     The loop is built first, so that its check is not counted.
     """
-    game._loop()
+    engine._loop()
     calls = []
     replay = game._apply_sequential
 
@@ -550,7 +550,7 @@ class TestStackedKernel:
         for _ in range(runs):
             speakers, listeners = game._draw_schedule(n, schedule, [rng])
             blocks.append((speakers, listeners, env.sample_batch(rng, speakers.size)))
-        got = game._stacked_timestep(
+        got = engine._stacked_timestep(
             weights,
             rels,
             *game._memberships(LABELS, np.concatenate([xs for _, _, xs in blocks])),
@@ -606,7 +606,7 @@ class TestStackedKernel:
         speakers, listeners = game._draw_schedule(n, "ordered", [rng, rng])
         per_run = speakers.size // 2
         xs = env.sample_runs([rng, rng], per_run)
-        got = game._stacked_timestep(
+        got = engine._stacked_timestep(
             weights, rels, *game._memberships(LABELS, xs), speakers, listeners, rate, 1, 2
         )
         m1, m2 = game._memberships(LABELS, xs)
@@ -626,7 +626,7 @@ class TestStackedKernel:
         speakers, listeners = game._draw_schedule(len(weights), schedule, [rng])
         xs = Environment((x1, x2)).sample_batch(rng, speakers.size)
         weights, rels = np.array(weights), np.array(rels)
-        got = game._stacked_timestep(
+        got = engine._stacked_timestep(
             weights, rels, *game._memberships(LABELS, xs), speakers, listeners, rate, 2, 1
         )
         want = game._apply_sequential(
@@ -661,7 +661,7 @@ class TestStackedKernel:
             want += replay(
                 weights[run], rels[run], m1, m2, speakers - r * n, listeners - r * n, rate, 2
             ).tolist()
-        got = game._stacked_timestep(
+        got = engine._stacked_timestep(
             weights, rels, *(np.concatenate(column) for column in zip(*blocks)),
             rate, 2, len(stack),
         )
@@ -683,7 +683,7 @@ class TestStackedKernel:
         per_run = speakers.size // runs
         xs = Environment(((0.0, 1.0), (0.0, 0.5))).sample_runs([rng] * runs, per_run)
         m1, m2 = game._memberships(LABELS, xs)
-        got = game._stacked_timestep(weights, rels, m1, m2, speakers, listeners, 0.3, 2, runs)
+        got = engine._stacked_timestep(weights, rels, m1, m2, speakers, listeners, 0.3, 2, runs)
         want = []
         for r in range(runs):
             run, block = slice(r * n, (r + 1) * n), slice(r * per_run, (r + 1) * per_run)
@@ -706,7 +706,7 @@ class TestStackedKernel:
         speakers, listeners = game._draw_schedule(n, schedule, [rng] * runs)
         per_run = speakers.size // runs
         xs = Environment(((0.0, 1.0), (0.0, 0.5))).sample_runs([rng] * runs, per_run)
-        got = game._stacked_timestep(
+        got = engine._stacked_timestep(
             weights, rels, *game._memberships(LABELS, xs), speakers, listeners, 0.3, 1, runs
         )
         m1, m2 = game._memberships(LABELS, xs)
@@ -726,7 +726,7 @@ class TestRunPlayer:
         # play_run steps PCG64 itself, so any other generator's state is refused
         # before C runs: the weights and the generator are left as they were.
         config = GameConfig(n_agents=4, timesteps=2)
-        player = game._RunPlayer(game._loop().play_run, config, ((0.0, 1.0), (0.0, 0.5)), 3)
+        player = engine._RunPlayer(engine._loop().play_run, config, ((0.0, 1.0), (0.0, 0.5)), 3)
         rng, twin = np.random.Generator(bit_generator(0)), np.random.Generator(bit_generator(0))
         weights, rels = game._initial_state(config, rng)
         before = game._initial_state(config, twin)[0]

@@ -15,21 +15,22 @@ from pathlib import Path
 
 import pytest
 
-from labelgames import game
+from labelgames import engine
 from labelgames.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-COMMAND = " ".join(game._COMPILE)
+PACKAGE = Path(engine.__file__).parent
+COMMAND = " ".join(engine._COMPILE)
 
 
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
     """An empty package cache, with no loop loaded before or after the test."""
     path = tmp_path / "cache"
-    monkeypatch.setattr(game, "_CACHE", path)
-    game._loop.cache_clear()
+    monkeypatch.setattr(engine, "_CACHE", path)
+    engine._loop.cache_clear()
     yield path
-    game._loop.cache_clear()
+    engine._loop.cache_clear()
 
 
 def libraries(directory: Path) -> list[str]:
@@ -41,12 +42,12 @@ def test_builds_once_and_ignores_libraries_under_other_keys(cache):
     cache.mkdir()
     stale = "dialogues-000000000000000000000000.so"
     (cache / stale).write_text("")
-    game._loop()
+    engine._loop()
     (name,) = set(libraries(cache)) - {stale}
     assert name.startswith("dialogues-") and name.endswith(".so")
     built = (cache / name).stat().st_mtime_ns
-    game._loop.cache_clear()
-    game._loop()
+    engine._loop.cache_clear()
+    engine._loop()
     assert libraries(cache) == sorted([name, stale])
     assert (cache / name).stat().st_mtime_ns == built
 
@@ -86,42 +87,45 @@ def swapped(source: str, a: str, b: str) -> str:
 ])
 def test_the_check_refuses_a_loop_built_from_altered_source(cache, monkeypatch, edit):
     if edit[-1] == "swap":
-        source = swapped(game._LOOP_SOURCE, *edit[:2])
+        source = swapped(engine._SOURCE, *edit[:2])
     else:
-        source = game._LOOP_SOURCE.replace(*edit)
-    assert source != game._LOOP_SOURCE
-    monkeypatch.setattr(game, "_LOOP_SOURCE", source)
-    with pytest.raises(game.EngineError, match="disagrees with the reference") as info:
-        game._loop()
+        source = engine._SOURCE.replace(*edit)
+    assert source != engine._SOURCE
+    monkeypatch.setattr(engine, "_SOURCE", source)
+    with pytest.raises(engine.EngineError, match="disagrees with the reference") as info:
+        engine._loop()
     (name,) = libraries(cache)
     assert str(cache / name) in str(info.value)
 
 
-def test_the_source_compiles_cleanly_under_strict_warnings():
+@pytest.mark.parametrize(
+    "source", [PACKAGE / "_engine.c", Path(__file__).with_name("engine_limits.c")], ids=["engine", "limit-driver"]
+)
+def test_the_source_compiles_cleanly_under_strict_warnings(source):
     # -Wconversion refuses an implicit narrowing, such as the 128-bit
     # generator state cut to 64 bits without a cast; -Wall -Wextra alone
-    # let that through.
-    flags = ("-Wall", "-Wextra", "-Wconversion", "-Werror", "-fsyntax-only", "-x", "c", "-")
-    done = subprocess.run(("cc", *flags), input=game._LOOP_SOURCE, capture_output=True, text=True)
+    # let that through.  The limit driver includes the engine's source.
+    flags = ("-Wall", "-Wextra", "-Wconversion", "-Werror", "-fsyntax-only", "-I", str(PACKAGE))
+    done = subprocess.run(("cc", *flags, str(source)), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
 
 
 def test_a_library_under_the_right_name_from_other_source_is_refused(cache, tmp_path, monkeypatch):
     # A stale library that happens to carry the current key is still checked.
     with monkeypatch.context() as patch:
-        patch.setattr(game, "_LOOP_SOURCE", game._LOOP_SOURCE.replace("c > best", "c >= best"))
-        with pytest.raises(game.EngineError):
-            game._loop()
+        patch.setattr(engine, "_SOURCE", engine._SOURCE.replace("c > best", "c >= best"))
+        with pytest.raises(engine.EngineError):
+            engine._loop()
     (stale,) = libraries(cache)
     with monkeypatch.context() as patch:
-        patch.setattr(game, "_CACHE", tmp_path / "elsewhere")
-        game._loop.cache_clear()
-        game._loop()
+        patch.setattr(engine, "_CACHE", tmp_path / "elsewhere")
+        engine._loop.cache_clear()
+        engine._loop()
         (name,) = libraries(tmp_path / "elsewhere")
     shutil.copy(cache / stale, cache / name)
-    game._loop.cache_clear()
-    with pytest.raises(game.EngineError, match="disagrees with the reference") as info:
-        game._loop()
+    engine._loop.cache_clear()
+    with pytest.raises(engine.EngineError, match="disagrees with the reference") as info:
+        engine._loop()
     # The message names the file to remove.
     assert str(cache / name) in str(info.value)
 
@@ -159,7 +163,7 @@ def test_an_unwritable_package_cache_falls_back_to_a_private_directory(cache, tm
     # package cache is made unusable by being a file.
     cache.write_text("")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    game._loop()
+    engine._loop()
     private = tmp_path / f"labelgames-{os.getuid()}"
     assert stat.S_IMODE(private.stat().st_mode) == 0o700
     assert len(libraries(private)) == 1
@@ -171,17 +175,17 @@ def test_a_shared_fallback_directory_is_refused(cache, tmp_path, monkeypatch):
     shared = tmp_path / f"labelgames-{os.getuid()}"
     shared.mkdir()
     shared.chmod(0o755)
-    with pytest.raises(game.EngineError, match="not a directory private to this user"):
-        game._loop()
+    with pytest.raises(engine.EngineError, match="not a directory private to this user"):
+        engine._loop()
     assert libraries(shared) == []
 
 
 def test_two_processes_on_an_empty_cache_both_load_the_loop(cache):
     script = (
         "import sys, pathlib\n"
-        "from labelgames import game\n"
-        "game._CACHE = pathlib.Path(sys.argv[1])\n"
-        "game._loop()\n"
+        "from labelgames import engine\n"
+        "engine._CACHE = pathlib.Path(sys.argv[1])\n"
+        "engine._loop()\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     procs = [
