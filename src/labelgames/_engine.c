@@ -119,9 +119,9 @@ static double membership(double x, const double *label)
     return s < 1 ? s : 1;
 }
 
-/* The two agents of pair id q < count, by game._pairs' arithmetic: the
-   speaker and the listener under the ordered schedule, the row-major pair
-   i < j under the unordered one. */
+/* The two agents of pair id q < count: the q-th pair of itertools.permutations (ordered)
+   or combinations (unordered) over range(n).  r is exact, since 8c + 1 < 2**35 is an
+   exact double and sqrt is correctly rounded, and r(r + 1) < 2**31. */
 static void decode(int32_t q, int32_t n, int32_t count, int unordered, int32_t *first,
                    int32_t *second)
 {
@@ -150,7 +150,7 @@ static void decode(int32_t q, int32_t n, int32_t count, int unordered, int32_t *
    at two's state, and the half-word stays as the shuffle left it.  Each
    dialogue draws its coin and uniforms as it plays, a coin below 1/2
    keeping the first agent as speaker, and maps the uniforms onto the
-   intervals as Environment.sample_runs does.  dims holds, per dimension,
+   intervals as Environment.sample_batch does.  dims holds, per dimension,
    lo, hi - lo and the label's three terms.  The state and the half-word
    are written back on return. */
 void play_run(uint64_t *generator, double *w, const double *rel, int32_t n, int unordered,
@@ -280,7 +280,7 @@ int64_t mc_select(int64_t count, double lam, double rel, const double *a, const 
     return kept;
 }
 
-/* How many observations analysis.update_directions gives +1: bit k of up
+/* How many observations game.update_directions gives +1: bit k of up
    holds quadrant k's test, where k sets bit 0 for dimension one at least
    1/2 and bit 1 for dimension two. */
 int64_t mc_upward(int64_t count, const double *dims, const double *a, const double *b)

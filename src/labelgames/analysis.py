@@ -24,7 +24,7 @@ They step the generator's ``PCG64`` in C, drawing the uniforms
 ``Environment.sample_batch`` would draw and handing the state back, so
 they refuse, as ``rng``, anything but a numpy ``Generator`` over
 ``PCG64``; the per-observation work runs in C too, and the means,
-variances and counts are numpy's.  ``update_directions`` and
+variances and counts are numpy's.  ``game.update_directions`` and
 ``game.batch_implied_weights`` stay as their numpy reference.  The exact
 share, the trajectories and the convergence counts need no compiler.
 """
@@ -33,12 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .engine import _dims, _draw_uniforms, _generator, _loop, _mc_select, _mc_targets, _mc_upward, _physical_memory
-from .game import ConfigError, _integer, _label_pair, _model, _real
+from .game import ConfigError, _integer, _label_pair, _model, _real, update_directions  # noqa: F401
 from .labels import Label, canonical_label_pair
 
 
@@ -48,26 +47,6 @@ class EstimationError(RuntimeError):
 
 class NonConvergenceError(RuntimeError):
     """The restricted-update fixed point ran out of updating samples."""
-
-
-def update_directions(xs: np.ndarray) -> np.ndarray:
-    """Push directions, +1, -1, or 0 per row of observations.
-
-    The numpy reference of the compiled ``mc_upward``.  Within a quadrant
-    the direction is the sign of the difference between the two signed
-    memberships: when the first dimension fits the assertion better than
-    the second, the implied target saturates at 1 and the update pulls
-    upward.
-    """
-    xs = np.asarray(xs, dtype=np.float64)
-    x1, x2 = xs[:, 0], xs[:, 1]
-    first_high = x1 >= 0.5
-    second_high = x2 >= 0.5
-    same_side = first_high == second_high
-    diff = np.where(first_high, x1 - x2, x2 - x1)
-    fringe = np.where(first_high, x1 + x2 - 1.0, 1.0 - x1 - x2)
-    discriminant = np.where(same_side, diff, fringe)
-    return np.sign(discriminant).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -105,24 +84,12 @@ class Environment:
         return (hi1 - lo1) * (hi2 - lo2)
 
     def sample_batch(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Draw ``count`` observations as a (count, 2) array."""
-        return self.sample_runs([rng], count)
+        """Draw ``count`` observations as a (count, 2) array, each column contiguous in memory.
 
-    def sample_runs(self, rngs: Sequence[np.random.Generator], count: int) -> np.ndarray:
-        """Draw ``count`` observations from each generator, stacked run by run.
-
-        Returns a (len(rngs) * count, 2) array whose r-th block of rows
-        comes from ``rngs[r]``, which draws dimension one, then dimension
-        two.  Each column is contiguous in memory.
+        ``rng`` draws dimension one's uniforms, then dimension two's, each
+        mapped onto its interval.
         """
-        out = np.empty((2, len(rngs), count))
-        for r, rng in enumerate(rngs):
-            rng.random(out=out[0, r])
-            rng.random(out=out[1, r])
-        for dim, (lo, hi) in enumerate(self.intervals):
-            out[dim] *= hi - lo
-            out[dim] += lo
-        return out.reshape(2, -1).T
+        return np.array([rng.random(count) * (hi - lo) + lo for lo, hi in self.intervals]).T
 
 
 # The four triangles of the unit square where updates pull weights up,

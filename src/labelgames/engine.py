@@ -45,6 +45,7 @@ from .game import (
     _label_terms,
     batch_implied_weights,
     dialogues_per_timestep,
+    update_directions,
 )
 from .labels import ConceptualSpace, Label, UniformThreshold, WeightedCityBlock, canonical_label, canonical_label_pair
 
@@ -290,10 +291,8 @@ def _check_estimators(lib) -> bool:
     the selection those of a listener at weight 0 in the square, some of
     whose compounds fit exactly as well as the reliability, and at weight
     0.3 in the other box, and the upward count that of
-    ``analysis.update_directions``.
+    ``update_directions``.
     """
-    from .analysis import update_directions  # analysis imports this module
-
     grid = np.array([0.0, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 1.0 - 2.0**-53])
     uniforms = np.array(np.meshgrid(grid, grid)).reshape(2, -1)
     boxes = (

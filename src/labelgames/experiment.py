@@ -10,13 +10,13 @@ in C, drawing every timestep's schedule and observations as a Python run
 would draw them, plays the dialogues and copies the weights out at each
 recorded timestep.  Each block of snapshots is reduced to its
 statistics before the next block or run, so memory holds one run's
-shuffled pairs, 4 bytes per dialogue, and one block.
+shuffled pairs, 4 bytes per dialogue, one block and every run's series.
 The test suite checks every run's records bit for bit against a scalar
 specification of the whole run.  Identical configuration and master
 seed give byte-identical output files.
 ``ExperimentConfig`` checks its values, and that each label's space
 contains its dimension's interval, on construction.  A configuration
-whose run cannot fit in physical memory is refused before anything
+whose experiment cannot fit in physical memory is refused before anything
 runs, with ``FootprintError``, a ``ConfigError``; an engine that cannot
 be built or fails its check raises ``engine.EngineError``, also before any
 output directory is made.
@@ -39,7 +39,6 @@ from .engine import _stacked_timestep  # noqa: F401  the benchmark's tracer hook
 from .game import (
     ConfigError,
     GameConfig,
-    _INT32_IDS,
     _initial_state,
     _integer,
     _label_pair,
@@ -92,7 +91,7 @@ class ExperimentConfig:
             raise ConfigError(f"outputs must be a path or None, got {self.outputs!r}", "outputs")
         for name, least in (("runs", 1), ("master_seed", 0), ("record_every", 1)):
             object.__setattr__(self, name, _integer(getattr(self, name), name, least))
-        _integer(self.runs, "runs", 1, (_INT32_IDS - 1) // self.game.n_agents)  # int32 lane ids
+        _integer(self.runs, "runs", 1, _PREDICTION_STREAM_BASE)  # below the prediction streams
         mix_seed(self.master_seed, 0)  # refuses a seed past 64 bits
         if self.record_every > self.game.timesteps:
             raise ConfigError(
@@ -152,10 +151,14 @@ _BLOCK_ROWS = 2**16
 _BLOCK_BYTES = 2**23
 
 
+def _recorded(config: ExperimentConfig) -> int:
+    """How many timesteps ``record_times`` records, without building them."""
+    return -(-config.game.timesteps // config.record_every) + 1
+
+
 def _block_rows(config: ExperimentConfig) -> int:
     """Rows of weight snapshots one kernel call fills: every recorded time, within the bounds."""
-    recorded = -(-config.game.timesteps // config.record_every) + 1
-    return max(1, min(recorded, _BLOCK_ROWS, _BLOCK_BYTES // (8 * config.game.n_agents)))
+    return max(1, min(_recorded(config), _BLOCK_ROWS, _BLOCK_BYTES // (8 * config.game.n_agents)))
 
 
 def _run_stacked(config: ExperimentConfig) -> list[RunRecord]:
@@ -255,27 +258,37 @@ def persist_experiment(
 
 
 class FootprintError(ConfigError):
-    """A configuration whose stacked timestep cannot fit in physical memory."""
+    """A configuration whose experiment cannot fit in physical memory."""
+
+
+# Bytes an experiment keeps beyond one run's timestep, without and with
+# output files: per run and recorded timestep (the mean and sd series,
+# aggregate_runs' stacks of both, np.std's temporary), per run (its record),
+# per run and agent (the final weight; its CSV line) and per recorded timestep
+# (the aggregate; its CSV lines).  The largest tracemalloc peaks of run_experiment
+# and validate_predictions, at 2-200 agents, 1-20,000 runs and 2-400,001
+# recorded timesteps, plus about a quarter.
+_KEPT_BYTES = ((51, 950, 10, 90), (51, 950, 155, 420))
 
 
 def _check_footprint(config: ExperimentConfig) -> None:
-    """Refuse a configuration whose run would not fit in physical memory.
+    """Refuse a configuration whose experiment would not fit in physical memory.
 
     Runs play one after another, each holding one timestep's draws at
     about ``_STACK_BYTES_PER_DIALOGUE`` bytes per dialogue and one block
-    of weight snapshots.  Raises FootprintError when that exceeds the
-    machine's physical memory.
+    of weight snapshots, beside every run's series and final weights.
+    Raises FootprintError when that exceeds the machine's physical memory.
     """
-    game = config.game
+    game, runs, recorded = config.game, config.runs, _recorded(config)
+    per_record, per_run, per_agent, per_time = _KEPT_BYTES[config.outputs is not None]
     dialogues = dialogues_per_timestep(game.n_agents, game.schedule)
-    need = dialogues * _STACK_BYTES_PER_DIALOGUE + _block_rows(config) * game.n_agents * 8
+    need = dialogues * _STACK_BYTES_PER_DIALOGUE + _block_rows(config) * game.n_agents * 8 + recorded * per_time
+    need += runs * (recorded * per_record + per_run + game.n_agents * per_agent)
     have = _physical_memory()
     if have is not None and need > have:
         raise FootprintError(
-            f"one run of {game.n_agents} agents plays {dialogues} dialogues per "
-            f"timestep, about {need / 2**30:.1f} GiB at {_STACK_BYTES_PER_DIALOGUE} "
-            f"bytes each with its weight snapshots; physical memory is "
-            f"{have / 2**30:.1f} GiB"
+            f"{runs} runs of {game.n_agents} agents, each playing {dialogues} dialogues per timestep and recording "
+            f"{recorded} timesteps, need about {need / 2**30:.1f} GiB; physical memory is {have / 2**30:.1f} GiB"
         )
 
 
@@ -284,9 +297,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Run r draws every random number from a generator seeded with
     mix_seed(master_seed, r), so its records do not depend on how many
-    other runs the experiment has.  A configuration whose run cannot fit
-    in memory, or an engine that cannot be built, is refused before the
-    output directory is made.
+    other runs the experiment has.  A configuration whose experiment
+    cannot fit in memory, or an engine that cannot be built, is refused
+    before the output directory is made.
     """
     _check_footprint(config)
     _loop()

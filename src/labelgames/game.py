@@ -26,20 +26,21 @@ reliability, and a population's is two float arrays.  The dialogue
 arithmetic is written once in Python, on plain floats, in ``_dialogue``
 and its helpers, and mirrored in the engine's C (``engine``);
 ``choose_assertion``, ``implied_weight`` and ``run_dialogue`` wrap them
-for single agents and take floats.  ``batch_implied_weights`` is the
-numpy reference of the engine's Monte Carlo loops, and ``_label_pair``
-the one check of the labels they and the game are given.
+for single agents and take floats.  ``batch_implied_weights`` and
+``update_directions`` are the Monte Carlo loops' numpy references, and
+``_label_pair`` the one check of the labels they and the game are given.
 
-The per-timestep Python path stays for the tests only: ``_draw_schedule``
-shuffles and decodes one timestep's pairs for any number of runs, which
-``engine._stacked_timestep`` plays stacked lane by lane, and
-``_apply_sequential`` is the reference that plays them one at a time
-through ``_dialogue``.
+The per-timestep Python path stays for the tests and the benchmark's
+hooks: ``_draw_schedule`` reads one timestep's pairs for any number of
+runs from the pair table, which ``engine._stacked_timestep`` plays
+stacked lane by lane, and ``_apply_sequential`` is the reference that
+plays them one at a time through ``_dialogue``.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import numbers
 from dataclasses import dataclass
 from typing import Sequence
@@ -58,6 +59,7 @@ __all__ = [
     "run_dialogue",
     "dialogues_per_timestep",
     "batch_implied_weights",
+    "update_directions",
 ]
 
 
@@ -160,7 +162,7 @@ class GameConfig:
     schedule: str = "ordered"
 
     def __post_init__(self) -> None:
-        n = _integer(self.n_agents, "n_agents", 2, 46_341)  # n(n-1) < _INT32_IDS
+        n = _integer(self.n_agents, "n_agents", 2, 46_341)  # int32 pair ids: n(n-1) < 2**31
         dialogues_per_timestep(n, self.schedule)  # refuses an unknown schedule
         init = self.weight_init
         for name, value in (
@@ -352,6 +354,26 @@ def batch_implied_weights(
     return _signed_targets(*_memberships(labels, xs), reliability)
 
 
+def update_directions(xs: np.ndarray) -> np.ndarray:
+    """Push directions, +1, -1, or 0 per row of observations on the canonical labels.
+
+    The numpy reference of the compiled ``mc_upward``.  Within a quadrant
+    the direction is the sign of the difference between the two signed
+    memberships: when the first dimension fits the assertion better than
+    the second, the implied target saturates at 1 and the update pulls
+    upward.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    x1, x2 = xs[:, 0], xs[:, 1]
+    first_high = x1 >= 0.5
+    second_high = x2 >= 0.5
+    same_side = first_high == second_high
+    diff = np.where(first_high, x1 - x2, x2 - x1)
+    fringe = np.where(first_high, x1 + x2 - 1.0, 1.0 - x1 - x2)
+    discriminant = np.where(same_side, diff, fringe)
+    return np.sign(discriminant).astype(np.int8)
+
+
 def _memberships(labels: tuple[Label, Label], xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each observation's membership in the two labels, in row order.
 
@@ -383,59 +405,25 @@ def _signed_targets(m1: np.ndarray, m2: np.ndarray, reliability):
     return targets, usable, m1, m2
 
 
-def _pairs(q, n: int, schedule: str):
-    """The two agents of each int32 pair id ``q``, speaker-major or row-major i < j.
-
-    Ordered: speaker s = q // (n-1), listener k + (k >= s) with k = q mod (n-1).
-    Unordered: c = n(n-1)/2 - 1 - q counts back from the last pair; i = n-2-r and
-    j = n-1 - (c - r(r+1)/2) with r = floor((sqrt(8c+1) - 1) / 2), exact since
-    8c+1 < 2**35 is an exact double and sqrt is correctly rounded; r(r+1) < 2**31.
-    """
-    if schedule == "ordered":
-        first = q // (n - 1)  # np.divmod is slower on int32 arrays
-        second = q - first * (n - 1)
-        return first, second + (second >= first)
-    c = (n * (n - 1) // 2 - 1) - q
-    root = c.astype(np.float64)  # the one float buffer, worked in place
-    root *= 8.0
-    root += 1.0
-    np.sqrt(root, out=root)
-    root -= 1.0
-    root *= 0.5
-    r = root.astype(np.int32)  # truncation is floor here
-    del root
-    return (n - 2) - r, (n - 1) - (c - (r * (r + 1) >> 1))
-
-
 def _draw_schedule(n: int, schedule: str, rngs: Sequence[np.random.Generator]):
     """Speaker and listener lane ids for one timestep of every run, freshly shuffled.
 
     Run r draws from ``rngs[r]`` alone; its agents are lanes r*n to r*n + n-1 and
     its dialogues fill the r-th block of the int32 arrays.  Each generator draws
-    the pair permutation, then (unordered only) the role coins, a coin below 1/2
-    keeping the first agent as speaker; the caller then draws the observations.
-    Shuffling an intp ``arange`` (twice as fast as int32) in place and
-    ``rng.random(out=row)`` consume exactly the draws of ``rng.permutation`` and
-    ``rng.random(row.size)``; ``_pairs`` and the lane offsets run once per stack.
+    a permutation of the pair table, ``itertools.permutations`` or, unordered,
+    ``combinations`` over ``range(n)``, then (unordered only) one coin per pair,
+    a coin below 1/2 keeping the first agent as speaker.
     """
-    picks = np.empty((len(rngs), dialogues_per_timestep(n, schedule)), dtype=np.intp)
-    picks[:] = np.arange(picks.shape[1])
-    coins = np.empty(picks.shape) if schedule == "unordered" else None
+    unordered = schedule == "unordered"
+    table = np.array(list((itertools.combinations if unordered else itertools.permutations)(range(n), 2)))
+    blocks = []
     for r, rng in enumerate(rngs):
-        rng.shuffle(picks[r])
-        if coins is not None:
-            rng.random(out=coins[r])
-    speakers, listeners = _pairs(picks.astype(np.int32), n, schedule)
-    offsets = np.arange(0, len(rngs) * n, n, dtype=np.int32)[:, np.newaxis]
-    speakers += offsets
-    listeners += offsets
-    if coins is not None:
-        heads = coins < 0.5
-        speakers, listeners = (
-            np.where(heads, speakers, listeners),
-            np.where(heads, listeners, speakers),
-        )
-    return speakers.reshape(-1), listeners.reshape(-1)
+        block = table[rng.permutation(len(table))] + r * n
+        if unordered:
+            tails = rng.random(len(table)) >= 0.5
+            block[tails] = block[tails, ::-1]
+        blocks.append(block)
+    return tuple(np.ascontiguousarray(np.concatenate(blocks).T, dtype=np.int32))
 
 
 def _apply_sequential(weights, rels, m1, m2, speakers, listeners, rate, model):
@@ -453,10 +441,6 @@ def _apply_sequential(weights, rels, m1, m2, speakers, listeners, rate, model):
         if target is not None:
             w[l] = w[l] + rate * (target - w[l])
     return np.asarray(w)
-
-
-# Pair and lane ids are int32: below 2**31 of each, so at most 46,341 agents.
-_INT32_IDS = 2**31
 
 
 # Kept, though the engine no longer calls it: the benchmark's tracer hooks it

@@ -141,11 +141,6 @@ class TestEnvironment:
         want[:, 1] = 0.5 * rng.random(16)
         assert np.array_equal(got, want)
 
-    def test_runs_stack_each_generator_drawn_alone(self, env_b):
-        got = env_b.sample_runs([np.random.default_rng(s) for s in (5, 6, 7)], 16)
-        want = np.vstack([env_b.sample_batch(np.random.default_rng(s), 16) for s in (5, 6, 7)])
-        assert np.array_equal(got, want)
-
 
 class TestPositiveShare:
     def test_half_square_environment(self, env_a):

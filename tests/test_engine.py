@@ -5,7 +5,7 @@ of another dtype, non-contiguous views, read-only outputs and lengths
 that disagree, leaving its buffers and its generator as they were.  A
 driver that includes ``_engine.c`` checks the static functions at their
 limits against Python integers and numpy's ``PCG64``, and the whole
-library is run once built with UBSan.
+library is run once built with UBSan and once with ASan.
 """
 
 import ctypes
@@ -240,10 +240,10 @@ def test_play_run_inlines_the_decode(tmp_path):
     assert "<play_run>:" in done.stdout and "decode" not in done.stdout
 
 
-# A child that builds the library with UBSan into its own cache and runs
-# the check, a tiny experiment per schedule and the target moments under
-# both models.  A report aborts it.
-UBSAN_CHILD = """
+# A child that builds the library with the sanitizer flags it is given
+# into its own cache and runs the check, a tiny experiment per schedule
+# and the target moments under both models.  A report aborts it.
+SANITIZED_CHILD = """
 import pathlib, sys
 from labelgames import engine
 from labelgames.analysis import Environment, estimate_target_moments
@@ -251,7 +251,7 @@ from labelgames.experiment import ExperimentConfig, run_experiment
 from labelgames.game import GameConfig
 
 engine._CACHE = pathlib.Path(sys.argv[1])
-engine._COMPILE = (engine._COMPILE[0], "-fsanitize=undefined", "-fno-sanitize-recover=all", *engine._COMPILE[1:])
+engine._COMPILE = (engine._COMPILE[0], *sys.argv[2:], *engine._COMPILE[1:])
 assert "-ffp-contract=off" in engine._COMPILE
 engine._loop()
 for schedule in ("ordered", "unordered"):
@@ -262,12 +262,28 @@ for model in (1, 2):
 """
 
 
-def test_the_engine_runs_clean_under_ubsan(tmp_path):
-    # ASan would need LD_PRELOAD into Python, so it is not run here.
+def run_sanitized(tmp_path, flags, **env) -> bytes:
+    """Run the child with ``flags`` added to the build; the library it built."""
     done = subprocess.run(
-        (sys.executable, "-c", UBSAN_CHILD, str(tmp_path)),
-        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)), capture_output=True, text=True, timeout=120,
+        (sys.executable, "-c", SANITIZED_CHILD, str(tmp_path), *flags),
+        env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent), **env), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     (library,) = tmp_path.iterdir()
-    assert b"__ubsan_handle" in library.read_bytes()
+    return library.read_bytes()
+
+
+def test_the_engine_runs_clean_under_ubsan(tmp_path):
+    library = run_sanitized(tmp_path, ("-fsanitize=undefined", "-fno-sanitize-recover=all"))
+    assert b"__ubsan_handle" in library
+
+
+def test_the_engine_runs_clean_under_asan(tmp_path):
+    # ASan's runtime must be loaded before Python's allocator runs, so it is
+    # preloaded; Python's own allocations are not freed at exit, so leak
+    # reports are off.
+    runtime = subprocess.run(("cc", "-print-file-name=libasan.so"), capture_output=True, text=True).stdout.strip()
+    if not Path(runtime).is_absolute():
+        pytest.skip(f"the compiler names no libasan.so (it printed {runtime!r})")
+    library = run_sanitized(tmp_path, ("-fsanitize=address",), LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
+    assert b"__asan_" in library

@@ -1,6 +1,7 @@
 """Seeding, run replication, persistence, and the stacked engine."""
 
 import gc
+import itertools
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -32,7 +33,7 @@ from labelgames.experiment import (
 )
 from labelgames.experiment import _run_stacked
 from labelgames.engine import _STACK_BYTES_PER_DIALOGUE
-from labelgames.game import GameConfig
+from labelgames.game import ConfigError, GameConfig
 from labelgames.labels import (
     ConceptualSpace,
     Euclidean,
@@ -109,17 +110,38 @@ class TestExperimentConfig:
 
     def test_stack_larger_than_memory_refused_before_the_output_dir(self, tmp_path, monkeypatch):
         # Runs play one at a time: one run of 6 agents plays 30 dialogues
-        # per timestep and records 9 snapshots of 6 weights.
-        need = 30 * _STACK_BYTES_PER_DIALOGUE + 9 * 6 * 8
-        config = small_config(outputs=tmp_path / "out")
-        monkeypatch.setattr(experiment, "_physical_memory", lambda: need - 1)
-        with pytest.raises(FootprintError, match="physical memory"):
+        # per timestep and holds its recorded snapshots of 6 weights, and
+        # every run keeps its series and final weights, more of them when
+        # its files are written.  With many runs what the runs keep is most
+        # of the need.
+        for runs, timesteps, outputs in itertools.product((3, 300), (1, 8), (True, False)):
+            per_record, per_run, per_agent, per_time = experiment._KEPT_BYTES[outputs]
+            recorded = timesteps + 1
+            need = (
+                30 * _STACK_BYTES_PER_DIALOGUE + recorded * 6 * 8
+                + runs * (recorded * per_record + per_run + 6 * per_agent) + recorded * per_time
+            )
+            out = tmp_path / f"out-{runs}-{timesteps}-{outputs}"
+            config = small_config(runs=runs, timesteps=timesteps, outputs=out if outputs else None)
+            monkeypatch.setattr(experiment, "_physical_memory", lambda: need - 1)
+            with pytest.raises(FootprintError, match="physical memory"):
+                run_experiment(config)
+            assert not out.exists()
+            monkeypatch.setattr(experiment, "_physical_memory", lambda: need)
+            assert len(run_experiment(config).run_records) == runs
+            monkeypatch.setattr(experiment, "_physical_memory", lambda: None)
             run_experiment(config)
-        assert not (tmp_path / "out").exists()
-        monkeypatch.setattr(experiment, "_physical_memory", lambda: need)
-        run_experiment(config)
-        monkeypatch.setattr(experiment, "_physical_memory", lambda: None)
-        run_experiment(config)
+
+    def test_runs_are_limited_by_memory_not_by_lane_ids(self, monkeypatch):
+        # 2**32 runs of 2 agents are a valid configuration, refused by
+        # what the runs would keep, here on a host fixed at 1 TiB;
+        # 2**32 + 1 would reach the prediction streams.
+        monkeypatch.setattr(experiment, "_physical_memory", lambda: 2**40)
+        config = ExperimentConfig(GameConfig(n_agents=2), runs=2**32)
+        with pytest.raises(FootprintError, match="4294967296 runs of 2 agents"):
+            run_experiment(config)
+        with pytest.raises(ConfigError, match="runs must be at most 4294967296"):
+            ExperimentConfig(GameConfig(n_agents=2), runs=2**32 + 1)
 
 
 class TestRecordTimes:
@@ -251,7 +273,41 @@ EDGE_WEIGHTS = (0.0, 5e-324, 1e-17, 1.0 - 2.0**-53, 1.0)
 LABEL_KINDS = ("canonical", "width", "prototype", "city")
 
 
+# Model-2 populations whose weights start near 0 or 1 and, at rates near 1,
+# reach exactly 0 or 1 within the first timestep; each has its own
+# reliabilities and observation box.  The populations are the first two
+# COLLAPSE_CASES of tests/test_game.py; the master seeds, found by search,
+# make run 0 reach an edge under each schedule.
+COLLAPSING_RUNS = [
+    (0.9989033723956832,
+     (1.0846147220943166e-09, 0.9999999999666682, 0.9999999999997771),
+     (0.4510313870011089, 0.9553145792212376, 0.8919016691830427),
+     (0.27853429777937566, 0.27863302551894353), (0.004077724985988684, 0.4219995748472628),
+     {"ordered": 2, "unordered": 3}),
+    (0.9988162297568676,
+     (3.7003548707621556e-11, 3.26799857913714e-11, 0.9999999999997793, 6.74222611516607e-11),
+     (0.3020920366180293, 0.6088661044496464, 0.2922756613688998, 0.6239372372696742),
+     (0.29922759715969116, 0.539945609476942), (0.5827000659736606, 0.6561332460538947),
+     {"ordered": 101, "unordered": 22}),
+]
+
+
 class TestWholeRunSpec:
+    @pytest.mark.parametrize("schedule", ["ordered", "unordered"])
+    @pytest.mark.parametrize("rate,weights,rels,x1,x2,seeds", COLLAPSING_RUNS)
+    def test_weights_that_land_on_zero_or_one_match_the_spec(self, schedule, rate, weights, rels, x1, x2, seeds):
+        game = GameConfig(
+            n_agents=len(weights), timesteps=1, rate=rate, model=2, reliability=rels,
+            weight_init=weights, schedule=schedule,
+        )
+        config = ExperimentConfig(game=game, env=Environment((x1, x2)), runs=2, master_seed=seeds[schedule])
+        records = run_experiment(config).run_records
+        assert np.isin(records[0].final_weights, (0.0, 1.0)).any()
+        assert_matches_spec(records, config)
+        # The runs play on from the edge.
+        config = replace(config, game=replace(game, timesteps=4))
+        assert_matches_spec(run_experiment(config).run_records, config)
+
     @settings(max_examples=max(300, settings().max_examples), deadline=None)
     @given(
         n=st.integers(2, 6),

@@ -194,28 +194,6 @@ class TestScheduleDraw:
                 assert np.array_equal(speakers[block], want[:, 0] + run * n), (n, run)
                 assert np.array_equal(listeners[block], want[:, 1] + run * n), (n, run)
 
-    def test_row_boundaries_of_the_largest_population_decode_exactly(self):
-        # At 46,341 agents n(n-1) is just below 2**31, so int32 ids and
-        # products reach their limit; only the first and last pair of each
-        # row are decoded, not a whole timestep.
-        n = 46_341
-        assert n * (n - 1) < 2**31 <= (n + 1) * n
-        rows = np.arange(n)
-        starts = rows * (n - 1)
-        q = np.concatenate([starts, starts + n - 2]).astype(np.int32)
-        speakers, listeners = game._pairs(q, n, "ordered")
-        assert np.array_equal(speakers, np.concatenate([rows, rows]))
-        firsts, lasts = np.where(rows == 0, 1, 0), np.where(rows == n - 1, n - 2, n - 1)
-        assert np.array_equal(listeners, np.concatenate([firsts, lasts]))
-
-        rows = np.arange(n - 1)
-        lengths = n - 1 - rows
-        starts = np.cumsum(lengths) - lengths
-        q = np.concatenate([starts, starts + lengths - 1]).astype(np.int32)
-        i, j = game._pairs(q, n, "unordered")
-        assert np.array_equal(i, np.concatenate([rows, rows]))
-        assert np.array_equal(j, np.concatenate([rows + 1, np.full(n - 1, n - 1)]))
-
 
 class TestChooseAssertion:
     def test_dominant_first_dimension(self):
@@ -605,7 +583,7 @@ class TestStackedKernel:
         env = Environment(((0.0, 1.0), (0.0, 0.5)))
         speakers, listeners = game._draw_schedule(n, "ordered", [rng, rng])
         per_run = speakers.size // 2
-        xs = env.sample_runs([rng, rng], per_run)
+        xs = np.concatenate([env.sample_batch(rng, per_run) for _ in range(2)])
         got = engine._stacked_timestep(
             weights, rels, *game._memberships(LABELS, xs), speakers, listeners, rate, 1, 2
         )
@@ -681,7 +659,8 @@ class TestStackedKernel:
         rels = rng.random(runs * n)
         speakers, listeners = game._draw_schedule(n, schedule, [rng] * runs)
         per_run = speakers.size // runs
-        xs = Environment(((0.0, 1.0), (0.0, 0.5))).sample_runs([rng] * runs, per_run)
+        env = Environment(((0.0, 1.0), (0.0, 0.5)))
+        xs = np.concatenate([env.sample_batch(rng, per_run) for _ in range(runs)])
         m1, m2 = game._memberships(LABELS, xs)
         got = engine._stacked_timestep(weights, rels, m1, m2, speakers, listeners, 0.3, 2, runs)
         want = []
@@ -705,7 +684,8 @@ class TestStackedKernel:
         # Every run draws from the one generator in turn.
         speakers, listeners = game._draw_schedule(n, schedule, [rng] * runs)
         per_run = speakers.size // runs
-        xs = Environment(((0.0, 1.0), (0.0, 0.5))).sample_runs([rng] * runs, per_run)
+        env = Environment(((0.0, 1.0), (0.0, 0.5)))
+        xs = np.concatenate([env.sample_batch(rng, per_run) for _ in range(runs)])
         got = engine._stacked_timestep(
             weights, rels, *game._memberships(LABELS, xs), speakers, listeners, 0.3, 1, runs
         )

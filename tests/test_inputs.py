@@ -270,15 +270,16 @@ PROBES = [
     ("nan-tolerance", lambda: steps_to_mean_convergence(0.5, 0.25, 1e-3, math.nan), "tol"),
     ("string-start-variance", lambda: variance_trajectory("x", 0.1, 0.1, 3), "start_variance"),
     ("list-sweep-parameter", lambda: sweep(ExperimentConfig(), ["w"], [0.5]), "parameter"),
-    # Pair and lane ids are int32; neither config runs anything.
+    # Pair ids are int32, and run streams stay below the prediction streams;
+    # neither config runs anything.
     ("agents-past-int32-pairs", lambda: GameConfig(n_agents=46342), "n_agents"),
-    ("runs-past-int32-lanes", lambda: ExperimentConfig(GameConfig(n_agents=2), runs=2**30), "runs"),
+    ("runs-past-the-run-streams", lambda: ExperimentConfig(GameConfig(n_agents=2), runs=2**32 + 1), "runs"),
     # Objects are checked by kind, before any of their attributes is read.
     ("none-game", lambda: ExperimentConfig(game=None), "game"),
     ("string-game", lambda: ExperimentConfig(game="x"), "game"),
     ("none-env", lambda: ExperimentConfig(env=None), "env"),
     ("env-look-alike",
-     lambda: ExperimentConfig(env=type("Sampler", (), {"intervals": ((0, 1), (0, 1)), "sample_runs": None})()),
+     lambda: ExperimentConfig(env=type("Sampler", (), {"intervals": ((0, 1), (0, 1)), "sample_batch": None})()),
      "env"),
     ("int-outputs", lambda: ExperimentConfig(outputs=5), "outputs"),
     # The Monte Carlo estimators check their labels and environment before any draw.
@@ -324,7 +325,7 @@ def test_every_config_error_names_its_field():
     """Each ``ConfigError(...)`` in the checking modules passes a field.
 
     ``FootprintError``, a ``ConfigError`` raised under its own name, is the
-    one exception: no single field is to blame for a timestep too large
+    one exception: no single field is to blame for an experiment too large
     for memory.
     """
     for module in (game, analysis, experiment):
