@@ -30,7 +30,8 @@ static void dialogue(double *w, const double *rel, int32_t speaker, int32_t list
     }
 }
 
-/* Given dialogues, in order: the per-timestep path the tests compare. */
+/* Given dialogues, in order: play_run's second stage, and the per-timestep
+   path the tests compare. */
 void play_dialogues(double *w, const double *rel, const double *m1, const double *m2,
                     const int32_t *speaker, const int32_t *listener, int64_t count,
                     double rate, int model)
@@ -139,6 +140,10 @@ static void decode(int32_t q, int32_t n, int32_t count, int unordered, int32_t *
     }
 }
 
+/* Dialogues per block of a timestep: 6 KB of agents and memberships on
+   the stack. */
+#define BLOCK 256
+
 /* One run's timesteps from played through times[rows - 1], copying the
    weights into row k of snapshots at timestep times[k].  Each timestep
    shuffles the pair ids by Fisher-Yates with interval, as
@@ -147,10 +152,16 @@ static void decode(int32_t q, int32_t n, int32_t count, int unordered, int32_t *
    dimension two's, count each; three cursors start where those draws
    would: coin at the state after the shuffle, one count draws on under
    the unordered schedule, and two count draws past one.  The timestep ends
-   at two's state, and the half-word stays as the shuffle left it.  Each
-   dialogue draws its coin and uniforms as it plays, a coin below 1/2
-   keeping the first agent as speaker, and maps the uniforms onto the
-   intervals as Environment.sample_batch does.  dims holds, per dimension,
+   at two's state, and the half-word stays as the shuffle left it.
+
+   The picks are played in blocks of BLOCK, the last one partial, in two
+   stages.  The first decodes each pick, draws its coin and uniforms, a coin
+   below 1/2 keeping the first agent as speaker, maps the uniforms onto the
+   intervals as Environment.sample_batch does, and stores the speaker, the
+   listener and both memberships.  The second plays the block's dialogues
+   in order through play_dialogues.  No draw or membership depends on a
+   weight, so the bits are those of one fused loop; split, each stage's
+   work overlaps across the block's dialogues.  dims holds, per dimension,
    lo, hi - lo and the label's three terms.  The state and the half-word
    are written back on return. */
 void play_run(uint64_t *generator, double *w, const double *rel, int32_t n, int unordered,
@@ -172,21 +183,25 @@ void play_run(uint64_t *generator, double *w, const double *rel, int32_t n, int 
                 picks[i] = q;
             }
             u128 coin = g.state, one = unordered ? coin * mult + plus : coin, two = one * mult + plus;
-            for (int32_t d = 0; d < count; d++) {
-                int32_t q = picks[d], s, l;
-                if (unordered) {
-                    int32_t i, j;
-                    decode(q, n, count, 1, &i, &j);
-                    int heads = next_double(&coin, g.inc) < 0.5;
-                    s = heads ? i : j;
-                    l = heads ? j : i;
-                } else {
-                    decode(q, n, count, 0, &s, &l);
+            for (int32_t d0 = 0; d0 < count; d0 += BLOCK) {
+                int32_t size = count - d0 < BLOCK ? count - d0 : BLOCK;
+                int32_t speaker[BLOCK], listener[BLOCK];
+                double m1[BLOCK], m2[BLOCK];
+                for (int32_t d = 0; d < size; d++) {
+                    int32_t q = picks[d0 + d];
+                    if (unordered) {
+                        int32_t i, j;
+                        decode(q, n, count, 1, &i, &j);
+                        int heads = next_double(&coin, g.inc) < 0.5;
+                        speaker[d] = heads ? i : j;
+                        listener[d] = heads ? j : i;
+                    } else {
+                        decode(q, n, count, 0, speaker + d, listener + d);
+                    }
+                    m1[d] = membership(next_double(&one, g.inc) * dims[1] + dims[0], dims + 2);
+                    m2[d] = membership(next_double(&two, g.inc) * dims[6] + dims[5], dims + 7);
                 }
-                double x1 = next_double(&one, g.inc) * dims[1] + dims[0];
-                double x2 = next_double(&two, g.inc) * dims[6] + dims[5];
-                dialogue(w, rel, s, l, membership(x1, dims + 2), membership(x2, dims + 7),
-                         rate, model);
+                play_dialogues(w, rel, m1, m2, speaker, listener, size, rate, model);
             }
             g.state = two;
         }

@@ -2,11 +2,15 @@
 
 The C file holds all that runs in C: ``play_run`` plays one run's
 timesteps in one call, stepping the run's own numpy ``PCG64`` as numpy
-would; ``play_dialogues`` plays given dialogues, for the tests'
-per-timestep path; ``draw_uniforms`` draws the Monte Carlo estimators'
-uniforms as ``Generator.random`` would, and ``mc_targets``,
-``mc_select`` and ``mc_upward`` do their per-observation work.  Its
-comments say what each computes, and in which order.
+would.  After each timestep's shuffle it walks the picks in blocks of
+256 dialogues, in two stages: first each dialogue's draws, speaker,
+listener and memberships into arrays on the C stack, then the block's
+dialogues through ``play_dialogues``, which also plays given dialogues
+for the tests' per-timestep path.  ``draw_uniforms`` draws the Monte
+Carlo estimators' uniforms as ``Generator.random`` would, and
+``mc_targets``, ``mc_select`` and ``mc_upward`` do their
+per-observation work.  Its comments say what each computes, and in
+which order.
 
 ``_loop`` compiles the file on first use, caches the library under a hash
 of the source and the compile command, and checks it before each process
@@ -85,11 +89,12 @@ _SIGNATURES = {
 }
 
 # Bytes one run's timestep holds per dialogue at its peak: the picks; the
-# coins and uniforms are drawn as each dialogue plays.  Measured peaks
-# (ru_maxrss of two-timestep runs, above the RSS after imports): 3.94 bytes
-# for 1000 agents, from uniform weights or with every weight at 1, under
-# either schedule, and 4.02 for 1400 agents under the unordered one.  The
-# constant is the largest of these plus about a quarter.
+# coins, uniforms and memberships of one block of dialogues at a time fill
+# a fixed 6 KB on the C stack.  Measured peaks (ru_maxrss of two-timestep
+# runs, above the RSS after imports and the engine's load): 3.94 to 4.07
+# bytes for 1000 agents, from uniform weights or with every weight at 1,
+# under either schedule, and 4.02 for 1400 agents under the unordered one.
+# The constant is the largest of these plus about a quarter.
 _STACK_BYTES_PER_DIALOGUE = 5
 
 
@@ -390,9 +395,10 @@ class _RunPlayer:
     """``play_run`` bound to one game and environment, with the buffers each run reuses.
 
     A run's timestep holds its picks, 4 bytes per dialogue, and up to
-    ``rows`` snapshots of the weights; the coins and uniforms are drawn
-    as each dialogue plays.  The run's generator must be a ``PCG64``,
-    whose state C reads and advances through ``_stepped``.
+    ``rows`` snapshots of the weights; the coins, uniforms and memberships
+    are drawn one block of dialogues at a time into a fixed 6 KB on the C
+    stack.  The run's generator must be a ``PCG64``, whose state C reads
+    and advances through ``_stepped``.
     """
 
     def __init__(self, run, config: GameConfig, intervals, rows: int):

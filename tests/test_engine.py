@@ -241,8 +241,10 @@ def test_play_run_inlines_the_decode(tmp_path):
 
 
 # A child that builds the library with the sanitizer flags it is given
-# into its own cache and runs the check, a tiny experiment per schedule
-# and the target moments under both models.  A report aborts it.
+# into its own cache and runs the check, per schedule a tiny experiment
+# and a 24-agent run, whose timesteps fill whole blocks of dialogues and
+# end in a partial one, and the target moments under both models.  A
+# report aborts it.
 SANITIZED_CHILD = """
 import pathlib, sys
 from labelgames import engine
@@ -256,6 +258,7 @@ assert "-ffp-contract=off" in engine._COMPILE
 engine._loop()
 for schedule in ("ordered", "unordered"):
     run_experiment(ExperimentConfig(game=GameConfig(n_agents=5, timesteps=3, schedule=schedule), runs=2))
+    run_experiment(ExperimentConfig(game=GameConfig(n_agents=24, timesteps=2, schedule=schedule), runs=1))
 env = Environment(((0.1, 0.9), (0.0, 0.5)))
 for model in (1, 2):
     estimate_target_moments(env, model=model, n_samples=3000)

@@ -308,6 +308,18 @@ class TestWholeRunSpec:
         config = replace(config, game=replace(game, timesteps=4))
         assert_matches_spec(run_experiment(config).run_records, config)
 
+    @pytest.mark.parametrize("model", [1, 2])
+    @pytest.mark.parametrize("schedule", ["ordered", "unordered"])
+    def test_timesteps_of_several_blocks_match_the_spec(self, schedule, model):
+        # The engine plays a timestep in blocks of 256 dialogues.  24 agents
+        # hold 552 ordered dialogues, two full blocks and 40, or 276
+        # unordered ones, one block and 20.
+        config = small_config(
+            n_agents=24, timesteps=3, record_every=2, model=model, schedule=schedule,
+            reliability=tuple(np.linspace(0.55, 1.0, 24)),
+        )
+        assert_matches_spec(run_experiment(config).run_records, config)
+
     @settings(max_examples=max(300, settings().max_examples), deadline=None)
     @given(
         n=st.integers(2, 6),

@@ -70,6 +70,7 @@ def swapped(source: str, a: str, b: str) -> str:
     ("l += l >= s;", "l += l > s;"),  # ordered decode off by one
     ("j = n - 1 - (c", "j = n - 2 - (c"),  # unordered decode off by one
     ("played < times[k]", "played <= times[k]"),  # each snapshot one timestep late
+    ("? count - d0 :", "? count - d0 - 1 :"),  # the last, partial block one dialogue short
     ("pick(target < 0, zero, target)", "pick(target > 0, target, zero)"),  # a target of -0.0 becomes 0.0
     ("pick(target > 1, one, target);", "target;"),  # no clip of targets at 1
     ("{a[i], a[j]}", "{b[i], b[j]}", "swap"),  # each dimension's uniforms under the other's label
@@ -81,6 +82,7 @@ def swapped(source: str, a: str, b: str) -> str:
 ], ids=[
     "ties-last", "no-lower-clamp", "no-upper-clamp", "shuffle", "uniforms-swapped",
     "coin-roles-flipped", "jump-off-by-one", "half-word-dropped", "multiplier-digit", "ordered-decode", "unordered-decode", "recording-shifted",
+    "block-tail",
     "targets-lose-negative-zero", "targets-unclipped-at-one", "targets-dimensions-swapped",
     "upward-counts-the-diagonal", "select-strict",
     "draws-cursor-early", "draws-swapped", "draws-state-half-written",
