@@ -32,12 +32,13 @@ from .experiment import (
     _updates_per_timestep,
     _write_rows,
     compare_models,
+    prepare_output_dir,
     record_times,
     run_experiment,
     sweep,
     validate_predictions,
 )
-from .engine import EngineError
+from .engine import EngineError, _loop
 from .game import ConfigError, _integer
 
 
@@ -196,8 +197,11 @@ def _cmd_simulate(args) -> tuple[int, dict]:
 def _cmd_predict(args) -> tuple[int, dict]:
     config = _load(args)
     _integer(args.samples, "--samples", 1)
-    if not args.tol > 0.0:
-        raise ConfigError("--tol must be positive")
+    if not 0.0 < args.tol < math.inf:
+        raise ConfigError(f"--tol must be positive and finite, got {args.tol}", "--tol")
+    if args.emit_plot_data and config.outputs is not None:
+        _loop()  # as run_experiment does: the engine, then the directory, then the work
+        prepare_output_dir(config.outputs)
     try:
         prediction = _prediction(config, config.game.rate, args.samples)
     except (EstimationError, NonConvergenceError) as err:
@@ -290,11 +294,8 @@ def main(argv=None) -> int:
             directory = Path(args.out if args.out is not None else ".")
             directory.mkdir(parents=True, exist_ok=True)
             for curve, (xs, ys) in curves.items():
-                _write_rows(
-                    directory / f"{args.command}_{curve}.dat",
-                    np.asarray((xs, ys), dtype=np.float64).T.tolist(),
-                    sep=" ",
-                )
+                with open(directory / f"{args.command}_{curve}.dat", "w") as file:
+                    _write_rows(file, np.asarray((xs, ys), dtype=np.float64), sep=" ")
         return code
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

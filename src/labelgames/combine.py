@@ -24,8 +24,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .labels import Label, UniformThreshold
 
 __all__ = [

@@ -9,8 +9,11 @@ recorded timesteps: the kernel steps the run's own ``PCG64`` generator
 in C, drawing every timestep's schedule and observations as a Python run
 would draw them, plays the dialogues and copies the weights out at each
 recorded timestep.  Each block of snapshots is reduced to its
-statistics before the next block or run, so memory holds one run's
-shuffled pairs, 4 bytes per dialogue, one block and every run's series.
+statistics, straight into the run-by-time tables of means and sds, before
+the next block or run, so memory holds one run's shuffled pairs, 4 bytes
+per dialogue, one block, the tables and every run's final weights.  Run
+records are row views of the tables, and the CSV files are formatted from
+them a chunk of lines at a time, so writing them takes no more memory.
 The test suite checks every run's records bit for bit against a scalar
 specification of the whole run.  Identical configuration and master
 seed give byte-identical output files.
@@ -161,68 +164,56 @@ def _block_rows(config: ExperimentConfig) -> int:
     return max(1, min(_recorded(config), _BLOCK_ROWS, _BLOCK_BYTES // (8 * config.game.n_agents)))
 
 
-def _run_stacked(config: ExperimentConfig) -> list[RunRecord]:
+def _run_stacked(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Every run played one after another, each in one C call per block of recorded times.
 
     Run r draws from a generator seeded with mix_seed(master_seed, r): its
     initial state, then, inside ``play_run``, every timestep's schedule and
     observations.  The kernel snapshots the weights at each recorded time,
-    and each block of snapshots is reduced by ``_population_stats`` before
-    the next block, so no run holds more than one block.
+    and each block of snapshots is reduced by ``_population_stats`` into
+    row r of the (runs, recorded) mean and sd tables before the next block.
+    Returns the recorded times, both tables and the final weights by run.
     """
     game = config.game
     times = record_times(game.timesteps, config.record_every)
     rows = _block_rows(config)
     player = _RunPlayer(_loop().play_run, game, config.env.intervals, rows)
-    records = []
+    means, sds = np.empty((config.runs, times.size)), np.empty((config.runs, times.size))
+    finals = np.empty((config.runs, game.n_agents))
     for r in range(config.runs):
         rng = np.random.default_rng(mix_seed(config.master_seed, r))
         weights, rels = _initial_state(game, rng)
-        played, stats = 0, []
+        played = 0
         for start in range(0, times.size, rows):
             block = times[start : start + rows]
-            stats.append(_population_stats(player(rng, weights, rels, played, block)))
+            stats = _population_stats(player(rng, weights, rels, played, block))
+            means[r, start : start + rows], sds[r, start : start + rows] = stats
             played = int(block[-1])
-        means, sds = (np.concatenate(column) for column in zip(*stats))
-        records.append(RunRecord(r, times, means, sds, weights))
-    return records
-
-
-def aggregate_runs(records: list[RunRecord]) -> AggregateRecord:
-    """Fold per-run series into across-run statistics, in run-id order."""
-    ordered = sorted(records, key=lambda rec: rec.run_id)
-    means = np.vstack([rec.mean_weights for rec in ordered])
-    sds = np.vstack([rec.sd_weights for rec in ordered])
-    runs = means.shape[0]
-    if runs > 1:
-        sem = np.std(means, axis=0, ddof=1) / np.sqrt(runs)
-    else:
-        sem = np.full(means.shape[1], np.nan)
-    return AggregateRecord(
-        times=ordered[0].times.copy(),
-        mean_of_means=means.mean(axis=0),
-        sem_of_means=sem,
-        mean_sd=sds.mean(axis=0),
-    )
+        finals[r] = weights
+    return times, means, sds, finals
 
 
 def _format(value: float) -> str:
     return f"{float(value):.9g}"
 
 
-def _write_rows(path: Path, rows, header: str | None = None, sep: str = ",") -> None:
-    """Write each row as one line of cells joined by ``sep``, after ``header``.
+_CHUNK_LINES = 4096
+
+
+def _write_rows(file, columns, sep: str = ",") -> None:
+    """Write the rows of equal-length ``columns`` into the open text ``file``, one line each.
 
     This is the one file format: the CSVs and every ``.dat`` plot series.
-    A float cell is written at nine significant digits, as ``_format``
-    prints it, an integer as it is, and the file ends with a newline.
-    Cells from ``ndarray.tolist()`` format faster than numpy scalars.
+    A line is the row's cells joined by ``sep`` and ends with a newline:
+    a float at nine significant digits, as ``_format`` prints it, an
+    integer as it is.  Rows go ``_CHUNK_LINES`` at a time, so only one
+    chunk of text is ever held; ``tolist()`` cells format fastest.
     """
-    lines = [] if header is None else [header]
-    lines.extend(
-        sep.join([f"{v:.9g}" if isinstance(v, float) else str(v) for v in row]) for row in rows
-    )
-    path.write_text("\n".join(lines) + "\n")
+    for start in range(0, len(columns[0]), _CHUNK_LINES):
+        rows = zip(*(column[start : start + _CHUNK_LINES].tolist() for column in columns))
+        lines = [sep.join([f"{v:.9g}" if isinstance(v, float) else str(v) for v in row]) for row in rows]
+        lines.append("")
+        file.write("\n".join(lines))
 
 
 def prepare_output_dir(outputs: str | Path) -> Path:
@@ -243,46 +234,48 @@ def prepare_output_dir(outputs: str | Path) -> Path:
 def persist_experiment(
     out_dir: Path, records: list[RunRecord], aggregate: AggregateRecord
 ) -> None:
+    """Write each run's CSV, the aggregate CSV and every final weight, one run at a time."""
     for record in records:
-        columns = (record.times, record.mean_weights, record.sd_weights)
-        rows = zip(*(c.tolist() for c in columns))
-        _write_rows(out_dir / f"run_{record.run_id:03d}.csv", rows, RUN_CSV_HEADER)
-    columns = (aggregate.times, aggregate.mean_of_means, aggregate.sem_of_means, aggregate.mean_sd)
-    _write_rows(out_dir / "aggregate.csv", zip(*(c.tolist() for c in columns)), AGGREGATE_CSV_HEADER)
-    finals = (
-        (record.run_id, agent_id, weight)
-        for record in sorted(records, key=lambda rec: rec.run_id)
-        for agent_id, weight in enumerate(record.final_weights.tolist())
-    )
-    _write_rows(out_dir / "final_lambdas.csv", finals, FINAL_CSV_HEADER)
+        with open(out_dir / f"run_{record.run_id:03d}.csv", "w") as file:
+            file.write(RUN_CSV_HEADER + "\n")
+            _write_rows(file, (record.times, record.mean_weights, record.sd_weights))
+    with open(out_dir / "aggregate.csv", "w") as file:
+        file.write(AGGREGATE_CSV_HEADER + "\n")
+        _write_rows(file, (aggregate.times, aggregate.mean_of_means, aggregate.sem_of_means, aggregate.mean_sd))
+    with open(out_dir / "final_lambdas.csv", "w") as file:
+        file.write(FINAL_CSV_HEADER + "\n")
+        for record in records:
+            agents = np.arange(record.final_weights.size)
+            _write_rows(file, (np.full(agents.size, record.run_id), agents, record.final_weights))
 
 
 class FootprintError(ConfigError):
     """A configuration whose experiment cannot fit in physical memory."""
 
 
-# Bytes an experiment keeps beyond one run's timestep, without and with
-# output files: per run and recorded timestep (the mean and sd series,
-# aggregate_runs' stacks of both, np.std's temporary), per run (its record),
-# per run and agent (the final weight; its CSV line) and per recorded timestep
-# (the aggregate; its CSV lines).  The largest tracemalloc peaks of run_experiment
-# and validate_predictions, at 2-200 agents, 1-20,000 runs and 2-400,001
-# recorded timesteps, plus about a quarter.
-_KEPT_BYTES = ((51, 950, 10, 90), (51, 950, 155, 420))
+# Bytes an experiment keeps beyond one run's timestep, with or without its
+# files (written a chunk at a time): per run and recorded timestep (the mean
+# and sd tables, np.std's temporary, validate_predictions' squared sds), per
+# run (its record), per run and agent (the final weight) and per recorded
+# timestep (the aggregate, the predicted curves).  The largest tracemalloc
+# peaks of run_experiment, with and without outputs, and of validate_predictions,
+# at 2-200 agents, 1-20,000 runs and 2-400,001 recorded timesteps, plus a quarter.
+_KEPT_BYTES = (40, 960, 10, 90)
 
 
 def _check_footprint(config: ExperimentConfig) -> None:
     """Refuse a configuration whose experiment would not fit in physical memory.
 
     Runs play one after another, each holding one timestep's draws at
-    about ``_STACK_BYTES_PER_DIALOGUE`` bytes per dialogue and one block
-    of weight snapshots, beside every run's series and final weights.
+    about ``_STACK_BYTES_PER_DIALOGUE`` bytes per dialogue, one block of
+    weight snapshots and the same again for ``_population_stats``' standard
+    deviation, beside every run's series and final weights.
     Raises FootprintError when that exceeds the machine's physical memory.
     """
     game, runs, recorded = config.game, config.runs, _recorded(config)
-    per_record, per_run, per_agent, per_time = _KEPT_BYTES[config.outputs is not None]
+    per_record, per_run, per_agent, per_time = _KEPT_BYTES
     dialogues = dialogues_per_timestep(game.n_agents, game.schedule)
-    need = dialogues * _STACK_BYTES_PER_DIALOGUE + _block_rows(config) * game.n_agents * 8 + recorded * per_time
+    need = dialogues * _STACK_BYTES_PER_DIALOGUE + 2 * _block_rows(config) * game.n_agents * 8 + recorded * per_time
     need += runs * (recorded * per_record + per_run + game.n_agents * per_agent)
     have = _physical_memory()
     if have is not None and need > have:
@@ -297,24 +290,24 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Run r draws every random number from a generator seeded with
     mix_seed(master_seed, r), so its records do not depend on how many
-    other runs the experiment has.  A configuration whose experiment
-    cannot fit in memory, or an engine that cannot be built, is refused
-    before the output directory is made.
+    other runs the experiment has; the aggregate reduces its tables over
+    runs.  A configuration whose experiment cannot fit in memory, or an
+    engine that cannot be built, is refused before the output directory
+    is made.
     """
     _check_footprint(config)
     _loop()
-    out_dir = (
-        prepare_output_dir(config.outputs)
-        if config.outputs is not None
-        else None
-    )
-    records = _run_stacked(config)
-    aggregate = aggregate_runs(records)
+    out_dir = None if config.outputs is None else prepare_output_dir(config.outputs)
+    times, means, sds, finals = _run_stacked(config)
+    records = [RunRecord(r, times, means[r], sds[r], finals[r]) for r in range(config.runs)]
+    if config.runs > 1:
+        sem = np.std(means, axis=0, ddof=1) / np.sqrt(config.runs)
+    else:
+        sem = np.full(times.size, np.nan)
+    aggregate = AggregateRecord(times, means.mean(axis=0), sem, sds.mean(axis=0))
     if out_dir is not None:
         persist_experiment(out_dir, records, aggregate)
-    return ExperimentResult(
-        config=config, run_records=records, aggregate=aggregate
-    )
+    return ExperimentResult(config=config, run_records=records, aggregate=aggregate)
 
 
 _SWEEP_FIELDS = {"w": "reliability", "h": "rate"}

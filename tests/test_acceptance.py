@@ -8,7 +8,6 @@ steady-state mean, variance, and trajectory criteria.
 
 import itertools
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest

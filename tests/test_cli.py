@@ -4,7 +4,6 @@ import math
 import time
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from labelgames import analysis, experiment
@@ -228,13 +227,22 @@ class TestPredict:
 
     def test_rejects_bad_sample_count_and_tolerance_up_front(self, model2_cfg, tmp_path, capsys):
         out = tmp_path / "pred"
-        for flags in (("--samples", 0), ("--tol", 0), ("--tol", -0.1)):
-            assert run_cli("predict", "--config", model2_cfg, "--out", out,
-                           "--emit-plot-data", *flags) == 2
+        with mock.patch.object(analysis, "estimate_target_moments", side_effect=AssertionError):
+            for flags in (("--samples", 0), ("--tol", 0), ("--tol", -0.1), ("--tol", "inf")):
+                assert run_cli("predict", "--config", model2_cfg, "--out", out,
+                               "--emit-plot-data", *flags) == 2
         err = capsys.readouterr().err
         assert "--samples must be at least 1" in err
-        assert "--tol must be positive" in err
+        assert "--tol must be positive" in err and "got inf" in err
         assert not out.exists()
+
+    def test_an_output_path_that_is_a_file_fails_before_sampling(self, model2_cfg, tmp_path, capsys):
+        blocker = tmp_path / "occupied"
+        blocker.write_text("not a directory\n")
+        with mock.patch.object(analysis, "estimate_target_moments", side_effect=AssertionError):
+            assert run_cli("predict", "--config", model2_cfg, "--out", blocker, "--emit-plot-data") == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("io error")
 
 
 class TestSweep:

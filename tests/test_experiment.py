@@ -5,7 +5,6 @@ import itertools
 import tracemalloc
 import warnings
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from labelgames.experiment import (
     FootprintError,
     ModelComparison,
     SweepPoint,
-    aggregate_runs,
     compare_models,
     mix_seed,
     prepare_output_dir,
@@ -31,7 +29,6 @@ from labelgames.experiment import (
     sweep,
     validate_predictions,
 )
-from labelgames.experiment import _run_stacked
 from labelgames.engine import _STACK_BYTES_PER_DIALOGUE
 from labelgames.game import ConfigError, GameConfig
 from labelgames.labels import (
@@ -110,15 +107,15 @@ class TestExperimentConfig:
 
     def test_stack_larger_than_memory_refused_before_the_output_dir(self, tmp_path, monkeypatch):
         # Runs play one at a time: one run of 6 agents plays 30 dialogues
-        # per timestep and holds its recorded snapshots of 6 weights, and
-        # every run keeps its series and final weights, more of them when
-        # its files are written.  With many runs what the runs keep is most
-        # of the need.
+        # per timestep and holds its recorded snapshots of 6 weights twice
+        # over while it reduces them, and every run keeps its series and
+        # final weights, as much when its files are written.  With many
+        # runs what the runs keep is most of the need.
+        per_record, per_run, per_agent, per_time = experiment._KEPT_BYTES
         for runs, timesteps, outputs in itertools.product((3, 300), (1, 8), (True, False)):
-            per_record, per_run, per_agent, per_time = experiment._KEPT_BYTES[outputs]
             recorded = timesteps + 1
             need = (
-                30 * _STACK_BYTES_PER_DIALOGUE + recorded * 6 * 8
+                30 * _STACK_BYTES_PER_DIALOGUE + 2 * recorded * 6 * 8
                 + runs * (recorded * per_record + per_run + 6 * per_agent) + recorded * per_time
             )
             out = tmp_path / f"out-{runs}-{timesteps}-{outputs}"
@@ -182,7 +179,7 @@ class TestStackedEngine:
     ])
     def test_matches_the_reference_loop(self, overrides):
         config = small_config(**overrides)
-        assert_matches_spec(_run_stacked(config), config)
+        assert_matches_spec(run_experiment(config).run_records, config)
 
     def test_matches_the_reference_as_weights_reach_one(self):
         # a high rate in an all-upward box drives weights onto 1.0 exactly
@@ -192,7 +189,7 @@ class TestStackedEngine:
             env=Environment(((0.9, 1.0), (0.2, 0.4))),
             weight_init=(0.5, 1.0 - 2.0**-53, 0.9, 0.2, 0.5, 0.7),
         )
-        stacked = _run_stacked(config)
+        stacked = run_experiment(config).run_records
         finals = np.concatenate([rec.final_weights for rec in stacked])
         assert np.any(finals == 1.0)
         assert_matches_spec(stacked, config)
@@ -204,7 +201,7 @@ class TestStackedEngine:
             n_agents=40, runs=2, timesteps=2, weight_init=1.0, model=2,
             reliability=0.8, rate=1e-3,
         )
-        stacked = _run_stacked(config)
+        stacked = run_experiment(config).run_records
         assert all((rec.final_weights != 1.0).any() for rec in stacked)
         assert_matches_spec(stacked, config)
 
@@ -241,7 +238,7 @@ class TestStackedEngine:
         for schedule in ("ordered", "unordered"):
             config = small_config(timesteps=9, record_every=2, runs=2, schedule=schedule, model=2)
             assert experiment._block_rows(config) == 2
-            assert_matches_spec(_run_stacked(config), config)
+            assert_matches_spec(run_experiment(config).run_records, config)
 
     def test_snapshot_blocks_stay_within_eight_megabytes(self):
         largest = ExperimentConfig(game=GameConfig(n_agents=46_341, timesteps=10**5), runs=1)
@@ -421,6 +418,24 @@ class TestAggregate:
 
 
 class TestPersistence:
+    @pytest.mark.parametrize("n_agents,runs,timesteps", [(200, 200, 1), (2, 1, 40_000)])
+    def test_writing_the_files_adds_no_memory_per_line(self, tmp_path, n_agents, runs, timesteps):
+        # 40,000 lines of final_lambdas.csv, then of run_000.csv and
+        # aggregate.csv: the files are written a chunk of lines at a time,
+        # so the traced peak with outputs stays within 1 MB of the peak
+        # without, not about 100 bytes per line above it.
+        run_experiment(small_config(timesteps=1, runs=1, outputs=tmp_path / "warm"))
+        peaks = []
+        for outputs in (None, tmp_path / "out"):
+            config = small_config(n_agents=n_agents, runs=runs, timesteps=timesteps, outputs=outputs)
+            tracemalloc.start()
+            try:
+                run_experiment(config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**20
+
     def test_file_layout(self, tmp_path):
         config = small_config(runs=3, outputs=tmp_path / "out")
         run_experiment(config)
