@@ -264,6 +264,17 @@ class TargetMoments:
     count: int
 
 
+def _check_held(model: int, n_samples: int) -> None:
+    """Refuse a model-1 ``n_samples`` whose samples, held at once, would not fit in physical memory."""
+    have = _physical_memory() if model == 1 else None  # model 2 streams its samples
+    if have is not None and n_samples * _HELD_BYTES_PER_SAMPLE > have:
+        raise ConfigError(
+            f"model 1 holds every sample at once: n_samples = {n_samples} needs about "
+            f"{n_samples * _HELD_BYTES_PER_SAMPLE / 2**30:.1f} GiB; physical memory is {have / 2**30:.1f} GiB",
+            "n_samples",
+        )
+
+
 def estimate_target_moments(
     env: Environment,
     reliability: float = 1.0,
@@ -298,13 +309,7 @@ def estimate_target_moments(
     n_samples = _integer(n_samples, "n_samples", 1)
     labels = _label_pair(canonical_label_pair() if labels is None else labels, env.intervals)
     rng = np.random.default_rng(0) if rng is None else _generator(rng)
-    have = _physical_memory() if model == 1 else None  # model 2 streams its samples
-    if have is not None and n_samples * _HELD_BYTES_PER_SAMPLE > have:
-        raise ConfigError(
-            f"model 1 holds every sample at once: n_samples = {n_samples} needs about "
-            f"{n_samples * _HELD_BYTES_PER_SAMPLE / 2**30:.1f} GiB; physical memory is {have / 2**30:.1f} GiB",
-            "n_samples",
-        )
+    _check_held(model, n_samples)
     lib, dims = _loop(), _dims(labels, env.intervals)
 
     moments = RunningMoments()

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import EstimationError, NonConvergenceError
+from .analysis import EstimationError, NonConvergenceError, _check_held, _rate
 from .config import load_config
 from .experiment import (
     ExperimentConfig,
@@ -196,9 +196,11 @@ def _cmd_simulate(args) -> tuple[int, dict]:
 
 def _cmd_predict(args) -> tuple[int, dict]:
     config = _load(args)
-    _integer(args.samples, "--samples", 1)
+    # The estimate's own refusals, of the sample count and the rate, come before the directory.
+    _check_held(config.game.model, _integer(args.samples, "--samples", 1))
     if not 0.0 < args.tol < math.inf:
         raise ConfigError(f"--tol must be positive and finite, got {args.tol}", "--tol")
+    _rate(config.game.rate)
     if args.emit_plot_data and config.outputs is not None:
         _loop()  # as run_experiment does: the engine, then the directory, then the work
         prepare_output_dir(config.outputs)

@@ -11,10 +11,10 @@ would draw them, plays the dialogues and copies the weights out at each
 recorded timestep.  Each block of snapshots is reduced to its
 statistics, straight into the run-by-time tables of means and sds, before
 the next block or run, so memory holds one run's shuffled pairs, 4 bytes
-per dialogue, one block, the tables and every run's final weights.  Run
-records are row views of the tables, and the CSV files are formatted from
-them a chunk of lines at a time, so writing them takes no more memory.
-The test suite checks every run's records bit for bit against a scalar
+per dialogue, one block, the tables and every run's final weights.  The
+result is those tables, and the CSV files are formatted from their rows a
+chunk of lines at a time, so writing them takes no more memory.  The
+test suite checks every run's rows bit for bit against a scalar
 specification of the whole run.  Identical configuration and master
 seed give byte-identical output files.
 ``ExperimentConfig`` checks its values, and that each label's space
@@ -113,7 +113,7 @@ def record_times(timesteps: int, record_every: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Time series and final state of one run."""
+    """One run's rows of an ``ExperimentResult``'s tables, as views; only ``run_records`` builds one."""
 
     run_id: int
     times: np.ndarray
@@ -138,9 +138,19 @@ class AggregateRecord:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """Run r's mean and sd at each of ``times`` in row r of ``means`` and ``sds``, its final weights in ``finals``."""
+
     config: ExperimentConfig
-    run_records: list[RunRecord]
+    times: np.ndarray
+    means: np.ndarray
+    sds: np.ndarray
+    finals: np.ndarray
     aggregate: AggregateRecord
+
+    @property
+    def run_records(self) -> list[RunRecord]:
+        """Each run's ``RunRecord``, built on request as row views of the tables."""
+        return [RunRecord(r, self.times, self.means[r], self.sds[r], self.finals[r]) for r in range(len(self.finals))]
 
 
 def _population_stats(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,22 +241,21 @@ def prepare_output_dir(outputs: str | Path) -> Path:
     return out_dir
 
 
-def persist_experiment(
-    out_dir: Path, records: list[RunRecord], aggregate: AggregateRecord
-) -> None:
-    """Write each run's CSV, the aggregate CSV and every final weight, one run at a time."""
-    for record in records:
-        with open(out_dir / f"run_{record.run_id:03d}.csv", "w") as file:
+def persist_experiment(out_dir: Path, result: ExperimentResult) -> None:
+    """Write each run's CSV, the aggregate CSV and every final weight, from the tables' rows one run at a time."""
+    times, aggregate = result.times, result.aggregate
+    for r, (means, sds) in enumerate(zip(result.means, result.sds)):
+        with open(out_dir / f"run_{r:03d}.csv", "w") as file:
             file.write(RUN_CSV_HEADER + "\n")
-            _write_rows(file, (record.times, record.mean_weights, record.sd_weights))
+            _write_rows(file, (times, means, sds))
     with open(out_dir / "aggregate.csv", "w") as file:
         file.write(AGGREGATE_CSV_HEADER + "\n")
         _write_rows(file, (aggregate.times, aggregate.mean_of_means, aggregate.sem_of_means, aggregate.mean_sd))
     with open(out_dir / "final_lambdas.csv", "w") as file:
         file.write(FINAL_CSV_HEADER + "\n")
-        for record in records:
-            agents = np.arange(record.final_weights.size)
-            _write_rows(file, (np.full(agents.size, record.run_id), agents, record.final_weights))
+        agents = np.arange(result.finals.shape[1])
+        for r, finals in enumerate(result.finals):
+            _write_rows(file, (np.full(agents.size, r), agents, finals))
 
 
 class FootprintError(ConfigError):
@@ -255,12 +264,14 @@ class FootprintError(ConfigError):
 
 # Bytes an experiment keeps beyond one run's timestep, with or without its
 # files (written a chunk at a time): per run and recorded timestep (the mean
-# and sd tables, np.std's temporary, validate_predictions' squared sds), per
-# run (its record), per run and agent (the final weight) and per recorded
-# timestep (the aggregate, the predicted curves).  The largest tracemalloc
-# peaks of run_experiment, with and without outputs, and of validate_predictions,
-# at 2-200 agents, 1-20,000 runs and 2-400,001 recorded timesteps, plus a quarter.
-_KEPT_BYTES = (40, 960, 10, 90)
+# and sd tables, and one temporary as large as one of them: np.std's for the
+# aggregate or validate_predictions' squared sds), per run (Python's
+# transient objects while the runs play and their files are written), per
+# run and agent (the final weight) and per recorded timestep (the aggregate,
+# the predicted curves).  The largest tracemalloc peaks of run_experiment,
+# with and without outputs, and of validate_predictions, at 2-200 agents,
+# 1-20,000 runs and 2-400,001 recorded timesteps, plus a quarter.
+_KEPT_BYTES = (31, 55, 11, 94)
 
 
 def _check_footprint(config: ExperimentConfig) -> None:
@@ -289,25 +300,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Execute all runs, aggregate, and persist when an output dir is set.
 
     Run r draws every random number from a generator seeded with
-    mix_seed(master_seed, r), so its records do not depend on how many
-    other runs the experiment has; the aggregate reduces its tables over
-    runs.  A configuration whose experiment cannot fit in memory, or an
-    engine that cannot be built, is refused before the output directory
-    is made.
+    mix_seed(master_seed, r), so its rows of the tables do not depend on
+    how many other runs the experiment has; the aggregate reduces the
+    tables over runs.  A configuration whose experiment cannot fit in
+    memory, or an engine that cannot be built, is refused before the
+    output directory is made.
     """
     _check_footprint(config)
     _loop()
     out_dir = None if config.outputs is None else prepare_output_dir(config.outputs)
     times, means, sds, finals = _run_stacked(config)
-    records = [RunRecord(r, times, means[r], sds[r], finals[r]) for r in range(config.runs)]
-    if config.runs > 1:
-        sem = np.std(means, axis=0, ddof=1) / np.sqrt(config.runs)
-    else:
-        sem = np.full(times.size, np.nan)
+    sem = np.std(means, axis=0, ddof=1) / np.sqrt(config.runs) if config.runs > 1 else np.full(times.size, np.nan)
     aggregate = AggregateRecord(times, means.mean(axis=0), sem, sds.mean(axis=0))
+    result = ExperimentResult(config, times, means, sds, finals, aggregate)
     if out_dir is not None:
-        persist_experiment(out_dir, records, aggregate)
-    return ExperimentResult(config=config, run_records=records, aggregate=aggregate)
+        persist_experiment(out_dir, result)
+    return result
 
 
 _SWEEP_FIELDS = {"w": "reliability", "h": "rate"}
@@ -499,28 +507,13 @@ def validate_predictions(
     rows = []
     for index, (rate, sub) in enumerate(zip(rates, subs)):
         result = run_experiment(sub)
-        aggregate = result.aggregate
         prediction = _prediction(config, rate, n_samples, index)
-        empirical_mean = aggregate.mean_of_means
-        empirical_var = np.mean(np.vstack([rec.sd_weights**2 for rec in result.run_records]), axis=0)
-        steps = aggregate.times.astype(np.float64) * _updates_per_timestep(config.game)
-        predicted_mean = prediction.mean_at(float(empirical_mean[0]), steps)
-        predicted_var = prediction.variance_at(float(empirical_var[0]), steps)
-        rows.append(
-            ValidationRow(
-                rate=rate,
-                times=aggregate.times.copy(),
-                update_steps=steps,
-                empirical_mean=empirical_mean,
-                predicted_mean=predicted_mean,
-                empirical_variance=empirical_var,
-                predicted_variance=predicted_var,
-                sup_mean_deviation=float(
-                    np.max(np.abs(empirical_mean - predicted_mean))
-                ),
-                sup_variance_deviation=float(
-                    np.max(np.abs(empirical_var - predicted_var))
-                ),
-            )
-        )
+        mean, var = result.aggregate.mean_of_means, np.mean(result.sds**2, axis=0)
+        steps = result.times.astype(np.float64) * _updates_per_timestep(config.game)
+        predicted_mean = prediction.mean_at(float(mean[0]), steps)
+        predicted_var = prediction.variance_at(float(var[0]), steps)
+        rows.append(ValidationRow(
+            rate, result.times.copy(), steps, mean, predicted_mean, var, predicted_var,
+            float(np.max(np.abs(mean - predicted_mean))), float(np.max(np.abs(var - predicted_var))),
+        ))
     return rows

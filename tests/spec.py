@@ -52,13 +52,11 @@ def spec_runs(config):
         yield wanted, [np.mean(r) for r in rows], [np.std(r, ddof=1) for r in rows], w
 
 
-def assert_matches_spec(records, config) -> None:
-    """Every run's record equals its spec run bit for bit, in run-id order."""
-    for run, (record, (times, means, sds, final)) in enumerate(
-        zip(records, spec_runs(config), strict=True)
-    ):
-        assert record.run_id == run
-        assert record.times.tolist() == times
-        assert np.array_equal(record.mean_weights, means)
-        assert np.array_equal(record.sd_weights, sds)
-        assert np.array_equal(record.final_weights, final)
+def assert_matches_spec(result, config) -> None:
+    """Row r of every table of the experiment's ``result`` equals spec run r bit for bit."""
+    rows = zip(result.means, result.sds, result.finals, spec_runs(config), strict=True)
+    for means, sds, final, (times, want_means, want_sds, want_final) in rows:
+        assert result.times.tolist() == times
+        assert np.array_equal(means, want_means)
+        assert np.array_equal(sds, want_sds)
+        assert np.array_equal(final, want_final)

@@ -150,13 +150,15 @@ class TestErrorPaths:
         self, base_cfg, tmp_path, capsys, monkeypatch
     ):
         # Model 1 holds every sample at once, about 9.6 GB at 3e8 samples;
-        # the host's memory is fixed at 8 GiB.
+        # the host's memory is fixed at 8 GiB.  No output directory is made.
         monkeypatch.setattr(analysis, "_physical_memory", lambda: 8 * 2**30)
+        out = tmp_path / "out"
         start = time.perf_counter()
-        assert run_cli("predict", "--config", base_cfg, "--samples", 300_000_000, "--out", tmp_path / "out") == 2
+        assert run_cli("predict", "--config", base_cfg, "--samples", 300_000_000, "--out", out, "--emit-plot-data") == 2
         assert time.perf_counter() - start < 1.0
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "n_samples = 300000000" in err
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("config error:") and "n_samples = 300000000" in captured.err
 
     def test_output_collision_is_an_io_error(self, base_cfg, tmp_path, capsys):
         blocker = tmp_path / "occupied"
@@ -217,13 +219,17 @@ class TestPredict:
         assert run_cli("predict", "--config", cfg, "--samples", 5000) == 1
         assert "prediction failed" in capsys.readouterr().err
 
-    def test_rejects_a_rate_too_small_to_converge_before_sampling(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rate", ["1e-20", "1e-17"])
+    def test_rejects_a_rate_too_small_to_converge_before_sampling(self, rate, tmp_path, capsys):
+        # 1 - rate rounds to 1; the rate is refused before the output directory is made.
         cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(MODEL2.replace("h = 0.05", "h = 1e-20"))
+        cfg.write_text(MODEL2.replace("h = 0.05", f"h = {rate}"))
+        out = tmp_path / "out"
         with mock.patch.object(analysis, "estimate_target_moments", side_effect=AssertionError):
-            assert run_cli("predict", "--config", cfg, "--samples", 1000) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "rate" in err
+            assert run_cli("predict", "--config", cfg, "--samples", 1000, "--out", out, "--emit-plot-data") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("config error: ") and "rate" in captured.err
 
     def test_rejects_bad_sample_count_and_tolerance_up_front(self, model2_cfg, tmp_path, capsys):
         out = tmp_path / "pred"

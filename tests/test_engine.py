@@ -1,14 +1,17 @@
-"""The engine's C boundary: its refusals, its limits and its undefined behaviour.
+"""The engine's C boundary: its refusals, its limits, its undefined behaviour and its build.
 
 Every wrapper around a library function refuses, before C runs, arrays
 of another dtype, non-contiguous views, read-only outputs and lengths
 that disagree, leaving its buffers and its generator as they were.  A
 driver that includes ``_engine.c`` checks the static functions at their
 limits against Python integers and numpy's ``PCG64``, and the whole
-library is run once built with UBSan and once with ASan.
+library is run once built with UBSan and once with ASan.  Builds at
+other optimisation levels give the same bits, and a build that fuses
+multiply-adds is refused.
 """
 
 import ctypes
+import itertools
 import os
 import subprocess
 import sys
@@ -18,6 +21,8 @@ import numpy as np
 import pytest
 
 from labelgames import engine
+from labelgames.analysis import Environment, estimate_target_moments, positive_update_probability_mc
+from labelgames.experiment import ExperimentConfig, run_experiment
 from labelgames.game import GameConfig
 from labelgames.labels import canonical_label_pair
 
@@ -290,3 +295,68 @@ def test_the_engine_runs_clean_under_asan(tmp_path):
         pytest.skip(f"the compiler names no libasan.so (it printed {runtime!r})")
     library = run_sanitized(tmp_path, ("-fsanitize=address",), LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
     assert b"__asan_" in library
+
+
+@pytest.fixture
+def rebuild(tmp_path, monkeypatch):
+    """Builds, loads and checks the engine as ``_loop`` does, with another compile command.
+
+    Each build goes to its own cache under ``tmp_path``; the first
+    ``_loop`` after the test loads the default build again.
+    """
+    def build(command: tuple[str, ...]) -> None:
+        monkeypatch.setattr(engine, "_COMPILE", command)
+        monkeypatch.setattr(engine, "_CACHE", tmp_path / str(len(list(tmp_path.iterdir()))))
+        engine._loop.cache_clear()
+        engine._loop()
+
+    yield build
+    engine._loop.cache_clear()
+
+
+def outputs_of_the_build() -> list[bytes]:
+    """The bytes the loaded build gives: whole runs and the estimators' results.
+
+    Runs of 24 agents, two blocks of dialogues and a partial one per
+    ordered timestep, under both schedules and both models with
+    per-agent reliabilities, and the target moments under both models.
+    """
+    env = Environment(((0.1, 0.9), (0.0, 0.5)))
+    outputs = []
+    for schedule, model in itertools.product(("ordered", "unordered"), (1, 2)):
+        game = GameConfig(
+            n_agents=24, timesteps=3, rate=0.3, model=model, schedule=schedule,
+            reliability=tuple(np.linspace(0.55, 1.0, 24)),
+        )
+        result = run_experiment(ExperimentConfig(game=game, env=env, runs=2, master_seed=5))
+        outputs += [result.means.tobytes(), result.sds.tobytes(), result.finals.tobytes()]
+    for model in (1, 2):
+        moments = estimate_target_moments(env, 0.8, model, 5000, np.random.default_rng(model))
+        outputs.append(np.array((moments.mean, moments.variance, moments.count)).tobytes())
+    outputs.append(np.array(positive_update_probability_mc(env, 5000, np.random.default_rng(3))).tobytes())
+    return outputs
+
+
+def test_the_bits_do_not_depend_on_the_optimisation_level(rebuild):
+    want = outputs_of_the_build()
+    cc, *flags = (flag for flag in engine._COMPILE if flag != "-O2")
+    assert "-ffp-contract=off" in flags
+    for level in (("-O0",), ("-O3", "-march=native")):
+        rebuild((cc, *level, *flags))
+        assert outputs_of_the_build() == want, level
+
+
+def test_the_check_refuses_a_build_with_fused_multiply_adds(rebuild, tmp_path):
+    # A fused multiply-add rounds once where _dialogue rounds twice.
+    cc, *flags = (flag.replace("-ffp-contract=off", "-ffp-contract=fast") for flag in engine._COMPILE)
+    refusal = ""
+    try:
+        rebuild((cc, "-march=native", *flags))
+    except engine.EngineError as err:
+        refusal = str(err)
+    (library,) = tmp_path.glob("*/dialogues-*.so")
+    done = subprocess.run(("objdump", "-d", str(library)), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    if "vfmadd" not in done.stdout:
+        pytest.skip("the native target has no fused multiply-add")
+    assert "disagrees with the reference" in refusal

@@ -61,14 +61,14 @@ def small_config(**overrides) -> ExperimentConfig:
     )
 
 
-def records_equal(a, b) -> bool:
-    return (
-        a.run_id == b.run_id
-        and np.array_equal(a.times, b.times)
-        and np.array_equal(a.mean_weights, b.mean_weights)
-        and np.array_equal(a.sd_weights, b.sd_weights)
-        and np.array_equal(a.final_weights, b.final_weights)
-    )
+def traced_peak(call) -> int:
+    """The largest traced allocation, in bytes, while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestMixSeed:
@@ -125,7 +125,7 @@ class TestExperimentConfig:
                 run_experiment(config)
             assert not out.exists()
             monkeypatch.setattr(experiment, "_physical_memory", lambda: need)
-            assert len(run_experiment(config).run_records) == runs
+            assert run_experiment(config).finals.shape == (runs, 6)
             monkeypatch.setattr(experiment, "_physical_memory", lambda: None)
             run_experiment(config)
 
@@ -179,7 +179,7 @@ class TestStackedEngine:
     ])
     def test_matches_the_reference_loop(self, overrides):
         config = small_config(**overrides)
-        assert_matches_spec(run_experiment(config).run_records, config)
+        assert_matches_spec(run_experiment(config), config)
 
     def test_matches_the_reference_as_weights_reach_one(self):
         # a high rate in an all-upward box drives weights onto 1.0 exactly
@@ -189,10 +189,9 @@ class TestStackedEngine:
             env=Environment(((0.9, 1.0), (0.2, 0.4))),
             weight_init=(0.5, 1.0 - 2.0**-53, 0.9, 0.2, 0.5, 0.7),
         )
-        stacked = run_experiment(config).run_records
-        finals = np.concatenate([rec.final_weights for rec in stacked])
-        assert np.any(finals == 1.0)
-        assert_matches_spec(stacked, config)
+        result = run_experiment(config)
+        assert np.any(result.finals == 1.0)
+        assert_matches_spec(result, config)
 
     def test_matches_the_reference_when_pinned_weights_move(self):
         # Every weight starts at exactly 1, where compounds tie, and moves
@@ -201,19 +200,30 @@ class TestStackedEngine:
             n_agents=40, runs=2, timesteps=2, weight_init=1.0, model=2,
             reliability=0.8, rate=1e-3,
         )
-        stacked = run_experiment(config).run_records
-        assert all((rec.final_weights != 1.0).any() for rec in stacked)
-        assert_matches_spec(stacked, config)
+        result = run_experiment(config)
+        assert (result.finals != 1.0).any(axis=1).all()
+        assert_matches_spec(result, config)
 
     def test_runs_are_independent_of_the_run_count(self):
-        long = run_experiment(small_config(runs=5)).run_records
-        short = run_experiment(small_config(runs=2)).run_records
-        for a, b in zip(short, long):
-            assert records_equal(a, b)
+        long = run_experiment(small_config(runs=5))
+        short = run_experiment(small_config(runs=2))
+        assert np.array_equal(short.times, long.times)
+        for table in ("means", "sds", "finals"):
+            assert np.array_equal(getattr(short, table), getattr(long, table)[:2])
 
-    def test_run_ids_in_order(self):
+    def test_run_records_are_row_views_of_the_tables(self):
+        # The benchmark reads run_records and alters a final weight through
+        # one to show that its output check notices.
         result = run_experiment(small_config(runs=3))
-        assert [rec.run_id for rec in result.run_records] == [0, 1, 2]
+        records = result.run_records
+        assert [rec.run_id for rec in records] == [0, 1, 2]
+        for r, rec in enumerate(records):
+            assert rec.times is result.times
+            assert np.shares_memory(rec.mean_weights, result.means[r])
+            assert np.shares_memory(rec.sd_weights, result.sds[r])
+            assert np.shares_memory(rec.final_weights, result.finals[r])
+        records[2].final_weights[-1] = 0.25
+        assert result.finals[2, -1] == result.run_records[2].final_weights[-1] == 0.25
 
     def test_thousand_agent_timestep_peak_stays_small(self):
         # numpy reports its buffers to tracemalloc, so the traced peak of
@@ -224,13 +234,15 @@ class TestStackedEngine:
             n_agents=1000, timesteps=1, runs=1, rate=1e-3, model=2,
             reliability=0.8, master_seed=7,
         )
-        tracemalloc.start()
-        try:
-            run_experiment(config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / 999_000 < 6
+        assert traced_peak(lambda: run_experiment(config)) / 999_000 < 6
+
+    def test_a_run_keeps_its_rows_of_the_tables_and_no_record(self):
+        # 2 agents x 5000 runs x 1 timestep: each run keeps 40 bytes of
+        # table rows, so the traced peak stays under 200 bytes per run; an
+        # object per run, about 500 bytes of overhead, would not.
+        run_experiment(small_config(n_agents=2, timesteps=1, runs=1))
+        config = small_config(n_agents=2, runs=5000, timesteps=1)
+        assert traced_peak(lambda: run_experiment(config)) < 200 * 5000
 
     def test_blocks_of_recorded_times_match_the_spec(self, monkeypatch):
         # Two snapshot rows per kernel call: the run continues across calls.
@@ -238,7 +250,7 @@ class TestStackedEngine:
         for schedule in ("ordered", "unordered"):
             config = small_config(timesteps=9, record_every=2, runs=2, schedule=schedule, model=2)
             assert experiment._block_rows(config) == 2
-            assert_matches_spec(run_experiment(config).run_records, config)
+            assert_matches_spec(run_experiment(config), config)
 
     def test_snapshot_blocks_stay_within_eight_megabytes(self):
         largest = ExperimentConfig(game=GameConfig(n_agents=46_341, timesteps=10**5), runs=1)
@@ -298,12 +310,12 @@ class TestWholeRunSpec:
             weight_init=weights, schedule=schedule,
         )
         config = ExperimentConfig(game=game, env=Environment((x1, x2)), runs=2, master_seed=seeds[schedule])
-        records = run_experiment(config).run_records
-        assert np.isin(records[0].final_weights, (0.0, 1.0)).any()
-        assert_matches_spec(records, config)
+        result = run_experiment(config)
+        assert np.isin(result.finals[0], (0.0, 1.0)).any()
+        assert_matches_spec(result, config)
         # The runs play on from the edge.
         config = replace(config, game=replace(game, timesteps=4))
-        assert_matches_spec(run_experiment(config).run_records, config)
+        assert_matches_spec(run_experiment(config), config)
 
     @pytest.mark.parametrize("model", [1, 2])
     @pytest.mark.parametrize("schedule", ["ordered", "unordered"])
@@ -315,7 +327,7 @@ class TestWholeRunSpec:
             n_agents=24, timesteps=3, record_every=2, model=model, schedule=schedule,
             reliability=tuple(np.linspace(0.55, 1.0, 24)),
         )
-        assert_matches_spec(run_experiment(config).run_records, config)
+        assert_matches_spec(run_experiment(config), config)
 
     @settings(max_examples=max(300, settings().max_examples), deadline=None)
     @given(
@@ -384,21 +396,17 @@ class TestWholeRunSpec:
             master_seed=int(values.integers(2**64, dtype=np.uint64)),
             record_every=min(every, timesteps),
         )
-        assert_matches_spec(run_experiment(config).run_records, config)
+        assert_matches_spec(run_experiment(config), config)
 
 
 class TestAggregate:
     def test_mean_of_means_is_the_grand_mean(self):
         result = run_experiment(small_config(runs=4))
-        final_grand = np.concatenate(
-            [rec.final_weights for rec in result.run_records]
-        ).mean()
-        assert result.aggregate.mean_of_means[-1] == pytest.approx(final_grand, abs=1e-12)
+        assert result.aggregate.mean_of_means[-1] == pytest.approx(result.finals.mean(), abs=1e-12)
 
     def test_sem_matches_numpy(self):
         result = run_experiment(small_config(runs=4))
-        means = np.vstack([rec.mean_weights for rec in result.run_records])
-        want = np.std(means, axis=0, ddof=1) / 2.0
+        want = np.std(result.means, axis=0, ddof=1) / 2.0
         assert result.aggregate.sem_of_means == pytest.approx(want, abs=1e-15)
 
     def test_single_run_sem_is_nan_without_warnings(self):
@@ -411,10 +419,8 @@ class TestAggregate:
     def test_series_share_the_time_axis(self):
         result = run_experiment(small_config(record_every=3))
         agg = result.aggregate
-        assert agg.times.tolist() == [0, 3, 6, 8]
-        for rec in result.run_records:
-            assert rec.times.tolist() == [0, 3, 6, 8]
-            assert rec.mean_weights.shape == rec.sd_weights.shape == (4,)
+        assert agg.times.tolist() == result.times.tolist() == [0, 3, 6, 8]
+        assert result.means.shape == result.sds.shape == (3, 4)
 
 
 class TestPersistence:
@@ -425,15 +431,12 @@ class TestPersistence:
         # so the traced peak with outputs stays within 1 MB of the peak
         # without, not about 100 bytes per line above it.
         run_experiment(small_config(timesteps=1, runs=1, outputs=tmp_path / "warm"))
-        peaks = []
-        for outputs in (None, tmp_path / "out"):
-            config = small_config(n_agents=n_agents, runs=runs, timesteps=timesteps, outputs=outputs)
-            tracemalloc.start()
-            try:
-                run_experiment(config)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [
+            traced_peak(lambda: run_experiment(
+                small_config(n_agents=n_agents, runs=runs, timesteps=timesteps, outputs=outputs)
+            ))
+            for outputs in (None, tmp_path / "out")
+        ]
         assert peaks[1] - peaks[0] < 2**20
 
     def test_file_layout(self, tmp_path):
@@ -466,8 +469,7 @@ class TestPersistence:
         config = small_config(runs=2, outputs=tmp_path / "out")
         result = run_experiment(config)
         rows = (tmp_path / "out" / "run_001.csv").read_text().splitlines()[1:]
-        record = result.run_records[1]
-        for row, t, mean, sd in zip(rows, record.times, record.mean_weights, record.sd_weights):
+        for row, t, mean, sd in zip(rows, result.times, result.means[1], result.sds[1]):
             t_str, mean_str, sd_str = row.split(",")
             assert int(t_str) == int(t)
             assert float(mean_str) == pytest.approx(mean, rel=1e-8)
@@ -594,3 +596,14 @@ class TestValidatePredictions:
             assert row.sup_variance_deviation >= 0.0
         assert (tmp_path / "val" / "h_0.05" / "aggregate.csv").exists()
         assert (tmp_path / "val" / "h_0.02" / "aggregate.csv").exists()
+
+    def test_validation_reduces_the_sd_table_it_has(self):
+        # 2 agents x 1000 runs x 1000 timesteps: 16 MB of mean and sd
+        # tables.  validate_predictions squares and averages the sd table
+        # itself, so its traced peak stays within 10 % of run_experiment's,
+        # not a third above it, as a second stack of every run's squared
+        # sds would take.
+        validate_predictions(small_config(n_agents=2, timesteps=2, runs=2, model=2), [0.02], n_samples=100)
+        config = small_config(n_agents=2, runs=1000, timesteps=1000, model=2)
+        run = traced_peak(lambda: run_experiment(config))
+        assert traced_peak(lambda: validate_predictions(config, [0.02], n_samples=100)) < 1.1 * run

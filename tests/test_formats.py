@@ -47,7 +47,7 @@ def series(xs, ys) -> str:
     return "".join(f"{g(x)} {g(y)}\n" for x, y in zip(xs, ys))
 
 
-def test_experiment_csvs_are_rebuilt_from_the_records(tmp_path):
+def test_experiment_csvs_are_rebuilt_from_the_tables(tmp_path):
     config = ExperimentConfig(
         game=GameConfig(n_agents=4, timesteps=5, rate=0.1),
         env=Environment(((0.0, 1.0), (0.0, 0.5))),
@@ -58,9 +58,9 @@ def test_experiment_csvs_are_rebuilt_from_the_records(tmp_path):
     result = run_experiment(config)
     out = tmp_path / "out"
     expected = {}
-    for rec in result.run_records:
-        expected[f"run_{rec.run_id:03d}.csv"] = "timestep,mean_lambda,sd_lambda\n" + "".join(
-            f"{t},{g(m)},{g(s)}\n" for t, m, s in zip(rec.times, rec.mean_weights, rec.sd_weights)
+    for run, (means, sds) in enumerate(zip(result.means, result.sds)):
+        expected[f"run_{run:03d}.csv"] = "timestep,mean_lambda,sd_lambda\n" + "".join(
+            f"{t},{g(m)},{g(s)}\n" for t, m, s in zip(result.times, means, sds)
         )
     agg = result.aggregate
     expected["aggregate.csv"] = "timestep,mean_of_means,sem_of_means,mean_sd\n" + "".join(
@@ -68,9 +68,9 @@ def test_experiment_csvs_are_rebuilt_from_the_records(tmp_path):
         for t, m, e, s in zip(agg.times, agg.mean_of_means, agg.sem_of_means, agg.mean_sd)
     )
     expected["final_lambdas.csv"] = "run_id,agent_id,lambda\n" + "".join(
-        f"{rec.run_id},{agent},{g(w)}\n"
-        for rec in result.run_records
-        for agent, w in enumerate(rec.final_weights)
+        f"{run},{agent},{g(w)}\n"
+        for run, finals in enumerate(result.finals)
+        for agent, w in enumerate(finals)
     )
     assert sorted(p.name for p in out.iterdir()) == sorted(expected)
     for name, text in expected.items():

@@ -568,9 +568,9 @@ class TestStackedKernel:
             master_seed=5,
         )
         calls = counting_sequential_calls(monkeypatch)
-        records = run_experiment(config).run_records
+        result = run_experiment(config)
         assert calls == []
-        assert_matches_spec(records, config)
+        assert_matches_spec(result, config)
 
     def test_a_lane_at_one_moves_while_the_other_run_holds(self):
         # Run 0 is held at weight 1 as above.  In run 1 a lane at weight 1
