@@ -203,11 +203,17 @@ def _run_stacked(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.n
     return times, means, sds, finals
 
 
+_FLOAT = "%.9g"
+
+
 def _format(value: float) -> str:
-    return f"{float(value):.9g}"
+    """A float as every output file and summary prints it: nine significant digits."""
+    return _FLOAT % value
 
 
-_CHUNK_LINES = 4096
+# Lines one %-operation formats: about 100 B of cells and text each, so a
+# chunk holds about 100 KB, below what the runs' own timesteps hold.
+_CHUNK_LINES = 1024
 
 
 def _write_rows(file, columns, sep: str = ",") -> None:
@@ -215,15 +221,21 @@ def _write_rows(file, columns, sep: str = ",") -> None:
 
     This is the one file format: the CSVs and every ``.dat`` plot series.
     A line is the row's cells joined by ``sep`` and ends with a newline:
-    a float at nine significant digits, as ``_format`` prints it, an
-    integer as it is.  Rows go ``_CHUNK_LINES`` at a time, so only one
-    chunk of text is ever held; ``tolist()`` cells format fastest.
+    a float column's cells at nine significant digits, as ``_format``
+    prints them, an integer column's as they are.  The line's %-format is
+    built once from the columns' dtypes, and each chunk of
+    ``_CHUNK_LINES`` rows is one %-operation over the chunk's cells,
+    interleaved row by row, so only one chunk of text is ever held.
     """
+    line = sep.join(_FLOAT if column.dtype.kind == "f" else "%d" for column in columns) + "\n"
+    width = len(columns)
     for start in range(0, len(columns[0]), _CHUNK_LINES):
-        rows = zip(*(column[start : start + _CHUNK_LINES].tolist() for column in columns))
-        lines = [sep.join([f"{v:.9g}" if isinstance(v, float) else str(v) for v in row]) for row in rows]
-        lines.append("")
-        file.write("\n".join(lines))
+        cells = [column[start : start + _CHUNK_LINES].tolist() for column in columns]
+        rows = len(cells[0])
+        flat = [None] * (rows * width)
+        for offset, column in enumerate(cells):
+            flat[offset::width] = column
+        file.write((line * rows) % tuple(flat))
 
 
 def prepare_output_dir(outputs: str | Path) -> Path:
@@ -241,21 +253,30 @@ def prepare_output_dir(outputs: str | Path) -> Path:
     return out_dir
 
 
-def persist_experiment(out_dir: Path, result: ExperimentResult) -> None:
-    """Write each run's CSV, the aggregate CSV and every final weight, from the tables' rows one run at a time."""
+def persist_experiment(out_dir: str | Path, result: ExperimentResult) -> None:
+    """Write each run's CSV, the aggregate CSV and every final weight, from the tables' rows.
+
+    Files are opened by ``str`` paths: a ``Path`` per run file would intern
+    each name, and past about 10,000 runs that resizes the interpreter's
+    table of interned strings.  ``final_lambdas.csv`` takes the runs a
+    chunk of lines at a time, so its run and agent ids add no memory per line.
+    """
     times, aggregate = result.times, result.aggregate
     for r, (means, sds) in enumerate(zip(result.means, result.sds)):
-        with open(out_dir / f"run_{r:03d}.csv", "w") as file:
+        with open(os.path.join(out_dir, f"run_{r:03d}.csv"), "w") as file:
             file.write(RUN_CSV_HEADER + "\n")
             _write_rows(file, (times, means, sds))
-    with open(out_dir / "aggregate.csv", "w") as file:
+    with open(os.path.join(out_dir, "aggregate.csv"), "w") as file:
         file.write(AGGREGATE_CSV_HEADER + "\n")
         _write_rows(file, (aggregate.times, aggregate.mean_of_means, aggregate.sem_of_means, aggregate.mean_sd))
-    with open(out_dir / "final_lambdas.csv", "w") as file:
+    with open(os.path.join(out_dir, "final_lambdas.csv"), "w") as file:
         file.write(FINAL_CSV_HEADER + "\n")
-        agents = np.arange(result.finals.shape[1])
-        for r, finals in enumerate(result.finals):
-            _write_rows(file, (np.full(agents.size, r), agents, finals))
+        agents = result.finals.shape[1]
+        step = max(1, _CHUNK_LINES // agents)
+        for start in range(0, len(result.finals), step):
+            finals = result.finals[start : start + step]
+            runs = np.arange(start, start + len(finals))
+            _write_rows(file, (np.repeat(runs, agents), np.tile(np.arange(agents), len(finals)), finals.ravel()))
 
 
 class FootprintError(ConfigError):
@@ -343,6 +364,21 @@ def _subdir_config(
     return replace(config, outputs=Path(config.outputs) / name)
 
 
+def _prepare(subs) -> None:
+    """Refuse what ``run_experiment`` would refuse for any of ``subs``, before the first one runs.
+
+    In ``run_experiment``'s order: every footprint, the engine, then every
+    output directory, so a bad later subdirectory stops the command before
+    an earlier one has written a file.
+    """
+    for sub in subs:
+        _check_footprint(sub)
+    _loop()
+    for sub in subs:
+        if sub.outputs is not None:
+            prepare_output_dir(sub.outputs)
+
+
 def _check_distinct(field: str, values) -> None:
     """Refuse two values that would share an output subdirectory and row label.
 
@@ -375,7 +411,8 @@ def sweep(
     ``parameter`` selects the speaker reliability ("w") or the update rate
     ("h").  When the config has an output directory each value writes its
     full experiment into a subdirectory named after the value.  Every
-    value's config is built and checked before the first run.
+    value's config is built and checked, and its subdirectory made, before
+    the first run.
     """
     if not (isinstance(parameter, str) and parameter in _SWEEP_FIELDS):
         raise ConfigError("parameter must be one of 'w' or 'h'", "parameter")
@@ -386,6 +423,7 @@ def sweep(
         _subdir_config(_with_parameter(config, parameter, value), f"{parameter}_{value:g}")
         for value in values
     ]
+    _prepare(subs)
     return [
         SweepPoint(value, *_final_stats(sub)) for value, sub in zip(values, subs)
     ]
@@ -407,7 +445,8 @@ def compare_models(
 ) -> list[ModelComparison]:
     """Run both update rules across reliabilities and tabulate end states.
 
-    Every config is built and checked before the first run.
+    Every config is built and checked, and its subdirectory made, before
+    the first run.
     """
     ws = [_real(w, "reliability") for w in w_values]
     _check_distinct("reliability", ws)
@@ -419,6 +458,7 @@ def compare_models(
         for w in ws
         for model in (1, 2)
     ]
+    _prepare(subs)
     return [
         ModelComparison(w, *_final_stats(first), *_final_stats(second))
         for w, first, second in zip(ws, subs[::2], subs[1::2])
@@ -485,7 +525,8 @@ def validate_predictions(
     closed forms assume, and only the ordered schedule gives every agent
     exactly n-1 updates per timestep, so anything else is rejected; so is
     a per-agent reliability, since the target moments take one value.
-    Every rate's config is built and checked before the first run.
+    Every rate's config is built and checked, and its subdirectory made,
+    before the first run.
     """
     if config.game.model != 2:
         raise ConfigError("prediction validation requires model 2", "model")
@@ -504,6 +545,7 @@ def validate_predictions(
         _subdir_config(_with_parameter(config, "h", rate), f"h_{rate:g}")
         for rate in rates
     ]
+    _prepare(subs)
     rows = []
     for index, (rate, sub) in enumerate(zip(rates, subs)):
         result = run_experiment(sub)

@@ -55,6 +55,16 @@ def assert_usage_error(capsys, *argv):
     assert "expected at least one number" in capsys.readouterr().err
 
 
+def assert_refused_before_the_first_run(capsys, out, first, blocked, *argv):
+    """With a file where a later subdirectory goes, the command exits 3 before its first run writes a CSV."""
+    out.mkdir()
+    (out / blocked).write_text("")
+    assert run_cli(*argv, "--out", out) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("io error")
+    assert not list((out / first).glob("*.csv"))
+
+
 def parse_kv(text):
     out = {}
     for line in text.splitlines():
@@ -285,6 +295,12 @@ class TestSweep:
         assert "both format as 0.1" in captured.err and captured.out == ""
         assert not out.exists()
 
+    def test_a_bad_later_subdirectory_is_refused_before_the_first_run(self, base_cfg, tmp_path, capsys):
+        assert_refused_before_the_first_run(
+            capsys, tmp_path / "sw", "h_0.1", "h_0.2",
+            "sweep", "--config", base_cfg, "--param", "h", "--values", "0.1,0.2",
+        )
+
 
 class TestCompare:
     def test_reports_both_rules(self, base_cfg, tmp_path, capsys):
@@ -312,6 +328,12 @@ class TestCompare:
         captured = capsys.readouterr()
         assert "both format as 0.5" in captured.err and captured.out == ""
         assert not out.exists()
+
+    def test_a_bad_later_subdirectory_is_refused_before_the_first_run(self, base_cfg, tmp_path, capsys):
+        assert_refused_before_the_first_run(
+            capsys, tmp_path / "cmp", "model1_w_0.5", "model2_w_0.5",
+            "compare", "--config", base_cfg, "--w-values", "0.5,1.0",
+        )
 
 
 class TestValidate:
@@ -356,3 +378,9 @@ class TestValidate:
         captured = capsys.readouterr()
         assert "both format as 0.05" in captured.err and captured.out == ""
         assert not out.exists()
+
+    def test_a_bad_later_subdirectory_is_refused_before_the_first_run(self, model2_cfg, tmp_path, capsys):
+        assert_refused_before_the_first_run(
+            capsys, tmp_path / "val", "h_0.05", "h_0.02",
+            "validate", "--config", model2_cfg, "--h-values", "0.05,0.02", "--samples", 1000,
+        )

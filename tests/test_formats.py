@@ -7,14 +7,20 @@ own writer is never used to build an expectation, so a change to it that
 moves a byte fails here.
 """
 
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelgames.analysis import Environment, build_prediction
 from labelgames.cli import main
 from labelgames.config import load_config
 from labelgames.experiment import (
+    _CHUNK_LINES,
     ExperimentConfig,
+    _write_rows,
     compare_models,
     mix_seed,
     record_times,
@@ -140,3 +146,44 @@ def test_plot_series_are_rebuilt_from_the_library_results(command, tmp_path, cap
     assert sorted(p.name for p in out.iterdir() if p.suffix == ".dat") == sorted(files)
     for name, text in files.items():
         assert (out / name).read_text() == text, name
+
+
+# Float64 bit patterns a random draw seldom reaches: both zeros, both
+# infinities, NaN with and without its sign bit, the smallest and largest
+# subnormals and normals, and the neighbours of one.
+SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF,
+    0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x0010000000000000, 0x7FEFFFFFFFFFFFFF,
+    0x3FEFFFFFFFFFFFFF, 0x3FF0000000000000, 0x3FF0000000000001,
+]
+
+
+@st.composite
+def row_columns(draw):
+    """Equal-length int64 and float64 columns: drawn cells first, then seeded random bit patterns."""
+    rows = draw(st.sampled_from([0, 1, _CHUNK_LINES - 1, _CHUNK_LINES, _CHUNK_LINES + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from("if"), min_size=1, max_size=4)):
+        bits = rng.integers(0, 2**64, size=rows, dtype=np.uint64, endpoint=False)
+        if kind == "f":
+            cells = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1))
+        else:
+            cells = st.integers(0, 2**64 - 1)
+        head = draw(st.lists(cells, max_size=min(rows, 16)))
+        bits[: len(head)] = head
+        columns.append(bits.view(np.float64 if kind == "f" else np.int64))
+    return columns
+
+
+@settings(max_examples=60, deadline=None)
+@given(columns=row_columns(), sep=st.sampled_from([",", " "]))
+def test_the_writer_formats_each_cell_as_the_per_cell_rule_does(columns, sep):
+    """Every row as its cells by the per-cell rule joined by ``sep``, whatever the chunking; no rows write nothing."""
+    file = io.StringIO()
+    _write_rows(file, columns, sep)
+    cells = [[f"{v:.9g}" if isinstance(v, float) else str(v) for v in column.tolist()] for column in columns]
+    assert file.getvalue() == "".join(sep.join(row) + "\n" for row in zip(*cells))
+    if not len(columns[0]):
+        assert file.getvalue() == ""
