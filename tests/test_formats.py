@@ -166,7 +166,7 @@ def row_columns(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = []
     for kind in draw(st.lists(st.sampled_from("if"), min_size=1, max_size=4)):
-        bits = rng.integers(0, 2**64, size=rows, dtype=np.uint64, endpoint=False)
+        bits = rng.integers(0, 2**64, size=rows, dtype=np.uint64)
         if kind == "f":
             cells = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1))
         else:
