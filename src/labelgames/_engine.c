@@ -213,25 +213,39 @@ void play_run(uint64_t *generator, double *w, const double *rel, int32_t n, int 
     generator[5] = g.uinteger;
 }
 
-/* count uniforms into a, then count into b, as Generator.random fills them
-   one after the other: a from the state and b from a cursor jumped count
-   draws on, whose state is written back. */
-void draw_uniforms(uint64_t *generator, int64_t count, double *a, double *b)
+/* The Monte Carlo loops walk their count observations in blocks of BLOCK:
+   fill puts a block's uniforms in two arrays on the stack and returns its
+   size.  They are a and b's with a NULL generator, and otherwise drawn as
+   Generator.random would fill count into a and then count into b:
+   dimension one's through the caller's cursor, set to the state at the
+   first block, and dimension two's from count draws on, whose state is
+   written back after each block, the half-word left alone.  Every choice
+   in the loops is made on bits, by masks, so no branch depends on data. */
+static int fill(uint64_t *generator, u128 *one, int64_t count, const double *a, const double *b, int64_t i,
+                double *u1, double *u2)
 {
-    u128 one = (u128) generator[0] << 64 | generator[1], inc = (u128) generator[2] << 64 | generator[3];
-    u128 mult, plus;
-    jump((u128) count, inc, &mult, &plus);
-    u128 two = one * mult + plus;
-    for (int64_t i = 0; i < count; i++) {
-        a[i] = next_double(&one, inc);
-        b[i] = next_double(&two, inc);
+    int size = count - i < BLOCK ? (int) (count - i) : BLOCK;
+    if (!generator) {
+        memcpy(u1, a + i, (size_t) size * sizeof(double));
+        memcpy(u2, b + i, (size_t) size * sizeof(double));
+        return size;
+    }
+    u128 two = (u128) generator[0] << 64 | generator[1], inc = (u128) generator[2] << 64 | generator[3];
+    if (i == 0) {
+        u128 mult, plus;
+        jump((u128) count, inc, &mult, &plus);
+        *one = two;
+        two = two * mult + plus;
+    }
+    for (int d = 0; d < size; d++) {
+        u1[d] = next_double(one, inc);
+        u2[d] = next_double(&two, inc);
     }
     generator[0] = (uint64_t) (two >> 64);
     generator[1] = (uint64_t) two;
+    return size;
 }
 
-/* The Monte Carlo loops.  Every choice in them is made on bits, by masks,
-   so that no branch depends on the data. */
 typedef double pair __attribute__((vector_size(16)));
 typedef int64_t mask __attribute__((vector_size(16)));
 
@@ -255,29 +269,42 @@ static pair majority(pair u, const double *dim)
 /* What game._signed_targets does elementwise, two observations at a time:
    the majority signs, the target where the denominator is not zero,
    clipped as np.clip clips, so that a target of -0.0 stays -0.0.  The
-   usable observations' signed memberships and targets move to the front of
-   a, b and t, in order; returns their count. */
-int64_t mc_targets(int64_t count, const double *dims, double rel, double *a, double *b, double *t)
+   usable observations' targets move to the front of t and, unless a is
+   NULL, their signed memberships to the front of a and b, in order;
+   returns their count. */
+int64_t mc_targets(uint64_t *generator, int64_t count, const double *dims, double rel, double *a,
+                   double *b, double *t)
 {
+    u128 cursor;
     int64_t kept = 0;
     pair zero = {0, 0}, one = {1, 1};
-    for (int64_t i = 0; i < count; i += 2) {
-        int64_t j = i + (i + 1 < count);
-        pair m1 = majority((pair) {a[i], a[j]}, dims), m2 = majority((pair) {b[i], b[j]}, dims + 5);
-        pair denom = m1 - m2, target = (rel - m2) / denom;
-        mask usable = denom != 0;
-        target = pick(target < 0, zero, target);
-        target = pick(target > 1, one, target);
-        a[kept] = m1[0];
-        b[kept] = m2[0];
-        t[kept] = target[0];
-        kept -= usable[0];
-        if (j > i) {
-            a[kept] = m1[1];
-            b[kept] = m2[1];
-            t[kept] = target[1];
-            kept -= usable[1];
+    for (int64_t i = 0; i < count; i += BLOCK) {
+        double u1[BLOCK], u2[BLOCK];
+        int size = fill(generator, &cursor, count, a, b, i, u1, u2);
+        int64_t k = 0;
+        for (int d = 0; d < size; d += 2) {
+            int e = d + (d + 1 < size);
+            pair m1 = majority((pair) {u1[d], u1[e]}, dims), m2 = majority((pair) {u2[d], u2[e]}, dims + 5);
+            pair denom = m1 - m2, target = (rel - m2) / denom;
+            mask usable = denom != 0;
+            target = pick(target < 0, zero, target);
+            target = pick(target > 1, one, target);
+            u1[k] = m1[0];
+            u2[k] = m2[0];
+            t[kept + k] = target[0];
+            k -= usable[0];
+            if (e > d) {
+                u1[k] = m1[1];
+                u2[k] = m2[1];
+                t[kept + k] = target[1];
+                k -= usable[1];
+            }
         }
+        if (a) {
+            memcpy(a + kept, u1, (size_t) k * sizeof(double));
+            memcpy(b + kept, u2, (size_t) k * sizeof(double));
+        }
+        kept += k;
     }
     return kept;
 }
@@ -298,14 +325,19 @@ int64_t mc_select(int64_t count, double lam, double rel, const double *a, const 
 /* How many observations game.update_directions gives +1: bit k of up
    holds quadrant k's test, where k sets bit 0 for dimension one at least
    1/2 and bit 1 for dimension two. */
-int64_t mc_upward(int64_t count, const double *dims, const double *a, const double *b)
+int64_t mc_upward(uint64_t *generator, int64_t count, const double *dims, const double *a, const double *b)
 {
+    u128 cursor;
     int64_t hits = 0;
-    for (int64_t i = 0; i < count; i++) {
-        double x1 = a[i] * dims[1] + dims[0], x2 = b[i] * dims[6] + dims[5];
-        unsigned up = (x2 - x1 > 0) | (x1 + x2 - 1.0 > 0) << 1 | (1.0 - x1 - x2 > 0) << 2
-                      | (x1 - x2 > 0) << 3;
-        hits += up >> ((x1 >= 0.5) | (x2 >= 0.5) << 1) & 1;
+    for (int64_t i = 0; i < count; i += BLOCK) {
+        double u1[BLOCK], u2[BLOCK];
+        int size = fill(generator, &cursor, count, a, b, i, u1, u2);
+        for (int d = 0; d < size; d++) {
+            double x1 = u1[d] * dims[1] + dims[0], x2 = u2[d] * dims[6] + dims[5];
+            unsigned up = (x2 - x1 > 0) | (x1 + x2 - 1.0 > 0) << 1 | (1.0 - x1 - x2 > 0) << 2
+                          | (x1 - x2 > 0) << 3;
+            hits += up >> ((x1 >= 0.5) | (x2 >= 0.5) << 1) & 1;
+        }
     }
     return hits;
 }

@@ -20,11 +20,11 @@ a refused one raises ``ConfigError``, naming it, before any draw.
 The Monte Carlo estimators, ``positive_update_probability_mc`` and
 ``estimate_target_moments`` (and so ``build_prediction``), run in the
 engine's compiled library, ``engine._loop()``, which needs a C compiler.
-They step the generator's ``PCG64`` in C, drawing the uniforms
-``Environment.sample_batch`` would draw and handing the state back, so
-they refuse, as ``rng``, anything but a numpy ``Generator`` over
-``PCG64``; the per-observation work runs in C too, and the means,
-variances and counts are numpy's.  ``game.update_directions`` and
+Its loops step the generator's ``PCG64``, drawing the uniforms
+``sample_batch`` would a block at a time on the C stack, and do the
+per-observation work on each block, so the estimators refuse, as ``rng``,
+anything but a numpy ``Generator`` over ``PCG64``; the means, variances
+and counts are numpy's.  ``game.update_directions`` and
 ``game.batch_implied_weights`` stay as their numpy reference.  The exact
 share, the trajectories and the convergence counts need no compiler.
 """
@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _dims, _draw_uniforms, _generator, _loop, _mc_select, _mc_targets, _mc_upward, _physical_memory
+from .engine import _dims, _generator, _loop, _mc_select, _mc_targets, _mc_upward, _physical_memory
 from .game import ConfigError, _integer, _label_pair, _model, _real, update_directions  # noqa: F401
 from .labels import Label, canonical_label_pair
 
@@ -162,12 +162,12 @@ def positive_update_probability(env: Environment) -> float:
     return covered / env.area
 
 
-# Observations drawn at once by the Monte Carlo estimators.  Each chunk is
-# drawn dimension by dimension, so the sizes are part of their output.
+# Observations per call into the Monte Carlo loops.  Each call draws its
+# chunk dimension by dimension, so the sizes are part of their output.
 _MC_CHUNK = 1 << 20
 _MOMENTS_CHUNK = 1 << 19
-# Bytes model 1's target moments hold per sample, all at once: two
-# uniforms, which become the signed memberships, a target and a selected one.
+# Bytes model 1's target moments hold per sample, all at once: the two
+# signed memberships, the target and the selected target.
 _HELD_BYTES_PER_SAMPLE = 32
 
 
@@ -176,22 +176,6 @@ def _environment(env) -> Environment:
     if not isinstance(env, Environment):
         raise ConfigError(f"env must be an Environment, got {env!r}", "env")
     return env
-
-
-def _chunks(lib, rng: np.random.Generator, n_samples: int, chunk: int):
-    """Uniforms for ``n_samples`` observations, ``chunk`` at a time, as ``sample_batch`` draws them.
-
-    Yields each chunk's dimension-one and dimension-two uniforms, drawn in
-    that order into two buffers that the next chunk overwrites.  ``lib``'s
-    ``draw_uniforms`` steps ``rng``'s ``PCG64`` in C, drawing the bits
-    ``rng.random(out=)`` would draw, and hands its state back after each
-    chunk.
-    """
-    buffers = np.empty((2, min(chunk, n_samples)))
-    for done in range(0, n_samples, chunk):
-        a, b = buffers[:, : min(chunk, n_samples - done)]
-        _draw_uniforms(lib, rng, a, b)
-        yield a, b
 
 
 def positive_update_probability_mc(
@@ -203,13 +187,13 @@ def positive_update_probability_mc(
 
     Returns the estimate together with its binomial standard error, so a
     caller can check the analytic value against estimate +- 3 se.  The
-    observations are those ``sample_batch`` draws, and the compiled
-    ``mc_upward`` counts those ``update_directions`` gives +1.
+    compiled ``mc_upward`` draws, ``_MC_CHUNK`` per call, the observations
+    ``sample_batch`` would, and counts those ``update_directions`` gives +1.
     """
     env, n_samples, rng = _environment(env), _integer(n_samples, "n_samples", 1), _generator(rng)
     # mc_upward reads only the intervals from dims; the labels play no part.
     lib, dims = _loop(), _dims(canonical_label_pair(), env.intervals)
-    hits = sum(_mc_upward(lib, dims, a, b) for a, b in _chunks(lib, rng, n_samples, _MC_CHUNK))
+    hits = sum(_mc_upward(lib, rng, min(_MC_CHUNK, n_samples - done), dims) for done in range(0, n_samples, _MC_CHUNK))
     estimate = hits / n_samples
     se = math.sqrt(estimate * (1.0 - estimate) / n_samples)
     return estimate, se
@@ -228,13 +212,14 @@ class RunningMoments:
     mean: float = 0.0
     sum_sq_dev: float = 0.0
 
-    def update(self, values: np.ndarray) -> None:
+    def update(self, values: np.ndarray, out: np.ndarray | None = None) -> None:
+        """Fold in ``values``, whose deviations go to the front of ``out`` when it is given."""
         values = np.asarray(values, dtype=np.float64).ravel()
         count = values.size
         if count == 0:
             return
         mean = float(values.mean())
-        deviations = values - mean
+        deviations = np.subtract(values, mean, out=None if out is None else out[:count])
         np.square(deviations, out=deviations)
         sum_sq_dev = float(deviations.sum())
         if self.count == 0:
@@ -287,11 +272,13 @@ def estimate_target_moments(
 
     With the mismatch update rule (model 2) every observation with a
     defined target counts, and sampling streams through fixed-size chunks
-    so the sample count can be large.  With the threshold rule (model 1)
+    into one buffer of targets, so the sample count can be large.  With
+    the threshold rule (model 1)
     a listener only moves when the asserted compound already fits the
     observation at least as well as the speaker's reliability, and how
-    well it fits depends on the listener's own weight.  So the samples
-    are materialized once and conditioned on the resting weight, the
+    well it fits depends on the listener's own weight.  So the samples'
+    signed memberships and targets are kept, filled in one pass through
+    the compiled loop, and conditioned on the resting weight, the
     self-consistent population mean: lam <- mean of targets over samples
     that would update a listener holding lam, iterated from a neutral
     start of 0.5 until successive iterates differ by less than 1e-4 (or
@@ -314,23 +301,22 @@ def estimate_target_moments(
 
     moments = RunningMoments()
     if model == 2:
-        targets = np.empty(min(_MOMENTS_CHUNK, n_samples))
-        for a, b in _chunks(lib, rng, n_samples, _MOMENTS_CHUNK):
-            moments.update(targets[: _mc_targets(lib, dims, reliability, a, b, targets)])
+        targets, deviations = np.empty((2, min(_MOMENTS_CHUNK, n_samples)))
+        for done in range(0, n_samples, _MOMENTS_CHUNK):
+            kept = _mc_targets(lib, rng, min(_MOMENTS_CHUNK, n_samples - done), dims, reliability, None, None, targets)
+            moments.update(targets[:kept], deviations)
         if moments.count == 0:
             raise EstimationError(
                 "every sampled observation fit both labels equally well"
             )
     else:
-        (a, b), = _chunks(lib, rng, n_samples, n_samples)
-        targets = np.empty(n_samples)
-        kept = _mc_targets(lib, dims, reliability, a, b, targets)
+        a, b, targets, updating = np.empty((4, n_samples))
+        kept = _mc_targets(lib, rng, n_samples, dims, reliability, a, b, targets)
         if kept == 0:
             raise EstimationError(
                 "every sampled observation fit both labels equally well"
             )
         mu_first, mu_second, targets = a[:kept], b[:kept], targets[:kept]
-        updating = np.empty(kept)
 
         def select(resting: float) -> np.ndarray:
             """The targets at which a listener of weight ``resting`` updates."""
@@ -350,7 +336,7 @@ def estimate_target_moments(
             resting = revised
             if converged:
                 break
-        moments.update(select(resting))
+        moments.update(select(resting), targets)
     return TargetMoments(
         mean=moments.mean, variance=moments.variance, count=moments.count
     )

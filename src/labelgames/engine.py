@@ -6,11 +6,12 @@ would.  After each timestep's shuffle it walks the picks in blocks of
 256 dialogues, in two stages: first each dialogue's draws, speaker,
 listener and memberships into arrays on the C stack, then the block's
 dialogues through ``play_dialogues``, which also plays given dialogues
-for the tests' per-timestep path.  ``draw_uniforms`` draws the Monte
-Carlo estimators' uniforms as ``Generator.random`` would, and
-``mc_targets``, ``mc_select`` and ``mc_upward`` do their
-per-observation work.  Its comments say what each computes, and in
-which order.
+for the tests' per-timestep path.  ``mc_targets``, ``mc_select`` and
+``mc_upward`` do the Monte Carlo estimators' per-observation work;
+``mc_targets`` and ``mc_upward`` draw their own uniforms, as
+``Generator.random`` would, a block of 256 observations at a time into
+arrays on the C stack, or take them given, as the check and the tests
+do.  Its comments say what each computes, and in which order.
 
 ``_loop`` compiles the file on first use, caches the library under a hash
 of the source and the compile command, and checks it before each process
@@ -20,8 +21,9 @@ check fails, ``EngineError`` says so.
 
 Each exported function's types are declared once, in ``_SIGNATURES``, so
 that ctypes refuses, before C runs, an array of another dtype, a
-non-contiguous one, or a read-only one where C writes; each wrapper
-checks only shapes, lengths and lane ids.  ``_stepped`` hands C a
+non-contiguous one, or a read-only one where C writes, and passes each
+array as its bare address; each wrapper checks only shapes, lengths and
+lane ids.  ``_stepped`` hands C a
 generator's state and writes back what C leaves, and ``_generator``
 refuses, as ``rng``, anything but a numpy ``Generator`` over ``PCG64``.
 """
@@ -65,14 +67,32 @@ _COMPILE = ("cc", "-O2", "-shared", "-fPIC", "-ffp-contract=off", "-x", "c", "-"
 _CACHE = Path(__file__).resolve().parent / "__pycache__"
 
 
-def _array(dtype, *flags: str):
-    """The argument type of a C-contiguous array of ``dtype`` with ``flags``."""
-    return np.ctypeslib.ndpointer(dtype, flags=("C_CONTIGUOUS", *flags))
+class _Array:
+    """The argument type of a C-contiguous array of ``dtype``, writable where C writes.
+
+    Its ``from_param`` refuses anything else, as ctypes asks, and passes
+    the array's address; None passes as NULL where ``nullable``.
+    """
+
+    def __init__(self, dtype, writable: bool = False, nullable: bool = False):
+        self.dtype, self.writable, self.nullable = np.dtype(dtype), writable, nullable
+
+    def from_param(self, obj):
+        if obj is None and self.nullable:
+            return None
+        if not (isinstance(obj, np.ndarray) and obj.dtype == self.dtype and obj.flags.c_contiguous
+                and (obj.flags.writeable or not self.writable)):
+            raise TypeError(f"a C-contiguous{' writable' * self.writable} {self.dtype} array is needed")
+        return ctypes.c_void_p(obj.ctypes.data)
 
 
-_IN, _OUT = _array(np.float64), _array(np.float64, "WRITEABLE")
-_IDS, _WORDS = _array(np.int32), _array(np.uint64, "WRITEABLE")
+_IN, _OUT = _Array(np.float64), _Array(np.float64, writable=True)
+_IDS, _WORDS = _Array(np.int32), _Array(np.uint64, writable=True)
 _COUNT, _REAL, _INT = ctypes.c_int64, ctypes.c_double, ctypes.c_int
+# The Monte Carlo loops' generator, NULL where the uniforms are given, and
+# their uniforms and memberships, NULL where they draw or keep none.
+_DRAWS = _Array(np.uint64, writable=True, nullable=True)
+_GIVEN, _KEPT = _Array(np.float64, nullable=True), _Array(np.float64, writable=True, nullable=True)
 
 # Each exported function's result and argument types, in its prototype's
 # order; an array is writable exactly where the prototype is not const.
@@ -80,12 +100,11 @@ _SIGNATURES = {
     "play_dialogues": (None, (_OUT, _IN, _IN, _IN, _IDS, _IDS, _COUNT, _REAL, _INT)),
     "play_run": (None, (
         _WORDS, _OUT, _IN, ctypes.c_int32, _INT, _IN, _REAL, _INT,
-        _array(np.int32, "WRITEABLE"), _COUNT, _array(np.int64), _COUNT, _OUT,
+        _Array(np.int32, writable=True), _COUNT, _Array(np.int64), _COUNT, _OUT,
     )),
-    "draw_uniforms": (None, (_WORDS, _COUNT, _OUT, _OUT)),
-    "mc_targets": (_COUNT, (_COUNT, _IN, _REAL, _OUT, _OUT, _OUT)),
+    "mc_targets": (_COUNT, (_DRAWS, _COUNT, _IN, _REAL, _KEPT, _KEPT, _OUT)),
     "mc_select": (_COUNT, (_COUNT, _REAL, _REAL, _IN, _IN, _IN, _OUT)),
-    "mc_upward": (_COUNT, (_COUNT, _IN, _IN, _IN)),
+    "mc_upward": (_COUNT, (_DRAWS, _COUNT, _IN, _GIVEN, _GIVEN)),
 }
 
 # Bytes one run's timestep holds per dialogue at its peak: the picks; the
@@ -164,15 +183,24 @@ def _play(play, w, rels, m1, m2, speakers, listeners, rate, model) -> None:
     play(w, rels, m1, m2, speakers, listeners, count, rate, model)
 
 
-def _mc_targets(lib, dims, reliability: float, a, b, t) -> int:
-    """``lib``'s ``mc_targets`` on the uniforms ``a`` and ``b``: the usable count.
+def _drawing(rng, count: int, dims, a, b, *outputs):
+    """``_stepped(rng)``, or none where ``a`` and ``b`` hold the uniforms, once the arguments fit ``count``."""
+    if dims.shape != (2, 5) or rng is None and (a is None or b is None):
+        raise ValueError("2 x 5 dims, and the uniforms where no generator draws them, are needed")
+    if not all(x is None or x.ndim == 1 and x.size >= count for x in (a, b, *outputs)):
+        raise ValueError(f"flat arrays of at least {count} entries are needed")
+    return contextlib.nullcontext() if rng is None else _stepped(rng)
 
-    The usable observations' signed memberships overwrite the front of
-    ``a`` and ``b``, and their targets that of ``t``, in draw order.
+
+def _mc_targets(lib, rng, count: int, dims, reliability: float, a, b, t) -> int:
+    """``lib``'s ``mc_targets`` on ``count`` of ``rng``'s next uniforms, or, with no ``rng``, on ``a`` and ``b``.
+
+    Returns the usable count; their targets go to the front of ``t`` and,
+    unless ``a`` is None, their signed memberships to that of ``a`` and
+    ``b``, in draw order.
     """
-    if not (a.shape == b.shape == (a.size,) and t.size >= a.size and dims.shape == (2, 5)):
-        raise ValueError("two uniforms per observation, a target slot each and 2 x 5 dims are needed")
-    return lib.mc_targets(a.size, dims, reliability, a, b, t)
+    with _drawing(rng, count, dims, a, b, t) as generator:
+        return lib.mc_targets(generator, count, dims, reliability, a, b, t)
 
 
 def _mc_select(lib, resting: float, reliability: float, a, b, t, out) -> int:
@@ -182,11 +210,10 @@ def _mc_select(lib, resting: float, reliability: float, a, b, t, out) -> int:
     return lib.mc_select(a.size, resting, reliability, a, b, t, out)
 
 
-def _mc_upward(lib, dims, a, b) -> int:
-    """``lib``'s ``mc_upward``: how many observations drawn as the uniforms ``a`` and ``b`` pull upward."""
-    if not (a.shape == b.shape == (a.size,) and dims.shape == (2, 5)):
-        raise ValueError("two uniforms per observation and 2 x 5 dims are needed")
-    return lib.mc_upward(a.size, dims, a, b)
+def _mc_upward(lib, rng, count: int, dims, a=None, b=None) -> int:
+    """``lib``'s ``mc_upward``: how many of ``count`` observations, drawn as ``_mc_targets`` draws them, pull upward."""
+    with _drawing(rng, count, dims, a, b) as generator:
+        return lib.mc_upward(generator, count, dims, a, b)
 
 
 def _check(lib, path: Path) -> None:
@@ -200,9 +227,8 @@ def _check(lib, path: Path) -> None:
     extended precision, or one that breaks ties or clamps otherwise, gives
     other bits.  The batch is played through ``_dialogue`` itself, not
     ``game._apply_sequential``, whose calls the benchmark's tracer counts
-    as engine fallbacks.  Its ``play_run`` then plays ``_check_runs``, its
-    ``draw_uniforms`` ``_check_draws``, and its Monte Carlo loops
-    ``_check_estimators``.
+    as engine fallbacks.  Its ``play_run`` then plays ``_check_runs``, and
+    its Monte Carlo loops ``_check_estimators``.
     """
     edges = (0.0, 5e-324, 1e-17, 0.5, 1.0 - 2.0**-53, 1.0)
     memberships = (0.0, 0.3, 0.5, 0.7, 1.0)
@@ -220,7 +246,7 @@ def _check(lib, path: Path) -> None:
                 want[2 * d + 1] = wl + rate * (target - wl)
         _play(lib.play_dialogues, got, np.repeat(rel, 2), m1, m2, speakers, speakers + 1, rate, model)
         agree = agree and got.tobytes() == want.tobytes()
-    if not (agree and _check_runs(lib.play_run) and _check_draws(lib) and _check_estimators(lib)):
+    if not (agree and _check_runs(lib.play_run) and _check_estimators(lib)):
         raise EngineError(f"the dialogue loop in {path} disagrees with the reference; remove it to rebuild")
 
 
@@ -264,62 +290,48 @@ def _check_runs(run) -> bool:
     return True
 
 
-def _check_draws(lib) -> bool:
-    """Whether ``lib``'s ``draw_uniforms`` draws as ``Generator.random`` does.
-
-    From a generator holding a spare half-word, 1 and then 7 uniforms
-    into each of two buffers; the uniforms and the generator's whole state
-    afterwards must equal those of a twin that calls ``random`` twice per
-    count.
-    """
-    rng, replay = np.random.default_rng(11), np.random.default_rng(11)
-    for generator in (rng, replay):
-        generator.integers(10, dtype=np.uint32)  # leaves a half-word pending
-    for count in (1, 7):
-        a, b = np.empty((2, count))
-        _draw_uniforms(lib, rng, a, b)
-        if a.tobytes() + b.tobytes() != replay.random(count).tobytes() + replay.random(count).tobytes():
-            return False
-    return rng.bit_generator.state == replay.bit_generator.state
-
-
 def _check_estimators(lib) -> bool:
-    """Whether ``lib``'s Monte Carlo loops give the numpy reference's bytes on a fixed grid.
+    """Whether ``lib``'s Monte Carlo loops give the numpy reference's bytes.
 
-    Every pair of eight uniforms, through 0, 1/2 and next to 1, in two
-    boxes: the unit square under ``_CHECK_LABELS`` at reliability 0.7,
-    where each uniform is its observation, and a box off the square's
-    edges under the canonical labels at reliability 1.  The grid holds
-    memberships that tie, targets of -0.0 and clips at both ends, and
-    observations on the quadrant lines and the diagonals.  The targets and
-    signed memberships must equal ``batch_implied_weights``' usable ones,
-    the selection those of a listener at weight 0 in the square, some of
-    whose compounds fit exactly as well as the reliability, and at weight
-    0.3 in the other box, and the upward count that of
-    ``update_directions``.
+    In two boxes: the unit square under ``_CHECK_LABELS`` at reliability
+    0.7, where each uniform is its observation, and a box off the square's
+    edges under the canonical labels at reliability 1.  The loops are
+    given every pair of eight uniforms, through 0, 1/2 and next to 1
+    (ties, targets of -0.0, clips at both ends, observations on the
+    quadrant lines and the diagonals), and then draw 513 observations,
+    past two blocks, from a generator with a spare half-word, which must
+    draw and end as a twin's ``Generator.random``.  The targets and signed
+    memberships must equal ``batch_implied_weights``' usable ones, the
+    selection those of a listener at weight 0 in the square, where some
+    compounds fit exactly as well as the reliability, and at 0.3 in the
+    other box, and the upward count that of ``update_directions``.
     """
     grid = np.array([0.0, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8, 1.0 - 2.0**-53])
-    uniforms = np.array(np.meshgrid(grid, grid)).reshape(2, -1)
     boxes = (
         (_CHECK_LABELS, ((0.0, 1.0), (0.0, 1.0)), 0.7, 0.0),
         (canonical_label_pair(), ((0.1, 0.9), (0.05, 0.6)), 1.0, 0.3),
     )
-    for labels, intervals, rel, resting in boxes:
-        dims = _dims(labels, intervals)
+    upward, targeted, replay = (np.random.default_rng(11) for _ in range(3))
+    for generator in (upward, targeted, replay):
+        generator.integers(10, dtype=np.uint32)  # leaves a half-word pending
+    for (labels, intervals, rel, resting), drawn in itertools.product(boxes, (False, True)):
+        uniforms = replay.random((2, 513)) if drawn else np.array(np.meshgrid(grid, grid)).reshape(2, -1)
+        dims, count = _dims(labels, intervals), uniforms.shape[1]
         xs = (uniforms * dims[:, 1:2] + dims[:, :1]).T
         targets, usable, m1, m2 = batch_implied_weights(labels, xs, rel)
         updating = usable & (resting * m1 + (1.0 - resting) * m2 <= rel)
-        a, b = uniforms.copy()
-        t, out = np.empty((2, a.size))
-        if _mc_upward(lib, dims, a, b) != np.count_nonzero(update_directions(xs) > 0):
+        a, b = np.empty((2, count)) if drawn else uniforms.copy()
+        t, out = np.empty((2, count))
+        hits = _mc_upward(lib, upward, count, dims) if drawn else _mc_upward(lib, None, count, dims, a, b)
+        if hits != np.count_nonzero(update_directions(xs) > 0):
             return False
-        kept = _mc_targets(lib, dims, rel, a, b, t)
-        count = _mc_select(lib, resting, rel, a[:kept], b[:kept], t[:kept], out)
-        got = (t[:kept], a[:kept], b[:kept], out[:count])
+        kept = _mc_targets(lib, targeted if drawn else None, count, dims, rel, a, b, t)
+        selected = _mc_select(lib, resting, rel, a[:kept], b[:kept], t[:kept], out)
+        got = (t[:kept], a[:kept], b[:kept], out[:selected])
         want = (targets[usable], m1[usable], m2[usable], targets[updating])
         if any(g.tobytes() != w.tobytes() for g, w in zip(got, want)):
             return False
-    return True
+    return upward.bit_generator.state == targeted.bit_generator.state == replay.bit_generator.state
 
 
 def _replay_run(config: GameConfig, intervals, rng, times):
@@ -376,14 +388,6 @@ def _stepped(rng):
         high, low, _, _, state["has_uint32"], state["uinteger"] = words.tolist()
         pcg["state"] = high << 64 | low
         bits.state = state
-
-
-def _draw_uniforms(lib, rng, a, b) -> None:
-    """Fill ``a``, then ``b``, with ``rng``'s next uniforms, as ``rng.random(out=)`` would, in C."""
-    if not a.shape == b.shape == (a.size,):
-        raise ValueError("two buffers of one uniform per observation are needed")
-    with _stepped(rng) as generator:
-        lib.draw_uniforms(generator, a.size, a, b)
 
 
 def _dims(labels, intervals) -> np.ndarray:

@@ -200,6 +200,11 @@ class TestRunningMoments:
         assert acc.mean.hex() == float(values.mean()).hex()
         assert acc.sum_sq_dev.hex() == float(np.square(values - values.mean()).sum()).hex()
         assert values.tobytes() == given.tobytes()  # the batch itself is left alone
+        # Deviations written into a longer buffer the caller passes, off
+        # its alignment, give the same bits.
+        into = RunningMoments()
+        into.update(values, np.empty(size + 3)[1:])
+        assert (into.mean.hex(), into.sum_sq_dev.hex()) == (acc.mean.hex(), acc.sum_sq_dev.hex())
 
     def test_small_counts(self):
         acc = RunningMoments()

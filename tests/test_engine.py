@@ -2,7 +2,8 @@
 
 Every wrapper around a library function refuses, before C runs, arrays
 of another dtype, non-contiguous views, read-only outputs and lengths
-that disagree, leaving its buffers and its generator as they were.  A
+that disagree, leaving its buffers and its generator as they were;
+every export has one signature, and calls leave no reference cycles.  A
 driver that includes ``_engine.c`` checks the static functions at their
 limits against Python integers and numpy's ``PCG64``, and the whole
 library is run once built with UBSan and once with ASan.  Builds at
@@ -11,6 +12,7 @@ multiply-adds is refused.
 """
 
 import ctypes
+import gc
 import itertools
 import os
 import subprocess
@@ -64,7 +66,7 @@ def wrapper_call(name: str, rng):
         spoils = {"float32": "m1", "strided": "rels", "read-only": "w", "short": "listeners"}
     elif name == "mc_targets":
         arrays = dict(a=u[0].copy(), b=u[1].copy(), t=u[2].copy())
-        call = lambda a: engine._mc_targets(lib, dims, 0.7, *a.values())
+        call = lambda a: engine._mc_targets(lib, None, 6, dims, 0.7, *a.values())
         spoils = {"float32": "a", "strided": "b", "read-only": "t", "short": "b"}
     elif name == "mc_select":
         arrays = dict(a=u[0].copy(), b=u[1].copy(), t=u[2].copy(), out=u[3].copy())
@@ -73,12 +75,13 @@ def wrapper_call(name: str, rng):
     elif name == "mc_upward":
         # mc_upward writes nothing, so it has no output to spoil.
         arrays = dict(a=u[0].copy(), b=u[1].copy())
-        call = lambda a: engine._mc_upward(lib, dims, *a.values())
+        call = lambda a: engine._mc_upward(lib, None, 6, dims, *a.values())
         spoils = {"float32": "a", "strided": "b", "short": "b"}
-    elif name == "draw_uniforms":
-        arrays = dict(a=u[0].copy(), b=u[1].copy())
-        call = lambda a: engine._draw_uniforms(lib, rng, *a.values())
-        spoils = {"float32": "a", "strided": "b", "read-only": "a", "short": "b"}
+    elif name == "drawn_targets":
+        # Drawing, mc_targets writes the memberships and targets of draws.
+        arrays = dict(a=u[0].copy(), b=u[1].copy(), t=u[2].copy())
+        call = lambda a: engine._mc_targets(lib, rng, 6, dims, 0.7, *a.values())
+        spoils = {"float32": "a", "strided": "b", "read-only": "a", "short": "t"}
     else:
         config = GameConfig(n_agents=6, timesteps=2)
         player = engine._RunPlayer(lib.play_run, config, UNIT_BOX, 2)
@@ -88,7 +91,7 @@ def wrapper_call(name: str, rng):
     return call, arrays, spoils
 
 
-WRAPPERS = ("play", "mc_targets", "mc_select", "mc_upward", "draw_uniforms", "run_player")
+WRAPPERS = ("play", "mc_targets", "mc_select", "mc_upward", "drawn_targets", "run_player")
 CASES = [
     (name, spoil)
     for name in WRAPPERS
@@ -115,17 +118,47 @@ def test_a_wrapper_refuses_before_c_runs(name, spoil):
     assert rng.bit_generator.state == before
 
 
+def test_the_loops_refuse_to_run_with_neither_a_generator_nor_uniforms():
+    lib = engine._loop()
+    dims = engine._dims(canonical_label_pair(), UNIT_BOX)
+    with pytest.raises(ValueError):
+        engine._mc_upward(lib, None, 6, dims)
+    with pytest.raises(ValueError):
+        engine._mc_targets(lib, None, 6, dims, 0.7, None, None, np.empty(6))
+
+
 def test_read_only_inputs_are_taken_where_the_prototype_is_const():
     lib = engine._loop()
     dims = engine._dims(canonical_label_pair(), UNIT_BOX)
     a, b, t = np.random.default_rng(4).random((3, 6))
     for array in (dims, a, b, t):
         array.flags.writeable = False
-    assert engine._mc_upward(lib, dims, a, b) == engine._mc_upward(lib, dims, a.copy(), b.copy())
+    assert engine._mc_upward(lib, None, 6, dims, a, b) == engine._mc_upward(lib, None, 6, dims, a.copy(), b.copy())
     out, twin = np.zeros((2, 6))
     count = engine._mc_select(lib, 0.3, 0.7, a, b, t, out)
     assert count == engine._mc_select(lib, 0.3, 0.7, a.copy(), b.copy(), t.copy(), twin)
     assert out.tobytes() == twin.tobytes()
+
+
+def test_every_export_has_a_signature_and_every_signature_an_export():
+    done = subprocess.run(("nm", "-D", "--defined-only", engine._loop()._name), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    exported = {name for _, kind, name in map(str.split, done.stdout.splitlines()) if kind == "T"}
+    assert exported == set(engine._SIGNATURES)
+
+
+def test_calls_into_c_leave_no_cycles_for_the_collector():
+    # Each array crosses as its bare address, so 500 runs' calls leave the
+    # cyclic collector nothing to find.
+    config = ExperimentConfig(game=GameConfig(n_agents=2, timesteps=1), runs=500)
+    run_experiment(config)
+    gc.collect()
+    gc.disable()
+    try:
+        run_experiment(config)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.fixture(scope="module")
@@ -248,12 +281,14 @@ def test_play_run_inlines_the_decode(tmp_path):
 # A child that builds the library with the sanitizer flags it is given
 # into its own cache and runs the check, per schedule a tiny experiment
 # and a 24-agent run, whose timesteps fill whole blocks of dialogues and
-# end in a partial one, and the target moments under both models.  A
-# report aborts it.
+# end in a partial one, and the target moments under both models and the
+# upward count, each drawing whole blocks of observations and a partial
+# one.  A report aborts it.
 SANITIZED_CHILD = """
 import pathlib, sys
+import numpy as np
 from labelgames import engine
-from labelgames.analysis import Environment, estimate_target_moments
+from labelgames.analysis import Environment, estimate_target_moments, positive_update_probability_mc
 from labelgames.experiment import ExperimentConfig, run_experiment
 from labelgames.game import GameConfig
 
@@ -267,6 +302,7 @@ for schedule in ("ordered", "unordered"):
 env = Environment(((0.1, 0.9), (0.0, 0.5)))
 for model in (1, 2):
     estimate_target_moments(env, model=model, n_samples=3000)
+positive_update_probability_mc(env, 3001, np.random.default_rng(0))
 """
 
 

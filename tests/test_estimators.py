@@ -9,8 +9,9 @@ scales, threshold widths other than 1) and reliabilities through 0 and
 1; fixed edge points add ties, targets of -0.0, clips at both ends and
 observations on the quadrant lines and diagonals.  The estimators built
 on the loops must equal the numpy code they replaced, chunk boundaries
-included, and leave the generator, which they step in C, in the whole
-state numpy's draws would, its spare half-word included.
+and the loops' block edges included, and leave the generator, which the
+loops step in C, in the whole state numpy's draws would, its spare
+half-word included.
 """
 
 import numpy as np
@@ -54,9 +55,9 @@ def assert_loops_match(labels, intervals, rel, resting, a, b):
     updating = usable & (resting * m1 + (1.0 - resting) * m2 <= rel)
     lib, dims = engine._loop(), engine._dims(labels, intervals)
 
-    assert engine._mc_upward(lib, dims, a, b) == np.count_nonzero(update_directions(xs) > 0)
+    assert engine._mc_upward(lib, None, a.size, dims, a, b) == np.count_nonzero(update_directions(xs) > 0)
     t, out = np.empty((2, a.size))
-    kept = engine._mc_targets(lib, dims, rel, a, b, t)
+    kept = engine._mc_targets(lib, None, a.size, dims, rel, a, b, t)
     assert t[:kept].tobytes() == targets[usable].tobytes()
     assert a[:kept].tobytes() == m1[usable].tobytes()
     assert b[:kept].tobytes() == m2[usable].tobytes()
@@ -197,14 +198,27 @@ def assert_estimators_match(env, rel, model, n_samples, labels, seed):
     rel=reliability,
     model=st.sampled_from([1, 2]),
     n_samples=st.integers(1, 700),
+    chunk=st.sampled_from([64, 300]),
     seed=st.integers(0, 2**32),
 )
-def test_estimators_match_the_numpy_code_they_replace(intervals, labels, rel, model, n_samples, seed):
-    # Chunks of 64 observations, so most draws span several.
+def test_estimators_match_the_numpy_code_they_replace(intervals, labels, rel, model, n_samples, chunk, seed):
+    # Chunks of 64 observations, below one block of 256, so most draws
+    # span several chunks, or of 300, so a chunk crosses a block's edge.
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "_MOMENTS_CHUNK", 64)
-        patch.setattr(analysis, "_MC_CHUNK", 64)
+        patch.setattr(analysis, "_MOMENTS_CHUNK", chunk)
+        patch.setattr(analysis, "_MC_CHUNK", chunk)
         assert_estimators_match(Environment(intervals), rel, model, n_samples, labels, seed)
+
+
+@pytest.mark.parametrize("count", [255, 256, 257, 513])
+def test_the_loops_and_estimators_match_across_block_edges(count):
+    # Counts about and past whole blocks of 256 observations, in one chunk;
+    # the odd ones end mc_targets on a single observation.  The loops are
+    # given the uniforms, then the estimators draw them.
+    env = Environment(((0.1, 0.9), (0.05, 0.6)))
+    assert_loops_match(CANONICAL, env.intervals, 0.9, 0.3, *np.random.default_rng(count).random((2, count)))
+    for model in (1, 2):
+        assert_estimators_match(env, 0.9, model, count, CANONICAL, count)
 
 
 @pytest.mark.parametrize("model", [1, 2])

@@ -73,19 +73,21 @@ def swapped(source: str, a: str, b: str) -> str:
     ("? count - d0 :", "? count - d0 - 1 :"),  # the last, partial block one dialogue short
     ("pick(target < 0, zero, target)", "pick(target > 0, target, zero)"),  # a target of -0.0 becomes 0.0
     ("pick(target > 1, one, target);", "target;"),  # no clip of targets at 1
-    ("{a[i], a[j]}", "{b[i], b[j]}", "swap"),  # each dimension's uniforms under the other's label
+    ("{u1[d], u1[e]}", "{u2[d], u2[e]}", "swap"),  # each dimension's uniforms under the other's label
     ("(x1 - x2 > 0) << 3", "(x1 - x2 >= 0) << 3"),  # the diagonal counted as upward
     ("(1.0 - lam) * b[i] <= rel", "(1.0 - lam) * b[i] < rel"),  # a listener that fits exactly stays
     ("jump((u128) count, inc", "jump((u128) count - 1, inc"),  # the estimators' b one draw early
-    ("next_double(&one, inc)", "next_double(&two, inc)", "swap"),  # the estimators' a and b swapped
+    ("next_double(one, inc)", "next_double(&two, inc)", "swap"),  # the estimators' a and b swapped
     ("generator[1] = (uint64_t) two;\n", ""),  # only the high half of the estimators' state handed back
+    ("? (int) (count - i) :", "? (int) (count - i) - 1 :"),  # the estimators' last, partial block one short
+    ("t[kept + k]", "t[k]"),  # each block's targets written over the first block's
 ], ids=[
     "ties-last", "no-lower-clamp", "no-upper-clamp", "shuffle", "uniforms-swapped",
     "coin-roles-flipped", "jump-off-by-one", "half-word-dropped", "multiplier-digit", "ordered-decode", "unordered-decode", "recording-shifted",
     "block-tail",
     "targets-lose-negative-zero", "targets-unclipped-at-one", "targets-dimensions-swapped",
     "upward-counts-the-diagonal", "select-strict",
-    "draws-cursor-early", "draws-swapped", "draws-state-half-written",
+    "draws-cursor-early", "draws-swapped", "draws-state-half-written", "draws-block-tail", "targets-block-offset",
 ])
 def test_the_check_refuses_a_loop_built_from_altered_source(cache, monkeypatch, edit):
     if edit[-1] == "swap":
