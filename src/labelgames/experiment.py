@@ -3,20 +3,24 @@
 A single experiment repeats the same game configuration across independent
 runs, each seeded by mixing a master seed with the run id, records the
 population mean and cross-agent standard deviation of the weights over
-time, and aggregates across runs.  The runs play one after another, each
-in one C call (``engine._RunPlayer``, around ``play_run``) per block of
-recorded timesteps: the kernel steps the run's own ``PCG64`` generator
-in C, drawing every timestep's schedule and observations as a Python run
-would draw them, plays the dialogues and copies the weights out at each
-recorded timestep.  Each block of snapshots is reduced to its
-statistics, straight into the run-by-time tables of means and sds, before
-the next block or run, so memory holds one run's shuffled pairs, 4 bytes
-per dialogue, one block, the tables and every run's final weights.  The
+time, and aggregates across runs.  The runs play on up to one worker per
+CPU the process may use: each worker takes the next run and plays it in
+one C call (``engine._RunPlayer``, around ``play_run``) per block of
+recorded timesteps, and ctypes releases the GIL for each call, so the
+workers' runs play at once.  The kernel steps the run's own ``PCG64``
+generator in C, drawing every timestep's schedule and observations as a
+Python run would draw them, plays the dialogues and copies the weights
+out at each recorded timestep.  Each block of snapshots is reduced to
+its statistics, straight into the run's rows of the run-by-time tables
+of means and sds, before the worker's next block or run, so memory holds
+per worker one run's shuffled pairs, 4 bytes per dialogue, and one
+block, and beside them the tables and every run's final weights.  The
 result is those tables, and the CSV files are formatted from their rows a
 chunk of lines at a time, so writing them takes no more memory.  The
 test suite checks every run's rows bit for bit against a scalar
-specification of the whole run.  Identical configuration and master
-seed give byte-identical output files.
+specification of the whole run, and against the same experiment played
+on other numbers of workers.  Identical configuration and master seed
+give byte-identical output files.
 ``ExperimentConfig`` checks its values, and that each label's space
 contains its dimension's interval, on construction.  A configuration
 whose experiment cannot fit in physical memory is refused before anything
@@ -31,6 +35,7 @@ re-run the experiment with one field changed and tabulate the results.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -174,32 +179,58 @@ def _block_rows(config: ExperimentConfig) -> int:
     return max(1, min(_recorded(config), _BLOCK_ROWS, _BLOCK_BYTES // (8 * config.game.n_agents)))
 
 
-def _run_stacked(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every run played one after another, each in one C call per block of recorded times.
+def _play_runs(config: ExperimentConfig, workers: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every run played by one of ``workers``, each run in one C call per block of recorded times.
 
     Run r draws from a generator seeded with mix_seed(master_seed, r): its
     initial state, then, inside ``play_run``, every timestep's schedule and
     observations.  The kernel snapshots the weights at each recorded time,
     and each block of snapshots is reduced by ``_population_stats`` into
     row r of the (runs, recorded) mean and sd tables before the next block.
-    Returns the recorded times, both tables and the final weights by run.
+    Each worker owns a ``_RunPlayer`` and takes the next run until none is
+    left; the calling thread is the first worker, and one thread is
+    started for each other.  The first exception a worker raises stops
+    every worker from taking another run, and is raised again once all
+    have stopped; each worker finishes the run it holds.  Returns the
+    recorded times, both tables and the final weights by run.
     """
     game = config.game
     times = record_times(game.timesteps, config.record_every)
     rows = _block_rows(config)
-    player = _RunPlayer(_loop().play_run, game, config.env.intervals, rows)
+    play_run = _loop().play_run
     means, sds = np.empty((config.runs, times.size)), np.empty((config.runs, times.size))
     finals = np.empty((config.runs, game.n_agents))
-    for r in range(config.runs):
-        rng = np.random.default_rng(mix_seed(config.master_seed, r))
-        weights, rels = _initial_state(game, rng)
-        played = 0
-        for start in range(0, times.size, rows):
-            block = times[start : start + rows]
-            stats = _population_stats(player(rng, weights, rels, played, block))
-            means[r, start : start + rows], sds[r, start : start + rows] = stats
-            played = int(block[-1])
-        finals[r] = weights
+    runs, failures, lock = iter(range(config.runs)), [], threading.Lock()
+
+    def work() -> None:
+        try:
+            player = _RunPlayer(play_run, game, config.env.intervals, rows)
+            while True:
+                with lock:
+                    r = None if failures else next(runs, None)
+                if r is None:
+                    return
+                rng = np.random.default_rng(mix_seed(config.master_seed, r))
+                weights, rels = _initial_state(game, rng)
+                played = 0
+                for start in range(0, times.size, rows):
+                    block = times[start : start + rows]
+                    stats = _population_stats(player(rng, weights, rels, played, block))
+                    means[r, start : start + rows], sds[r, start : start + rows] = stats
+                    played = int(block[-1])
+                finals[r] = weights
+        except BaseException as err:
+            with lock:
+                failures.append(err)
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if failures:
+        raise failures[0]
     return times, means, sds, finals
 
 
@@ -283,38 +314,51 @@ class FootprintError(ConfigError):
     """A configuration whose experiment cannot fit in physical memory."""
 
 
-# Bytes an experiment keeps beyond one run's timestep, with or without its
-# files (written a chunk at a time): per run and recorded timestep (the mean
+# Bytes an experiment keeps beyond its workers' timesteps, with or without
+# its files (written a chunk at a time): per run and recorded timestep (the mean
 # and sd tables, and one temporary as large as one of them: np.std's for the
 # aggregate or validate_predictions' squared sds), per run (Python's
 # transient objects while the runs play and their files are written), per
 # run and agent (the final weight) and per recorded timestep (the aggregate,
 # the predicted curves).  The largest tracemalloc peaks of run_experiment,
 # with and without outputs, and of validate_predictions, at 2-200 agents,
-# 1-20,000 runs and 2-400,001 recorded timesteps, plus a quarter.
+# 1-20,000 runs and 2-400,001 recorded timesteps, plus a quarter; they
+# still hold with two workers' timesteps counted.
 _KEPT_BYTES = (31, 55, 11, 94)
 
 
-def _check_footprint(config: ExperimentConfig) -> None:
-    """Refuse a configuration whose experiment would not fit in physical memory.
+def _cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the system keeps one, else every CPU."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
-    Runs play one after another, each holding one timestep's draws at
+
+def _check_footprint(config: ExperimentConfig) -> int:
+    """The number of workers to play the runs on; refuses an experiment that would not fit in physical memory.
+
+    Each worker plays one run at a time, holding one timestep's draws at
     about ``_STACK_BYTES_PER_DIALOGUE`` bytes per dialogue, one block of
     weight snapshots and the same again for ``_population_stats``' standard
-    deviation, beside every run's series and final weights.
-    Raises FootprintError when that exceeds the machine's physical memory.
+    deviation, beside every run's series and final weights, which the
+    workers share.  There is one worker per CPU the process may use (see
+    ``_cpus``), but no more than runs, and no more than fit in physical
+    memory.  Raises FootprintError when one worker does not fit.
     """
     game, runs, recorded = config.game, config.runs, _recorded(config)
     per_record, per_run, per_agent, per_time = _KEPT_BYTES
     dialogues = dialogues_per_timestep(game.n_agents, game.schedule)
-    need = dialogues * _STACK_BYTES_PER_DIALOGUE + 2 * _block_rows(config) * game.n_agents * 8 + recorded * per_time
-    need += runs * (recorded * per_record + per_run + game.n_agents * per_agent)
-    have = _physical_memory()
+    per_worker = dialogues * _STACK_BYTES_PER_DIALOGUE + 2 * _block_rows(config) * game.n_agents * 8
+    kept = recorded * per_time + runs * (recorded * per_record + per_run + game.n_agents * per_agent)
+    need, have = kept + per_worker, _physical_memory()
     if have is not None and need > have:
         raise FootprintError(
             f"{runs} runs of {game.n_agents} agents, each playing {dialogues} dialogues per timestep and recording "
             f"{recorded} timesteps, need about {need / 2**30:.1f} GiB; physical memory is {have / 2**30:.1f} GiB"
         )
+    workers = min(runs, _cpus())
+    return workers if have is None else min(workers, (have - kept) // per_worker)
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
@@ -322,15 +366,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     Run r draws every random number from a generator seeded with
     mix_seed(master_seed, r), so its rows of the tables do not depend on
-    how many other runs the experiment has; the aggregate reduces the
-    tables over runs.  A configuration whose experiment cannot fit in
+    how many other runs the experiment has, nor on how many workers play
+    them; the aggregate reduces the tables over runs.  A configuration whose experiment cannot fit in
     memory, or an engine that cannot be built, is refused before the
     output directory is made.
     """
-    _check_footprint(config)
+    workers = _check_footprint(config)
     _loop()
     out_dir = None if config.outputs is None else prepare_output_dir(config.outputs)
-    times, means, sds, finals = _run_stacked(config)
+    times, means, sds, finals = _play_runs(config, workers)
     sem = np.std(means, axis=0, ddof=1) / np.sqrt(config.runs) if config.runs > 1 else np.full(times.size, np.nan)
     aggregate = AggregateRecord(times, means.mean(axis=0), sem, sds.mean(axis=0))
     result = ExperimentResult(config, times, means, sds, finals, aggregate)

@@ -1,12 +1,19 @@
 """End-to-end behaviour of the command-line front end."""
 
+import contextlib
+import io
 import math
+import tempfile
 import time
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from labelgames import analysis, experiment
+from labelgames import analysis, cli, experiment
 from labelgames.cli import build_parser, main
 
 BASE = """\
@@ -384,3 +391,127 @@ class TestValidate:
             capsys, tmp_path / "val", "h_0.05", "h_0.02",
             "validate", "--config", model2_cfg, "--h-values", "0.05,0.02", "--samples", 1000,
         )
+
+
+# The commands' own arguments when they are valid; a fault replaces one.
+VALID_ARGS = {
+    "simulate": {},
+    "predict": {"--samples": 10, "--tol": 0.01},
+    "sweep": {"--param": "w", "--values": 0.5},
+    "compare": {"--w-values": 0.5},
+    "validate": {"--h-values": 0.05, "--samples": 10},
+}
+# Values just outside what the validators accept, and beyond them.
+OUTSIDE_RATES = st.one_of(
+    st.sampled_from([0.0, -0.0, -5e-324, 1.0, math.nextafter(1.0, 2.0), math.inf, -math.inf, math.nan]),
+    st.floats(max_value=0.0), st.floats(min_value=1.0),
+)
+# Rates in (0, 1) at which 1 - rate rounds to 1: refused where a prediction is made.
+VANISHING_RATES = st.floats(min_value=5e-324, max_value=2.0**-54)
+OUTSIDE_RELIABILITIES = st.one_of(
+    st.sampled_from([-5e-324, math.nextafter(1.0, 2.0), math.inf, -math.inf, math.nan]),
+    st.floats(max_value=-5e-324), st.floats(min_value=math.nextafter(1.0, 2.0)),
+)
+OUTSIDE_TOLERANCES = st.one_of(st.sampled_from([0.0, math.inf, math.nan]), st.floats(max_value=0.0))
+OUTSIDE_SAMPLES = st.integers(max_value=0)
+# Model 1 holds every sample at once; past this count they do not fit in
+# the 8 GiB the test gives the host.
+HOST_MEMORY = 8 * 2**30
+HELD_SAMPLES = st.integers(min_value=HOST_MEMORY // analysis._HELD_BYTES_PER_SAMPLE + 1, max_value=2**63)
+
+FAULTS = {
+    "rate": ("simulate", "predict", "sweep", "compare", "validate"),
+    "reliability": ("simulate", "predict", "sweep", "compare", "validate"),
+    "per-agent": ("simulate", "predict", "sweep", "compare", "validate"),
+    "out": ("simulate", "predict", "sweep", "compare", "validate"),
+    "vanishing-rate": ("predict", "validate"),
+    "samples": ("predict", "validate"),
+    "tol": ("predict",),
+    "held": ("predict",),
+    "swept-rate": ("sweep",),
+    "swept-reliability": ("sweep", "compare"),
+    "validated-rate": ("validate",),
+}
+
+
+@st.composite
+def refused_invocations(draw):
+    """(command, its arguments, config overrides, a per-agent override, where --out points), one input refused."""
+    fault = draw(st.sampled_from(sorted(FAULTS)))
+    command = draw(st.sampled_from(FAULTS[fault]))
+    args, config, per_agent = dict(VALID_ARGS[command]), {}, None
+    place = draw(st.sampled_from(["file", "under-file"] if fault == "out" else ["absent", "file", "under-file"]))
+    if fault == "rate":
+        config["h"] = draw(OUTSIDE_RATES)
+    elif fault == "vanishing-rate":
+        config["h"] = draw(VANISHING_RATES)
+    elif fault == "reliability":
+        config["w"] = draw(OUTSIDE_RELIABILITIES)
+    elif fault == "per-agent":
+        field = draw(st.sampled_from(["reliability", "weight_init"]))
+        per_agent = (field, tuple(draw(st.lists(st.floats(0.0, 1.0), max_size=12).filter(lambda v: len(v) != 8))))
+    elif fault == "samples":
+        args["--samples"] = draw(OUTSIDE_SAMPLES)
+    elif fault == "tol":
+        args["--tol"] = draw(OUTSIDE_TOLERANCES)
+    elif fault == "held":
+        config["model"], args["--samples"] = 1, draw(HELD_SAMPLES)
+    elif fault == "swept-rate":
+        args["--param"], args["--values"] = "h", draw(OUTSIDE_RATES)
+    elif fault == "swept-reliability":
+        args["--values" if command == "sweep" else "--w-values"] = draw(OUTSIDE_RELIABILITIES)
+    elif fault == "validated-rate":
+        args["--h-values"] = draw(st.one_of(OUTSIDE_RATES, VANISHING_RATES))
+    return command, args, config, per_agent, place
+
+
+def refuse_to_compute(*args, **kwargs):
+    raise AssertionError("an invalid input reached the computation")
+
+
+@settings(max_examples=200, deadline=None)
+@given(refused_invocations())
+def test_an_invalid_input_exits_before_anything_is_made_or_computed(invocation):
+    # The engine and the estimators raise if called; a config file cannot
+    # spell a per-agent value, so the loader hands the command one.  Exit
+    # code 2 comes from argparse too, as SystemExit.
+    command, args, config, per_agent, place = invocation
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cfg = tmp / "model2.cfg"
+        text = MODEL2 + "".join(f"{key} = {value!r}\n" for key, value in config.items())
+        cfg.write_text(text.replace("model = 2\n", "") if "model" in config else text)
+        blocker = tmp / "blocker"
+        out = {"absent": tmp / "out", "file": blocker, "under-file": blocker / "out"}[place]
+        if place != "absent":
+            blocker.write_bytes(b"not a directory\n")
+        load = cli.load_config
+
+        def load_with_per_agent(path):
+            loaded = load(path)
+            field, value = per_agent
+            return replace(loaded, game=replace(loaded.game, **{field: value}))
+
+        argv = [command, "--config", str(cfg), "--out", str(out), "--emit-plot-data"]
+        argv += [f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}" for flag, value in args.items()]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.ExitStack() as stack:
+            for owner, name in ((experiment, "_play_runs"), (experiment, "build_prediction"),
+                                (analysis, "estimate_target_moments"), (analysis, "positive_update_probability_mc")):
+                stack.enter_context(mock.patch.object(owner, name, refuse_to_compute))
+            stack.enter_context(mock.patch.object(analysis, "_physical_memory", lambda: HOST_MEMORY))
+            if per_agent is not None:
+                stack.enter_context(mock.patch.object(cli, "load_config", load_with_per_agent))
+            stack.enter_context(contextlib.redirect_stdout(stdout))
+            stack.enter_context(contextlib.redirect_stderr(stderr))
+            try:
+                code = main(argv)
+            except SystemExit as stop:
+                code = stop.code
+        assert code in (2, 3), stderr.getvalue()
+        assert stdout.getvalue() == ""
+        if place == "absent":
+            assert {path.name for path in tmp.iterdir()} == {"model2.cfg"}
+        else:
+            assert {path.name for path in tmp.iterdir()} == {"model2.cfg", "blocker"}
+            assert blocker.read_bytes() == b"not a directory\n"

@@ -279,11 +279,12 @@ def test_play_run_inlines_the_decode(tmp_path):
 
 
 # A child that builds the library with the sanitizer flags it is given
-# into its own cache and runs the check, per schedule a tiny experiment
-# and a 24-agent run, whose timesteps fill whole blocks of dialogues and
-# end in a partial one, and the target moments under both models and the
-# upward count, each drawing whole blocks of observations and a partial
-# one.  A report aborts it.
+# into its own cache and runs the check, per schedule a tiny experiment,
+# a 24-agent run, whose timesteps fill whole blocks of dialogues and end
+# in a partial one, and an experiment of 4 runs, which workers play at
+# once where the process may use two CPUs, and the target moments under
+# both models and the upward count, each drawing whole blocks of
+# observations and a partial one.  A report aborts it.
 SANITIZED_CHILD = """
 import pathlib, sys
 import numpy as np
@@ -299,6 +300,7 @@ engine._loop()
 for schedule in ("ordered", "unordered"):
     run_experiment(ExperimentConfig(game=GameConfig(n_agents=5, timesteps=3, schedule=schedule), runs=2))
     run_experiment(ExperimentConfig(game=GameConfig(n_agents=24, timesteps=2, schedule=schedule), runs=1))
+    run_experiment(ExperimentConfig(game=GameConfig(n_agents=6, timesteps=400, schedule=schedule), runs=4))
 env = Environment(((0.1, 0.9), (0.0, 0.5)))
 for model in (1, 2):
     estimate_target_moments(env, model=model, n_samples=3000)

@@ -1,7 +1,9 @@
-"""Seeding, run replication, persistence, and the stacked engine."""
+"""Seeding, run replication, persistence, the run engine and its workers."""
 
 import gc
 import itertools
+import sys
+import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelgames import experiment
+from labelgames import engine, experiment
 from labelgames.analysis import Environment
 from labelgames.experiment import (
     AGGREGATE_CSV_HEADER,
@@ -106,11 +108,12 @@ class TestExperimentConfig:
             ExperimentConfig(game=GameConfig(timesteps=0))
 
     def test_stack_larger_than_memory_refused_before_the_output_dir(self, tmp_path, monkeypatch):
-        # Runs play one at a time: one run of 6 agents plays 30 dialogues
-        # per timestep and holds its recorded snapshots of 6 weights twice
-        # over while it reduces them, and every run keeps its series and
-        # final weights, as much when its files are written.  With many
-        # runs what the runs keep is most of the need.
+        # The need of one worker, which plays one run at a time: one run
+        # of 6 agents plays 30 dialogues per timestep and holds its
+        # recorded snapshots of 6 weights twice over while it reduces
+        # them, and every run keeps its series and final weights, as much
+        # when its files are written.  With many runs what the runs keep
+        # is most of the need.
         per_record, per_run, per_agent, per_time = experiment._KEPT_BYTES
         for runs, timesteps, outputs in itertools.product((3, 300), (1, 8), (True, False)):
             recorded = timesteps + 1
@@ -273,6 +276,85 @@ class TestStackedEngine:
         finally:
             tracemalloc.stop()
         assert kept < 64 * 1024
+
+
+def table_bytes(result) -> bytes:
+    return b"".join(getattr(result, table).tobytes() for table in ("times", "means", "sds", "finals"))
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("runs,schedule,model", itertools.product((1, 2, 5, 9), ("ordered", "unordered"), (1, 2)))
+    def test_the_tables_do_not_depend_on_the_worker_count(self, monkeypatch, runs, schedule, model):
+        # Per-agent reliabilities, every second timestep recorded and two
+        # snapshot rows per kernel call, so that each run spans three calls.
+        monkeypatch.setattr(experiment, "_BLOCK_ROWS", 2)
+        config = small_config(
+            runs=runs, schedule=schedule, model=model, timesteps=9, record_every=2,
+            reliability=tuple(np.linspace(0.6, 1.0, 6)), master_seed=11,
+        )
+        tables, interval = [], sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # workers hand the GIL over as often as they can
+        try:
+            for workers in (1, 2, 3, 7):
+                monkeypatch.setattr(experiment, "_cpus", lambda: workers)
+                assert experiment._check_footprint(config) == min(runs, workers)
+                tables.append(table_bytes(run_experiment(config)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert tables == [tables[0]] * 4
+
+    def test_memory_for_one_worker_but_not_two_plays_on_one(self, monkeypatch):
+        # Each worker holds one run's 30 dialogues of a timestep and two
+        # blocks of 9 snapshots of 6 weights; the 4 runs' tables and final
+        # weights are held once.
+        monkeypatch.setattr(experiment, "_cpus", lambda: 2)
+        config = small_config(runs=4)
+        per_record, per_run, per_agent, per_time = experiment._KEPT_BYTES
+        per_worker = 30 * _STACK_BYTES_PER_DIALOGUE + 2 * 9 * 6 * 8
+        kept = 9 * per_time + 4 * (9 * per_record + per_run + 6 * per_agent)
+        played = []
+        play_runs = experiment._play_runs
+        monkeypatch.setattr(experiment, "_play_runs", lambda *args: played.append(args[1]) or play_runs(*args))
+        want = table_bytes(run_experiment(config))
+        for have, workers in ((kept + per_worker, 1), (kept + 2 * per_worker - 1, 1), (kept + 2 * per_worker, 2)):
+            monkeypatch.setattr(experiment, "_physical_memory", lambda: have)
+            result = run_experiment(config)
+            assert played[-1] == workers
+            assert table_bytes(result) == want
+        assert_matches_spec(result, config)
+        monkeypatch.setattr(experiment, "_physical_memory", lambda: kept + per_worker - 1)
+        with pytest.raises(FootprintError, match="physical memory"):
+            run_experiment(config)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_failing_run_stops_every_worker_and_its_exception_is_raised(self, monkeypatch, workers):
+        # Run 3 raises on its first kernel call.  Each run plays for a few
+        # milliseconds, so every other worker has started at most one run
+        # more by then, and takes no run after it.
+        config = small_config(n_agents=10, timesteps=2000, runs=20)
+        failure, current, started = RuntimeError("run 3"), threading.local(), []
+        mix_seed_of, play = experiment.mix_seed, engine._RunPlayer.__call__
+
+        def mix(master_seed, run):
+            current.run = run
+            started.append(run)
+            return mix_seed_of(master_seed, run)
+
+        def call(player, *args):
+            if current.run == 3:
+                raise failure
+            return play(player, *args)
+
+        monkeypatch.setattr(experiment, "_cpus", lambda: workers)
+        monkeypatch.setattr(experiment, "mix_seed", mix)
+        monkeypatch.setattr(engine._RunPlayer, "__call__", call)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as raised:
+            run_experiment(config)
+        assert raised.value is failure
+        assert threading.active_count() == threads
+        assert 3 in started and max(started) <= 3 + workers
+        assert len(set(started)) == len(started)
 
 
 EDGE_WEIGHTS = (0.0, 5e-324, 1e-17, 1.0 - 2.0**-53, 1.0)
