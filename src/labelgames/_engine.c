@@ -120,52 +120,35 @@ static double membership(double x, const double *label)
     return s < 1 ? s : 1;
 }
 
-/* The two agents of pair id q < count: the q-th pair of itertools.permutations (ordered)
-   or combinations (unordered) over range(n).  r is exact, since 8c + 1 < 2**35 is an
-   exact double and sqrt is correctly rounded, and r(r + 1) < 2**31. */
-static void decode(int32_t q, int32_t n, int32_t count, int unordered, int32_t *first,
-                   int32_t *second)
-{
-    if (unordered) {
-        int32_t c = count - 1 - q;
-        int32_t r = (int32_t) ((sqrt(8.0 * c + 1.0) - 1.0) * 0.5);
-        int32_t i = n - 2 - r, j = n - 1 - (c - (r * (r + 1) >> 1));
-        *first = i;
-        *second = j;
-    } else {
-        int32_t s = q / (n - 1), l = q - s * (n - 1);
-        l += l >= s;
-        *first = s;
-        *second = l;
-    }
-}
-
 /* Dialogues per block of a timestep: 6 KB of agents and memberships on
    the stack. */
 #define BLOCK 256
 
 /* One run's timesteps from played through times[rows - 1], copying the
    weights into row k of snapshots at timestep times[k].  Each timestep
-   shuffles the pair ids by Fisher-Yates with interval, as
-   Generator.shuffle does (every id is below 2**31).  numpy would then draw
-   the unordered schedule's role coins, dimension one's uniforms and
-   dimension two's, count each; three cursors start where those draws
-   would: coin at the state after the shuffle, one count draws on under
-   the unordered schedule, and two count draws past one.  The timestep ends
-   at two's state, and the half-word stays as the shuffle left it.
+   writes the pairs into picks, each as first << 16 | second, in the order
+   of itertools.permutations (ordered) or combinations (unordered) over
+   range(n); every agent id fits in 16 bits, since GameConfig caps n at
+   46,341 to keep count below 2**31.  It shuffles them by Fisher-Yates
+   with interval, as Generator.shuffle does.  numpy would then draw the
+   unordered schedule's role coins, dimension one's uniforms and dimension
+   two's, count each; three cursors start where those draws would: coin at
+   the state after the shuffle, one count draws on under the unordered
+   schedule, and two count draws past one.  The timestep ends at two's
+   state, and the half-word stays as the shuffle left it.
 
    The picks are played in blocks of BLOCK, the last one partial, in two
-   stages.  The first decodes each pick, draws its coin and uniforms, a coin
-   below 1/2 keeping the first agent as speaker, maps the uniforms onto the
-   intervals as Environment.sample_batch does, and stores the speaker, the
-   listener and both memberships.  The second plays the block's dialogues
-   in order through play_dialogues.  No draw or membership depends on a
-   weight, so the bits are those of one fused loop; split, each stage's
-   work overlaps across the block's dialogues.  dims holds, per dimension,
-   lo, hi - lo and the label's three terms.  The state and the half-word
-   are written back on return. */
+   stages.  The first unpacks each pick, draws its coin (unordered only)
+   and uniforms, a coin below 1/2 keeping the first agent as speaker, maps
+   the uniforms onto the intervals as Environment.sample_batch does, and
+   stores the speaker, the listener and both memberships.  The second
+   plays the block's dialogues in order through play_dialogues.  No draw
+   or membership depends on a weight, so the bits are those of one fused
+   loop; split, each stage's work overlaps across the block's dialogues.
+   dims holds, per dimension, lo, hi - lo and the label's three terms.
+   The state and the half-word are written back on return. */
 void play_run(uint64_t *generator, double *w, const double *rel, int32_t n, int unordered,
-              const double *dims, double rate, int model, int32_t *picks,
+              const double *dims, double rate, int model, uint32_t *picks,
               int64_t played, const int64_t *times, int64_t rows, double *snapshots)
 {
     int32_t count = unordered ? n * (n - 1) / 2 : n * (n - 1);
@@ -175,10 +158,14 @@ void play_run(uint64_t *generator, double *w, const double *rel, int32_t n, int 
     jump((u128) count, g.inc, &mult, &plus);
     for (int64_t k = 0; k < rows; k++) {
         for (; played < times[k]; played++) {
-            for (int32_t d = 0; d < count; d++)
-                picks[d] = d;
+            uint32_t *pair = picks;
+            for (uint32_t i = 0; i < (uint32_t) n; i++)
+                for (uint32_t j = unordered ? i + 1 : 0; j < (uint32_t) n; j++)
+                    if (j != i)
+                        *pair++ = i << 16 | j;
             for (int32_t i = count - 1; i > 0; i--) {
-                int32_t j = interval(&g, (uint32_t) i), q = picks[j];
+                int32_t j = interval(&g, (uint32_t) i);
+                uint32_t q = picks[j];
                 picks[j] = picks[i];
                 picks[i] = q;
             }
@@ -188,16 +175,10 @@ void play_run(uint64_t *generator, double *w, const double *rel, int32_t n, int 
                 int32_t speaker[BLOCK], listener[BLOCK];
                 double m1[BLOCK], m2[BLOCK];
                 for (int32_t d = 0; d < size; d++) {
-                    int32_t q = picks[d0 + d];
-                    if (unordered) {
-                        int32_t i, j;
-                        decode(q, n, count, 1, &i, &j);
-                        int heads = next_double(&coin, g.inc) < 0.5;
-                        speaker[d] = heads ? i : j;
-                        listener[d] = heads ? j : i;
-                    } else {
-                        decode(q, n, count, 0, speaker + d, listener + d);
-                    }
+                    int32_t i = (int32_t) (picks[d0 + d] >> 16), j = (int32_t) (picks[d0 + d] & 0xffff);
+                    int heads = !unordered || next_double(&coin, g.inc) < 0.5;
+                    speaker[d] = heads ? i : j;
+                    listener[d] = heads ? j : i;
                     m1[d] = membership(next_double(&one, g.inc) * dims[1] + dims[0], dims + 2);
                     m2[d] = membership(next_double(&two, g.inc) * dims[6] + dims[5], dims + 7);
                 }

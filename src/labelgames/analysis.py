@@ -1,13 +1,15 @@
 """Predictions for where the weight game settles and how fast it gets there.
 
-Everything in this module is about the canonical label pair on the unit
+The share of upward pulls is about the canonical label pair on the unit
 square, where membership in each dimension is the coordinate itself.  The
 square splits into four quadrants, one per assertion, and each quadrant
 splits again into a half that pulls listener weights up and a half that
-pulls them down.  From that geometry we get the exact share of upward
-pulls under a product-uniform environment, Monte Carlo moments of the
-update target, the resting mean and variance of the population, and
-closed-form trajectories with convergence-step counts.
+pulls them down; that geometry gives the exact share under a
+product-uniform environment over any box in the square.  The Monte Carlo
+moments of the update target take any such box and any label pair the
+engine computes, the canonical pair by default.  From those moments come
+the resting mean and variance of the population, and closed-form
+trajectories with convergence-step counts.
 
 Time here is counted in updates of a single agent's weight.  A simulation
 timestep gives every agent one update per dialogue it listens to, so one
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import _dims, _generator, _loop, _mc_select, _mc_targets, _mc_upward, _physical_memory
-from .game import ConfigError, _integer, _label_pair, _model, _real, update_directions  # noqa: F401
+from .game import ConfigError, _integer, _label_pair, _model, _real
 from .labels import Label, canonical_label_pair
 
 

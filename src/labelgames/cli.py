@@ -2,15 +2,18 @@
 
 The front end only parses: every value it passes on is checked once, by
 the library, before any compute.  It checks just its own flags,
-``--samples`` and ``--tol``.  Exit codes: 0 on success, 2 for a
+``--samples`` and ``--tol``.  Exit codes: 0 on success, 1 for a
+prediction that cannot be estimated (an ``EstimationError`` or a
+``NonConvergenceError``, from ``predict`` or ``validate``), 2 for a
 ``ConfigError`` (a missing or malformed config file, with the offending
 line where a file gave the value, any refused value, or a population
 whose timestep cannot fit in memory), 3 for I/O failures and for a
-compiled loop that cannot be built, loaded or trusted.  Summary output
-goes to standard output as ``key=value`` tokens.  Each command's handler
-returns its exit code and its curves; under ``--emit-plot-data``, ``main``
-writes each curve as a two-column, space-separated ``<command>_<curve>.dat``
-file that any plotting tool can read, through the library's one writer.
+compiled loop that cannot be built, loaded or trusted; each prints its
+message, not a traceback, on standard error.  Summary output goes to
+standard output as ``key=value`` tokens.  Each command's handler returns
+its curves; under ``--emit-plot-data``, ``main`` writes each curve as a
+two-column, space-separated ``<command>_<curve>.dat`` file that any
+plotting tool can read, through the library's one writer.
 """
 
 from __future__ import annotations
@@ -185,16 +188,16 @@ def _start_moments(config: ExperimentConfig) -> tuple[float, float]:
     return float(init), 0.0
 
 
-def _cmd_simulate(args) -> tuple[int, dict]:
+def _cmd_simulate(args) -> dict:
     config = _load(args)
     aggregate = run_experiment(config).aggregate
     print(f"final_mean_lambda={_format(aggregate.mean_of_means[-1])}")
     print(f"final_sd_lambda={_format(aggregate.mean_sd[-1])}")
     times = aggregate.times
-    return 0, {"mean": (times, aggregate.mean_of_means), "sd": (times, aggregate.mean_sd)}
+    return {"mean": (times, aggregate.mean_of_means), "sd": (times, aggregate.mean_sd)}
 
 
-def _cmd_predict(args) -> tuple[int, dict]:
+def _cmd_predict(args) -> dict:
     config = _load(args)
     # The estimate's own refusals, of the sample count and the rate, come before the directory.
     _check_held(config.game.model, _integer(args.samples, "--samples", 1))
@@ -204,11 +207,7 @@ def _cmd_predict(args) -> tuple[int, dict]:
     if args.emit_plot_data and config.outputs is not None:
         _loop()  # as run_experiment does: the engine, then the directory, then the work
         prepare_output_dir(config.outputs)
-    try:
-        prediction = _prediction(config, config.game.rate, args.samples)
-    except (EstimationError, NonConvergenceError) as err:
-        print(f"prediction failed: {err}", file=sys.stderr)
-        return 1, {}
+    prediction = _prediction(config, config.game.rate, args.samples)
     start_mean, start_var = _start_moments(config)
     step_mean = prediction.steps_to_mean(start_mean, args.tol)
     step_var = prediction.steps_to_variance(start_var, args.tol)
@@ -227,16 +226,16 @@ def _cmd_predict(args) -> tuple[int, dict]:
         f"variance_convergence_timesteps={math.ceil(step_var / per_timestep)}"
     )
     if not args.emit_plot_data:  # the curves cost time and memory at many timesteps
-        return 0, {}
+        return {}
     times = record_times(config.game.timesteps, config.record_every)
     steps = times.astype(np.float64) * per_timestep
-    return 0, {
+    return {
         "mean": (times, prediction.mean_at(start_mean, steps)),
         "variance": (times, prediction.variance_at(start_var, steps)),
     }
 
 
-def _cmd_sweep(args) -> tuple[int, dict]:
+def _cmd_sweep(args) -> dict:
     config = _load(args)
     points = sweep(config, args.param, args.values)
     for point in points:
@@ -246,13 +245,13 @@ def _cmd_sweep(args) -> tuple[int, dict]:
             f"final_sd_lambda={_format(point.final_sd)}"
         )
     values = [p.value for p in points]
-    return 0, {
+    return {
         "mean": (values, [p.final_mean for p in points]),
         "sd": (values, [p.final_sd for p in points]),
     }
 
 
-def _cmd_compare(args) -> tuple[int, dict]:
+def _cmd_compare(args) -> dict:
     config = _load(args)
     rows = compare_models(config, args.w_values)
     for row in rows:
@@ -264,14 +263,14 @@ def _cmd_compare(args) -> tuple[int, dict]:
             f"model2_sd={_format(row.model2_sd)}"
         )
     ws = [row.reliability for row in rows]
-    return 0, {
+    return {
         f"model{model}_{stat}": (ws, [getattr(row, f"model{model}_{stat}") for row in rows])
         for model in (1, 2)
         for stat in ("mean", "sd")
     }
 
 
-def _cmd_validate(args) -> tuple[int, dict]:
+def _cmd_validate(args) -> dict:
     config = _load(args)
     _integer(args.samples, "--samples", 1)
     rows = validate_predictions(config, args.h_values, n_samples=args.samples)
@@ -284,21 +283,24 @@ def _cmd_validate(args) -> tuple[int, dict]:
         )
         curves[f"h{row.rate:g}_sim_mean"] = (row.times, row.empirical_mean)
         curves[f"h{row.rate:g}_pred_mean"] = (row.times, row.predicted_mean)
-    return 0, curves
+    return curves
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, curves = args.handler(args)
+        curves = args.handler(args)
         if args.emit_plot_data and curves:
             directory = Path(args.out if args.out is not None else ".")
             directory.mkdir(parents=True, exist_ok=True)
             for curve, (xs, ys) in curves.items():
                 with open(directory / f"{args.command}_{curve}.dat", "w") as file:
                     _write_rows(file, np.asarray((xs, ys), dtype=np.float64), sep=" ")
-        return code
+        return 0
+    except (EstimationError, NonConvergenceError) as err:
+        print(f"prediction failed: {err}", file=sys.stderr)
+        return 1
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -2,11 +2,12 @@
 
 The C file holds all that runs in C: ``play_run`` plays one run's
 timesteps in one call, stepping the run's own numpy ``PCG64`` as numpy
-would.  After each timestep's shuffle it walks the picks in blocks of
-256 dialogues, in two stages: first each dialogue's draws, speaker,
-listener and memberships into arrays on the C stack, then the block's
-dialogues through ``play_dialogues``, which also plays given dialogues
-for the tests' per-timestep path.  ``mc_targets``, ``mc_select`` and
+would.  Each timestep it writes the pairs of agents into the picks and
+shuffles them, then walks the picks in blocks of 256 dialogues, in two
+stages: first each dialogue's draws, speaker, listener and memberships
+into arrays on the C stack, then the block's dialogues through
+``play_dialogues``, which also plays given dialogues for the check and
+the tests' per-timestep path.  ``mc_targets``, ``mc_select`` and
 ``mc_upward`` do the Monte Carlo estimators' per-observation work;
 ``mc_targets`` and ``mc_upward`` draw their own uniforms, as
 ``Generator.random`` would, a block of 256 observations at a time into
@@ -100,7 +101,7 @@ _SIGNATURES = {
     "play_dialogues": (None, (_OUT, _IN, _IN, _IN, _IDS, _IDS, _COUNT, _REAL, _INT)),
     "play_run": (None, (
         _WORDS, _OUT, _IN, ctypes.c_int32, _INT, _IN, _REAL, _INT,
-        _Array(np.int32, writable=True), _COUNT, _Array(np.int64), _COUNT, _OUT,
+        _Array(np.uint32, writable=True), _COUNT, _Array(np.int64), _COUNT, _OUT,
     )),
     "mc_targets": (_COUNT, (_DRAWS, _COUNT, _IN, _REAL, _KEPT, _KEPT, _OUT)),
     "mc_select": (_COUNT, (_COUNT, _REAL, _REAL, _IN, _IN, _IN, _OUT)),
@@ -110,10 +111,10 @@ _SIGNATURES = {
 # Bytes one run's timestep holds per dialogue at its peak: the picks; the
 # coins, uniforms and memberships of one block of dialogues at a time fill
 # a fixed 6 KB on the C stack.  Measured peaks (ru_maxrss of two-timestep
-# runs, above the RSS after imports and the engine's load): 3.94 to 4.07
+# runs, above the RSS after imports and the engine's load): 3.94 to 4.20
 # bytes for 1000 agents, from uniform weights or with every weight at 1,
 # under either schedule, and 4.02 for 1400 agents under the unordered one.
-# The constant is the largest of these plus about a quarter.
+# The constant is the largest of these plus about a fifth.
 _STACK_BYTES_PER_DIALOGUE = 5
 
 
@@ -265,10 +266,11 @@ def _check_runs(run) -> bool:
     schedule, each from its own seed, played in two calls, through 2 and
     then through 3, so that the generator's state is handed back between
     them.  The replay draws each timestep with ``Generator.permutation``
-    and ``Generator.random``, decodes pairs from ``itertools`` tables,
+    and ``Generator.random``, takes pairs from ``itertools`` tables,
     computes memberships with ``membership_batch`` and plays
-    ``_dialogue``.  The snapshots, the last timestep's picks and the
-    generator's whole state afterwards must all agree.
+    ``_dialogue``.  The snapshots, the last timestep's pairs, packed as
+    ``play_run`` packs them, and the generator's whole state afterwards
+    must all agree.
     """
     intervals = ((0.1, 0.9), (0.05, 0.6))
     cases = itertools.product(("ordered", "unordered"), (1, 2))
@@ -282,8 +284,8 @@ def _check_runs(run) -> bool:
         weights, rels = _initial_state(config, rng)
         snapshots = player(rng, weights, rels, 0, [0, 2]).tolist()
         snapshots += player(rng, weights, rels, 2, [3]).tolist()
-        rows, picks = _replay_run(config, intervals, replay, (0, 2, 3))
-        if snapshots != rows or player.picks.tolist() != picks:
+        rows, pairs = _replay_run(config, intervals, replay, (0, 2, 3))
+        if snapshots != rows or player.picks.tolist() != [first << 16 | second for first, second in pairs]:
             return False
         if rng.bit_generator.state != replay.bit_generator.state:
             return False
@@ -335,28 +337,28 @@ def _check_estimators(lib) -> bool:
 
 
 def _replay_run(config: GameConfig, intervals, rng, times):
-    """``_check_runs``' reference: the recorded weights and the last timestep's picks."""
+    """``_check_runs``' reference: the recorded weights and the last timestep's drawn pairs."""
     n, model, rate = config.n_agents, config.model, config.rate
     unordered = config.schedule == "unordered"
     pairs = list((itertools.combinations if unordered else itertools.permutations)(range(n), 2))
     w, rel = rng.random(n).tolist(), list(config.reliability)
-    rows, picks = [], None
+    rows, drawn = [], None
     for t in range(times[-1] + 1):
         if t:
-            picks = rng.permutation(len(pairs)).tolist()
+            drawn = [pairs[k] for k in rng.permutation(len(pairs))]
             coins = rng.random(len(pairs) if unordered else 0)
             m1, m2 = (
                 label.membership_batch(rng.random(len(pairs)) * (hi - lo) + lo).tolist()
                 for label, (lo, hi) in zip(config.labels, intervals)
             )
-            for d, k in enumerate(picks):
-                s, l = pairs[k] if not unordered or coins[d] < 0.5 else pairs[k][::-1]
+            for d, pair in enumerate(drawn):
+                s, l = pair if not unordered or coins[d] < 0.5 else pair[::-1]
                 target = _dialogue(w[s], w[l], rel[s], m1[d], m2[d], model)[1]
                 if target is not None:
                     w[l] = w[l] + rate * (target - w[l])
         if t in times:
             rows.append(list(w))
-    return rows, picks
+    return rows, drawn
 
 
 def _generator(rng) -> np.random.Generator:
@@ -398,16 +400,16 @@ def _dims(labels, intervals) -> np.ndarray:
 class _RunPlayer:
     """``play_run`` bound to one game and environment, with the buffers each run reuses.
 
-    A run's timestep holds its picks, 4 bytes per dialogue, and up to
-    ``rows`` snapshots of the weights; the coins, uniforms and memberships
-    are drawn one block of dialogues at a time into a fixed 6 KB on the C
-    stack.  The run's generator must be a ``PCG64``, whose state C reads
-    and advances through ``_stepped``.
+    A run's timestep holds its picks, each dialogue's two agent ids packed
+    in 4 bytes, and up to ``rows`` snapshots of the weights; the coins,
+    uniforms and memberships are drawn one block of dialogues at a time
+    into a fixed 6 KB on the C stack.  The run's generator must be a
+    ``PCG64``, whose state C reads and advances through ``_stepped``.
     """
 
     def __init__(self, run, config: GameConfig, intervals, rows: int):
         n, unordered = config.n_agents, config.schedule == "unordered"
-        self.picks = np.empty(dialogues_per_timestep(n, config.schedule), dtype=np.int32)
+        self.picks = np.empty(dialogues_per_timestep(n, config.schedule), dtype=np.uint32)
         self.snapshots = np.empty((rows, n))
         self.run = run
         self.fixed = (n, int(unordered), _dims(config.labels, intervals), config.rate, config.model, self.picks)

@@ -569,8 +569,9 @@ def validate_predictions(
     closed forms assume, and only the ordered schedule gives every agent
     exactly n-1 updates per timestep, so anything else is rejected; so is
     a per-agent reliability, since the target moments take one value.
-    Every rate's config is built and checked, and its subdirectory made,
-    before the first run.
+    Every rate's config is built and checked, its subdirectory made, and
+    then its prediction built, before the first run, so a prediction that
+    cannot be estimated costs no run.
     """
     if config.game.model != 2:
         raise ConfigError("prediction validation requires model 2", "model")
@@ -590,10 +591,10 @@ def validate_predictions(
         for rate in rates
     ]
     _prepare(subs)
+    predictions = [_prediction(config, rate, n_samples, index) for index, rate in enumerate(rates)]
     rows = []
-    for index, (rate, sub) in enumerate(zip(rates, subs)):
+    for rate, sub, prediction in zip(rates, subs, predictions):
         result = run_experiment(sub)
-        prediction = _prediction(config, rate, n_samples, index)
         mean, var = result.aggregate.mean_of_means, np.mean(result.sds**2, axis=0)
         steps = result.times.astype(np.float64) * _updates_per_timestep(config.game)
         predicted_mean = prediction.mean_at(float(mean[0]), steps)

@@ -162,7 +162,8 @@ class GameConfig:
     schedule: str = "ordered"
 
     def __post_init__(self) -> None:
-        n = _integer(self.n_agents, "n_agents", 2, 46_341)  # int32 pair ids: n(n-1) < 2**31
+        # n(n-1) dialogues per timestep < 2**31, and so agent ids < 2**16, as the engine packs them
+        n = _integer(self.n_agents, "n_agents", 2, 46_341)
         dialogues_per_timestep(n, self.schedule)  # refuses an unknown schedule
         init = self.weight_init
         for name, value in (

@@ -2,7 +2,6 @@
    of standard input, one answer per line of standard output.  128-bit values
    travel as their high and low 64-bit halves.
 
-     decode n count unordered q  ->  first second
      jump delta inc state        ->  the state delta draws on
      interval state inc has_uint32 uinteger max draws
                                  ->  the draws, then state has_uint32 uinteger
@@ -33,14 +32,7 @@ int main(void)
 {
     char op[9];
     while (scanf("%8s", op) == 1) {
-        if (!strcmp(op, "decode")) {
-            int32_t n, count, q, first, second;
-            int unordered;
-            if (scanf("%" SCNd32 " %" SCNd32 " %d %" SCNd32, &n, &count, &unordered, &q) != 4)
-                return 1;
-            decode(q, n, count, unordered, &first, &second);
-            printf("%" PRId32 " %" PRId32 "\n", first, second);
-        } else if (!strcmp(op, "jump")) {
+        if (!strcmp(op, "jump")) {
             u128 delta, inc, state, mult, plus;
             if (!(read_wide(&delta) && read_wide(&inc) && read_wide(&state)))
                 return 1;

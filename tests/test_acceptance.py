@@ -19,7 +19,6 @@ from labelgames.analysis import (
     positive_update_probability,
     positive_update_probability_mc,
     resting_variance,
-    update_directions,
 )
 from labelgames.combine import (
     Compound,
@@ -35,7 +34,7 @@ from labelgames.experiment import (
     run_experiment,
     validate_predictions,
 )
-from labelgames.game import GameConfig, batch_implied_weights
+from labelgames.game import GameConfig, batch_implied_weights, update_directions
 from labelgames.labels import canonical_label, canonical_label_pair
 
 

@@ -21,7 +21,6 @@ from labelgames.analysis import (
     resting_variance,
     steps_to_mean_convergence,
     steps_to_variance_convergence,
-    update_directions,
     variance_trajectory,
 )
 from labelgames.experiment import mix_seed
@@ -31,6 +30,7 @@ from labelgames.game import (
     ConfigError,
     choose_assertion,
     implied_weight,
+    update_directions,
 )
 from labelgames.labels import (
     ConceptualSpace,

@@ -392,6 +392,18 @@ class TestValidate:
             "validate", "--config", model2_cfg, "--h-values", "0.05,0.02", "--samples", 1000,
         )
 
+    def test_a_prediction_that_cannot_be_estimated_exits_1_before_the_first_run(self, tmp_path, capsys):
+        # In a box this close to the origin every observation fits both
+        # labels equally well, so none gives a target.
+        flat = MODEL2.replace("uniform(0.25, 0.75)", "uniform(0, 1e-17)").replace("uniform(0, 0.5)", "uniform(0, 1e-17)")
+        cfg = tmp_path / "flat.cfg"
+        cfg.write_text(flat)
+        out = tmp_path / "val"
+        assert run_cli("validate", "--config", cfg, "--h-values", "0.1", "--samples", 1000, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("prediction failed: ") and "Traceback" not in err
+        assert not list(out.rglob("run_*.csv"))
+
 
 # The commands' own arguments when they are valid; a fault replaces one.
 VALID_ARGS = {

@@ -25,7 +25,7 @@ import pytest
 from labelgames import engine
 from labelgames.analysis import Environment, estimate_target_moments, positive_update_probability_mc
 from labelgames.experiment import ExperimentConfig, run_experiment
-from labelgames.game import GameConfig
+from labelgames.game import ConfigError, GameConfig
 from labelgames.labels import canonical_label_pair
 
 UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
@@ -34,7 +34,7 @@ LIMITS = Path(__file__).with_name("engine_limits.c")
 # The driver's build: the library's flags, minus those of a shared object.
 COMPILE_LIMITS = ("cc", "-O2", "-ffp-contract=off", "-I", str(PACKAGE), str(LIMITS))
 MASK64 = 2**64 - 1
-# The largest population: n(n - 1) pair ids below 2**31.
+# The largest population: n(n - 1) dialogues per timestep below 2**31.
 N_MAX = 46_341
 
 
@@ -161,6 +161,46 @@ def test_calls_into_c_leave_no_cycles_for_the_collector():
         gc.enable()
 
 
+def documented_pairs(n: int, schedule: str) -> tuple[np.ndarray, np.ndarray]:
+    """The first and second agents of every pair, in the order of ``itertools.permutations`` or ``combinations``."""
+    if schedule == "unordered":
+        return tuple(ids.astype(np.int32) for ids in np.triu_indices(n, 1))
+    first, listener = np.repeat(np.arange(n, dtype=np.int32), n - 1), np.tile(np.arange(n - 1, dtype=np.int32), n)
+    return first, listener + (listener >= first)
+
+
+@pytest.mark.parametrize("schedule", ["ordered", "unordered"])
+@pytest.mark.parametrize("n", [2, 3, 255, 256, 257, 2000])
+def test_a_timestep_plays_the_documented_pairs_at_large_agent_ids(n, schedule):
+    # The check plays 4 agents, whose ids fit in 2 bits of each 16-bit half;
+    # here ids up to 1999 must come back whole from the picks, and the
+    # timestep must play them: its weights are those of the twin's pairs,
+    # coins and memberships played through play_dialogues.
+    config = GameConfig(n_agents=n, timesteps=1, schedule=schedule)
+    lib = engine._loop()
+    player = engine._RunPlayer(lib.play_run, config, UNIT_BOX, 1)
+    rng, twin = np.random.default_rng(n), np.random.default_rng(n)
+    weights, rels = np.full(n, 0.5), np.ones(n)
+    want = weights.copy()
+    player(rng, weights, rels, 0, [1])
+    order = twin.permutation(player.picks.size)
+    first, second = (ids[order] for ids in documented_pairs(n, schedule))
+    assert np.array_equal(player.picks >> 16, first)
+    assert np.array_equal(player.picks & 0xFFFF, second)
+    heads = twin.random(order.size) < 0.5 if schedule == "unordered" else True
+    m1, m2 = (label.membership_batch(twin.random(order.size)) for label in config.labels)
+    engine._play(lib.play_dialogues, want, rels, m1, m2, np.where(heads, first, second), np.where(heads, second, first),
+                 config.rate, config.model)
+    assert weights.tobytes() == want.tobytes()
+
+
+def test_every_agent_id_fits_in_the_16_bits_the_engine_packs_it_into():
+    assert N_MAX - 1 < 2**16
+    GameConfig(n_agents=N_MAX)
+    with pytest.raises(ConfigError, match="n_agents"):
+        GameConfig(n_agents=N_MAX + 1)
+
+
 @pytest.fixture(scope="module")
 def limits(tmp_path_factory):
     """A function that sends the limit driver its request lines and returns its answer lines."""
@@ -179,31 +219,6 @@ def limits(tmp_path_factory):
 
 def halves(value: int) -> str:
     return f"{value >> 64} {value & MASK64}"
-
-
-@pytest.mark.parametrize("schedule", ["ordered", "unordered"])
-def test_the_c_decode_is_exact_on_every_row_boundary_of_the_largest_population(limits, schedule):
-    # Row s of the ordered schedule holds s's pairs as speaker, in
-    # listener order; row i of the unordered one the pairs (i, j), j > i.
-    n = N_MAX
-    requests, want = [], []
-    if schedule == "ordered":
-        count = n * (n - 1)
-        for s in range(n):
-            listeners = [l for l in (0, 1, n - 2, n - 1) if l != s]
-            first = s * (n - 1)
-            for q, pair in ((first, (s, listeners[0])), (first + n - 2, (s, listeners[-1]))):
-                requests.append(f"decode {n} {count} 0 {q}")
-                want.append(pair)
-    else:
-        count = n * (n - 1) // 2
-        for i in range(n - 1):
-            first = i * (n - 1) - i * (i - 1) // 2
-            for q, pair in ((first, (i, i + 1)), (first + n - 2 - i, (i, n - 1))):
-                requests.append(f"decode {n} {count} 1 {q}")
-                want.append(pair)
-    got = [tuple(map(int, line.split())) for line in limits(requests)]
-    assert got == want
 
 
 @pytest.mark.parametrize("delta", [
@@ -265,17 +280,6 @@ def test_the_interval_model_shuffles_as_numpy_does():
         (j,), has_uint32, uinteger = interval_model(bits, has_uint32, uinteger, i, 1)
         picks[i], picks[j] = picks[j], picks[i]
     assert picks == rng.permutation(40).tolist()
-
-
-def test_play_run_inlines_the_decode(tmp_path):
-    # decode is static and called once, so play_run carries it inline.
-    library = tmp_path / "engine.so"
-    engine._build(library)
-    done = subprocess.run(
-        ("objdump", "-d", "--disassemble=play_run", str(library)), capture_output=True, text=True
-    )
-    assert done.returncode == 0, done.stderr
-    assert "<play_run>:" in done.stdout and "decode" not in done.stdout
 
 
 # A child that builds the library with the sanitizer flags it is given

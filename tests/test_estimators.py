@@ -26,9 +26,8 @@ from labelgames.analysis import (
     NonConvergenceError,
     RunningMoments,
     TargetMoments,
-    update_directions,
 )
-from labelgames.game import batch_implied_weights
+from labelgames.game import batch_implied_weights, update_directions
 from labelgames.labels import (
     ConceptualSpace,
     Euclidean,

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelgames import engine, game
-from labelgames.analysis import Environment, update_directions
+from labelgames.analysis import Environment
 from labelgames.experiment import ExperimentConfig, run_experiment
 from labelgames.game import (
     ASSERTION_ORDER,
@@ -20,6 +20,7 @@ from labelgames.game import (
     dialogues_per_timestep,
     implied_weight,
     run_dialogue,
+    update_directions,
 )
 from labelgames.labels import (
     ConceptualSpace,

@@ -67,8 +67,8 @@ def swapped(source: str, a: str, b: str) -> str:
     ("jump((u128) count, g.inc", "jump((u128) count - 1, g.inc"),  # the cursors one draw too close
     ("generator[4] = g.has_uint32;\n", ""),  # the shuffle's spare half-word is not handed back
     ("0x4385df649fccf645", "0x4385df649fccf646"),  # one wrong digit of the multiplier
-    ("l += l >= s;", "l += l > s;"),  # ordered decode off by one
-    ("j = n - 1 - (c", "j = n - 2 - (c"),  # unordered decode off by one
+    ("i << 16 | j;", "(unordered ? i << 16 | j : j << 16 | i);"),  # the ordered pairs listener-major
+    ("i << 16 | j;", "(unordered ? ((uint32_t) n - 1 - j) << 16 | ((uint32_t) n - 1 - i) : i << 16 | j);"),  # the unordered table in reverse order
     ("played < times[k]", "played <= times[k]"),  # each snapshot one timestep late
     ("? count - d0 :", "? count - d0 - 1 :"),  # the last, partial block one dialogue short
     ("pick(target < 0, zero, target)", "pick(target > 0, target, zero)"),  # a target of -0.0 becomes 0.0
@@ -83,7 +83,7 @@ def swapped(source: str, a: str, b: str) -> str:
     ("t[kept + k]", "t[k]"),  # each block's targets written over the first block's
 ], ids=[
     "ties-last", "no-lower-clamp", "no-upper-clamp", "shuffle", "uniforms-swapped",
-    "coin-roles-flipped", "jump-off-by-one", "half-word-dropped", "multiplier-digit", "ordered-decode", "unordered-decode", "recording-shifted",
+    "coin-roles-flipped", "jump-off-by-one", "half-word-dropped", "multiplier-digit", "ordered-table", "unordered-table", "recording-shifted",
     "block-tail",
     "targets-lose-negative-zero", "targets-unclipped-at-one", "targets-dimensions-swapped",
     "upward-counts-the-diagonal", "select-strict",

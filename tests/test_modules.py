@@ -35,8 +35,9 @@ SOURCES = sorted([*(ROOT / "src" / "labelgames").glob("*.py"), *(ROOT / "tests")
 def unused_imports(path: Path) -> list[str]:
     """Each name ``path`` imports and never reads, unless its line says ``# noqa: F401``.
 
-    A name is read where it appears as a name (``np`` in ``np.zeros``)
-    or as a string in ``__all__``.
+    The marker counts only on an import that names one name, so that it
+    cannot hide another import.  A name is read where it appears as a name
+    (``np`` in ``np.zeros``) or as a string in ``__all__``.
     """
     source = path.read_text()
     tree = ast.parse(source)
@@ -44,8 +45,9 @@ def unused_imports(path: Path) -> list[str]:
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+            marked = len(node.names) == 1 and "# noqa: F401" in lines[node.lineno - 1]
             for alias in node.names:
-                if alias.name != "*" and "# noqa: F401" not in lines[alias.lineno - 1]:
+                if alias.name != "*" and not marked:
                     imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in ast.walk(tree):
@@ -61,3 +63,9 @@ def test_the_sources_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path) == []
+
+
+def test_a_marker_exempts_only_an_import_of_one_name(tmp_path):
+    path = tmp_path / "marked.py"
+    path.write_text("import os  # noqa: F401\nfrom math import pi, tau  # noqa: F401\n")
+    assert unused_imports(path) == ["marked.py:2 pi", "marked.py:2 tau"]
